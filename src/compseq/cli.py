@@ -10,6 +10,9 @@ DOT.
 Exit codes: analyze returns 0 when the sequence converges, 2 when it
 diverges, 1 on any input error; verify returns 0 when every instance
 passes, 2 when a counterexample is found; export returns 0 on success.
+Every subcommand returns 1 with an ``error:`` line on stderr when two
+independent routes disagree (InternalCheckError) or the simulation hits
+its cap on stored powers (PowerCycleMemoryError).
 All output is byte-deterministic for identical inputs and flags.
 """
 
@@ -21,9 +24,9 @@ import random
 import sys
 
 from . import oracle, theory
-from .bmat import ParseError
+from .bmat import ParseError, PowerCycleMemoryError
 from .graphs import (
-    Digraph,
+    InternalCheckError,
     NotLinearlyConnectedError,
     SelfLoopError,
     component_chain,
@@ -49,10 +52,6 @@ def _read_input(path: str) -> str:
 def _detect_format(text: str) -> str:
     first = text.splitlines()[0].split() if text.splitlines() else []
     return "matrix" if len(first) == 1 else "edge-list"
-
-
-def _load_digraph(path: str) -> Digraph:
-    return parse_digraph(_read_input(path))
 
 
 def _chain_report(chain, imp) -> dict:
@@ -318,7 +317,10 @@ def main(argv: list[str] | None = None) -> int:
     p_export.set_defaults(func=cmd_export)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InternalCheckError, PowerCycleMemoryError) as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

@@ -13,10 +13,12 @@ anchored so the smallest vertex id of a nontrivial component lands in U_1;
 any other rotation of the labels is equally consistent and yields the same
 downstream answers.
 
+``competition_graph`` is ``gamma`` of the adjacency matrix.
 ``m_step_competition`` joins u and v iff some vertex is reachable from both
 by a directed walk of length exactly m.  It always evaluates two
-independent routes (matrix power vs direct reachability DP) and refuses to
-answer if they disagree.
+independent routes and refuses to answer if they disagree: ``gamma`` of
+the repeated-squaring power A^m, and a DP that extends walks one arc at a
+time on int masks without calling ``bool_mul`` or ``gamma``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable
 
-from .bmat import BoolMatrix, ParseError, bool_pow
+from .bmat import BoolMatrix, ParseError, bool_pow, gamma
 
 __all__ = [
     "Digraph",
@@ -45,7 +47,6 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
     "parse_digraph",
-    "format_digraph",
 ]
 
 
@@ -134,21 +135,23 @@ class UndirectedGraph:
 
     @classmethod
     def from_adjacency_matrix(cls, a: BoolMatrix) -> "UndirectedGraph":
-        for i in range(a.n):
-            if a.entry(i, i):
+        """Edge (i+1, j+1) for each set entry (i, j) with i < j.  Raises
+        ValueError on a nonzero diagonal or an asymmetric entry, naming the
+        first one in row order."""
+        edges = []
+        for i, (r, c) in enumerate(zip(a.rows, a.columns())):
+            if (r >> i) & 1:
                 raise ValueError(f"adjacency matrix has nonzero diagonal at {i}")
-            for j in range(i + 1, a.n):
-                if a.entry(i, j) != a.entry(j, i):
-                    raise ValueError(f"adjacency matrix not symmetric at ({i},{j})")
-        return cls(
-            a.n,
-            frozenset(
-                (i + 1, j + 1)
-                for i in range(a.n)
-                for j in range(i + 1, a.n)
-                if a.entry(i, j)
-            ),
-        )
+            upper = r >> (i + 1)
+            diff = upper ^ (c >> (i + 1))
+            if diff:
+                j = i + (diff & -diff).bit_length()
+                raise ValueError(f"adjacency matrix not symmetric at ({i},{j})")
+            while upper:
+                low = upper & -upper
+                edges.append((i + 1, i + 1 + low.bit_length()))
+                upper ^= low
+        return cls(a.n, frozenset(edges))
 
     def to_adjacency_matrix(self) -> BoolMatrix:
         rows = [0] * self.n
@@ -434,28 +437,21 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
 
 def competition_graph(d: Digraph) -> UndirectedGraph:
     """Join u and v iff they have a common out-neighbor (common prey)."""
-    out = d.out_sets
-    edges = set()
-    for u in range(1, d.n + 1):
-        ou = out[u]
-        if not ou:
-            continue
-        for v in range(u + 1, d.n + 1):
-            if ou & out[v]:
-                edges.add((u, v))
-    return UndirectedGraph(d.n, frozenset(edges))
+    return UndirectedGraph.from_adjacency_matrix(gamma(to_matrix(d)))
 
 
-def _m_step_reach(d: Digraph, m: int) -> dict[int, frozenset[int]]:
-    reach = {v: frozenset((v,)) for v in range(1, d.n + 1)}
-    out = d.out_sets
+def _m_step_reach(d: Digraph, m: int) -> list[int]:
+    """reach[v-1] has bit w-1 set iff a walk of length exactly m runs from
+    v to w."""
+    succ = [[w - 1 for w in d.out_sets[v]] for v in range(1, d.n + 1)]
+    reach = [1 << v for v in range(d.n)]
     for _ in range(m):
-        nxt = {}
-        for v, cur in reach.items():
-            acc: set[int] = set()
-            for u in cur:
-                acc |= out[u]
-            nxt[v] = frozenset(acc)
+        nxt = []
+        for out in succ:
+            acc = 0
+            for w in out:
+                acc |= reach[w]
+            nxt.append(acc)
         reach = nxt
     return reach
 
@@ -464,22 +460,25 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
     """Join u and v iff some vertex is reachable from both by a directed
     walk of length exactly m.
 
-    Evaluated twice: once as the competition graph of the digraph of A^m,
-    once by a direct reachability DP on d.  A mismatch raises
-    InternalCheckError instead of returning a wrong answer.
+    Evaluated twice: once as ``gamma`` of A^m from ``bool_pow``, once by
+    the walk DP reach_(t+1)(v) = OR of reach_t(w) over the arcs (v, w),
+    run m times from reach_0(v) = {v}, with u and v joined iff their reach
+    masks intersect.  The DP shares no kernel with the matrix route (no
+    ``bool_mul``, no ``gamma``), so a fault in either shows as a mismatch,
+    which raises InternalCheckError instead of returning a wrong answer.
     """
     if m < 1:
         raise ValueError(f"step count must be >= 1, got {m}")
-    via_matrix = competition_graph(from_matrix(bool_pow(to_matrix(d), m)))
+    via_matrix = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(to_matrix(d), m)))
     reach = _m_step_reach(d, m)
     edges = set()
-    for u in range(1, d.n + 1):
+    for u in range(d.n):
         ru = reach[u]
         if not ru:
             continue
-        for v in range(u + 1, d.n + 1):
+        for v in range(u + 1, d.n):
             if ru & reach[v]:
-                edges.add((u, v))
+                edges.add((u + 1, v + 1))
     via_walks = UndirectedGraph(d.n, frozenset(edges))
     if via_matrix != via_walks:
         diff = sorted(via_matrix.edges ^ via_walks.edges)
@@ -562,7 +561,3 @@ def parse_digraph(text: str) -> Digraph:
         return parse_edge_list(text)
     raise ParseError(1, f"expected 1 token (matrix) or 2 tokens (edge list), got {ntoks}")
 
-
-def format_digraph(d: Digraph) -> str:
-    """Canonical text for a digraph: the edge-list format."""
-    return format_edge_list(d)

@@ -5,9 +5,10 @@ sequence of a Boolean matrix repeats after finitely many steps, so the
 whole infinite sequence of competition graphs is read off one full cycle.
 No theory enters; this is the oracle the analytic route is tested against.
 
-``verify`` runs both routes on one digraph and compares verdicts, limits,
-and clique structure; on a mismatch it greedily deletes arcs (keeping the
-digraph linearly connected) to return a minimal counterexample.
+``verify`` runs both routes once on one digraph and compares verdicts,
+limits, and clique structure; on a mismatch it greedily deletes arcs
+(keeping the digraph linearly connected) to return a minimal
+counterexample.
 
 ``random_instance`` draws a linearly connected digraph deterministically
 from a seed: a Hamiltonian cycle plus random chords per nontrivial
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 from . import theory
 from .bmat import BoolMatrix, DEFAULT_MEMORY_CAP, gamma, power_trajectory
 from .graphs import (
+    ComponentChain,
     Digraph,
+    ImprimitivityData,
     InternalCheckError,
     NotLinearlyConnectedError,
     SelfLoopError,
@@ -85,19 +88,19 @@ def simulate_limit(
         raise SizeCapError(f"matrix dimension {a.n} exceeds size cap {size_cap}")
     cycle, powers = power_trajectory(a, memory_cap)
     mu, pi = cycle.index_mu, cycle.period_pi
-    tail = powers[mu - 1 : mu - 1 + pi]
-    graphs = [UndirectedGraph.from_adjacency_matrix(gamma(m)) for m in tail]
-    distinct: list[UndirectedGraph] = []
-    for g in graphs:
-        if g not in distinct:
-            distinct.append(g)
-    converged = len(distinct) == 1
+    # distinct gammas of the tail, keyed by their rows, in order of first appearance
+    distinct: dict[tuple[int, ...], BoolMatrix] = {}
+    for power in powers[mu - 1 : mu - 1 + pi]:
+        g = gamma(power)
+        distinct.setdefault(g.rows, g)
+    graphs = tuple(UndirectedGraph.from_adjacency_matrix(g) for g in distinct.values())
+    converged = len(graphs) == 1
     return SimulationResult(
         index_mu=mu,
         period_pi=pi,
         converged=converged,
-        limit=distinct[0] if converged else None,
-        gamma_cycle=tuple(distinct),
+        limit=graphs[0] if converged else None,
+        gamma_cycle=graphs,
     )
 
 
@@ -116,17 +119,26 @@ class VerificationReport:
     counterexample: Digraph | None
 
 
-def _run_check(
-    d: Digraph, name: str, *, size_cap: int, memory_cap: int
-) -> CheckResult | None:
-    """One named comparison between the analytic and simulated routes, or
-    None when the check's precondition does not hold for d."""
+def _run_checks(
+    d: Digraph, names: tuple[str, ...], *, size_cap: int, memory_cap: int
+) -> list[CheckResult]:
+    """The named comparisons between the analytic and simulated routes, in
+    the order given, all read off one chain, imprimitivity and simulation
+    of d.  A check whose precondition does not hold for d is left out."""
     try:
         chain = component_chain(d)
     except (NotLinearlyConnectedError, SelfLoopError) as e:
-        return CheckResult(name, True, f"not applicable: {e}")
+        return [CheckResult(name, True, f"not applicable: {e}") for name in names]
     imp = imprimitivity(d, chain)
     sim = simulate_limit(to_matrix(d), size_cap=size_cap, memory_cap=memory_cap)
+    results = (_compare(name, d, chain, imp, sim) for name in names)
+    return [r for r in results if r is not None]
+
+
+def _compare(
+    name: str, d: Digraph, chain: ComponentChain, imp: ImprimitivityData, sim: SimulationResult
+) -> CheckResult | None:
+    """One named comparison, or None when its precondition does not hold."""
     if name == "verdict":
         verdict = theory.converges(d, chain=chain, imp=imp)
         return CheckResult(
@@ -160,11 +172,11 @@ def _run_check(
 
 def _check_fails(d: Digraph, name: str, *, size_cap: int, memory_cap: int) -> bool:
     try:
-        result = _run_check(d, name, size_cap=size_cap, memory_cap=memory_cap)
+        results = _run_checks(d, (name,), size_cap=size_cap, memory_cap=memory_cap)
     except Exception:
         # a candidate that breaks preconditions is useless as a counterexample
         return False
-    return result is not None and not result.passed
+    return any(not r.passed for r in results)
 
 
 def _shrink(
@@ -203,11 +215,9 @@ def verify(
     analytic constructions exist exactly then).  The first failing check
     is shrunk to a minimal counterexample by greedy arc deletion.
     """
-    checks = []
-    for name in ("verdict", "limit", "jbd"):
-        result = _run_check(d, name, size_cap=size_cap, memory_cap=memory_cap)
-        if result is not None:
-            checks.append(result)
+    checks = _run_checks(
+        d, ("verdict", "limit", "jbd"), size_cap=size_cap, memory_cap=memory_cap
+    )
     failed = next((c.name for c in checks if not c.passed), None)
     counterexample = None
     if failed is not None:

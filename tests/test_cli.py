@@ -14,6 +14,7 @@ from compseq import (
     format_matrix,
     random_instance,
 )
+from compseq import bmat, graphs, oracle
 from compseq.cli import main
 from conftest import (
     cycle4_feeders,
@@ -123,6 +124,24 @@ class TestAnalyze:
         assert code == 1
         assert "no arcs from component 1 to component 2" in err
 
+    def test_internal_check_error_reported(self, write, capsys, monkeypatch):
+        # a BFS that stops at its root makes imprimitivity's own check fail
+        monkeypatch.setattr(graphs, "_bfs_levels", lambda root, vertices, out_sets: {root: 0})
+        path = write("t.el", format_edge_list(two_chain()))
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not strongly connected" in err
+
+    def test_power_cycle_memory_error_reported(self, write, capsys, monkeypatch):
+        # the period-4 tail needs more than two stored powers
+        monkeypatch.setattr(
+            oracle, "power_trajectory", lambda a, cap: bmat.power_trajectory(a, 2)
+        )
+        path = write("c.el", format_edge_list(cycle4_feeders(4)))
+        code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "memory cap of 2" in err
+
     def test_deterministic_output(self, write, capsys):
         path = write("a.el", format_edge_list(two_chain()))
         _, first, _ = run(capsys, "analyze", path)
@@ -230,6 +249,13 @@ class TestExport:
         code, out, _ = run(capsys, "export", path, "--what", "competition", "2")
         assert code == 0
         assert '"2" -- "4";' in out and out.count("--") == 1
+
+    def test_competition_route_split_reported(self, write, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_m_step_reach", lambda d, m: [(1 << d.n) - 1] * d.n)
+        path = write("t.el", format_edge_list(two_chain()))
+        code, out, err = run(capsys, "export", path, "--what", "competition", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "routes disagree at m=3" in err
 
     def test_competition_needs_step_count(self, write, capsys):
         path = write("t.el", format_edge_list(two_chain()))

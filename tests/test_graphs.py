@@ -12,6 +12,7 @@ from compseq import (
     Digraph,
     GeneratorSpec,
     ImprimitivityData,
+    InternalCheckError,
     NotLinearlyConnectedError,
     ParseError,
     SelfLoopError,
@@ -19,19 +20,20 @@ from compseq import (
     bool_pow,
     competition_graph,
     component_chain,
-    format_digraph,
     format_edge_list,
     from_matrix,
-    gamma,
     imprimitivity,
     m_step_competition,
     parse_digraph,
     parse_edge_list,
     random_instance,
+    simulate_limit,
     to_matrix,
 )
+from compseq import graphs
 from compseq.graphs import _strong_components
 from conftest import (
+    bool_matrices,
     cycle4_feeders,
     digraphs,
     period3_digraph,
@@ -101,6 +103,38 @@ class TestUndirectedGraph:
         lop = BoolMatrix.from_entries([[0, 1], [0, 0]])
         with pytest.raises(ValueError, match="not symmetric"):
             UndirectedGraph.from_adjacency_matrix(lop)
+
+    @given(bool_matrices())
+    def test_from_adjacency_matrix_round_trips_symmetric(self, a):
+        # mirror the strict upper triangle of a: symmetric, zero diagonal
+        s = BoolMatrix.from_entries(
+            [[a.entry(min(i, j), max(i, j)) if i != j else 0 for j in range(a.n)]
+             for i in range(a.n)]
+        )
+        g = UndirectedGraph.from_adjacency_matrix(s)
+        assert g.edges == {
+            (i + 1, j + 1) for i in range(a.n) for j in range(i + 1, a.n) if s.entry(i, j)
+        }
+        assert g.to_adjacency_matrix() == s
+
+    @given(bool_matrices())
+    def test_from_adjacency_matrix_rejects_like_entry_scan(self, a):
+        # reference: scan rows in order, the diagonal before the pairs (i, j>i)
+        expected = None
+        for i in range(a.n):
+            if a.entry(i, i):
+                expected = f"adjacency matrix has nonzero diagonal at {i}"
+                break
+            bad = [j for j in range(i + 1, a.n) if a.entry(i, j) != a.entry(j, i)]
+            if bad:
+                expected = f"adjacency matrix not symmetric at ({i},{bad[0]})"
+                break
+        if expected is None:
+            assert UndirectedGraph.from_adjacency_matrix(a).to_adjacency_matrix() == a
+        else:
+            with pytest.raises(ValueError) as exc:
+                UndirectedGraph.from_adjacency_matrix(a)
+            assert str(exc.value) == expected
 
     def test_adjacent(self):
         g = UndirectedGraph.from_edges(3, [(1, 2)])
@@ -284,9 +318,15 @@ class TestCompetitionGraph:
         assert competition_graph(d).edges == frozenset()
 
     @given(digraphs())
-    def test_agrees_with_gamma_of_matrix(self, d):
-        via_gamma = UndirectedGraph.from_adjacency_matrix(gamma(to_matrix(d)))
-        assert competition_graph(d) == via_gamma
+    def test_matches_common_prey_definition(self, d):
+        out = d.out_sets
+        expected = {
+            (u, v)
+            for u in range(1, d.n + 1)
+            for v in range(u + 1, d.n + 1)
+            if out[u] & out[v]
+        }
+        assert competition_graph(d).edges == expected
 
 
 class TestMStepCompetition:
@@ -297,6 +337,31 @@ class TestMStepCompetition:
     def test_step_count_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
             m_step_competition(two_chain(), 0)
+
+    def test_route_split_raises(self, monkeypatch):
+        # every vertex reaches everything: the walk route claims a complete graph
+        monkeypatch.setattr(
+            graphs, "_m_step_reach", lambda d, m: [(1 << d.n) - 1] * d.n
+        )
+        with pytest.raises(InternalCheckError, match="disagree at m=1"):
+            m_step_competition(two_chain(), 1)
+
+    def test_far_tail_matches_simulated_gamma_cycle(self):
+        # one period of m, starting at a multiple of pi past mu with m >> n,
+        # lists the simulated gamma cycle in the same order
+        divergent = 0
+        for seed in range(40):
+            d = random_instance(GeneratorSpec(eta=1 + seed % 4, sizes=(1, 4), seed=seed))
+            sim = simulate_limit(to_matrix(d))
+            start = sim.index_mu + sim.period_pi * 10 * d.n
+            cycle = []
+            for m in range(start, start + sim.period_pi):
+                g = m_step_competition(d, m)
+                if g not in cycle:
+                    cycle.append(g)
+            assert tuple(cycle) == sim.gamma_cycle, seed
+            divergent += len(cycle) > 1
+        assert divergent >= 2
 
     def test_edge_appears_at_the_right_step(self):
         # 1 -> 2 -> 3 and 4 -> 3, with 3 looping on itself: vertex 1 first
@@ -375,5 +440,5 @@ class TestParseDigraph:
             parse_digraph("  \n")
 
     @given(digraphs(allow_loops=False))
-    def test_format_digraph_round_trip(self, d):
-        assert parse_digraph(format_digraph(d)) == d
+    def test_edge_list_round_trip(self, d):
+        assert parse_digraph(format_edge_list(d)) == d

@@ -95,12 +95,12 @@ class TestVerify:
         assert all("not applicable" in c.detail for c in report.checks)
 
     def test_failure_reporting(self, monkeypatch):
-        def fake_run(d, name, *, size_cap, memory_cap):
-            if name == "verdict":
-                return CheckResult("verdict", False, "forced failure")
-            return None
+        def fake_run(d, names, *, size_cap, memory_cap):
+            if "verdict" in names:
+                return [CheckResult("verdict", False, "forced failure")]
+            return []
 
-        monkeypatch.setattr(oracle, "_run_check", fake_run)
+        monkeypatch.setattr(oracle, "_run_checks", fake_run)
         report = verify(two_chain())
         assert not report.passed
         assert report.failed_check == "verdict"
