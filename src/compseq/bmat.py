@@ -9,10 +9,7 @@ hashing are bit-exact with no padding pitfalls.
 The row-intersection operator ``gamma`` sends A to the symmetric matrix
 with zero diagonal whose (i, j) entry is 1 iff rows i and j of A share a
 set column; it is the adjacency matrix of the competition graph of the
-digraph whose adjacency matrix is A.  It works by column incidence: the
-rows sharing column j form a clique, so the result is the OR of those
-cliques over all columns, and sparse matrices cost O(nnz) int operations
-rather than a test of every pair of rows.
+digraph whose adjacency matrix is A.
 
 ``power_cycle`` finds the exact index and period of the eventually
 periodic power sequence A, A^2, A^3, ... by storing every distinct power
@@ -175,20 +172,19 @@ def bool_pow(a: BoolMatrix, m: int) -> BoolMatrix:
 
 def gamma(a: BoolMatrix) -> BoolMatrix:
     """Row-intersection operator: result (i,j) = 1 iff i != j and rows i, j
-    of a share a set column.  Always symmetric with zero diagonal.
-
-    Column j, as a bit mask over rows, lists the rows with bit j set; each
-    column with two or more members is ORed into the rows of all its
-    members, and the diagonal is cleared at the end."""
-    out = [0] * a.n
-    for c in a.columns():
-        if c & (c - 1):
-            members = c
-            while members:
-                low = members & -members
-                out[low.bit_length() - 1] |= c
-                members ^= low
-    return BoolMatrix(a.n, tuple(r & ~(1 << i) for i, r in enumerate(out)))
+    of a share a set column.  Always symmetric with zero diagonal."""
+    n = a.n
+    rows = a.rows
+    out = [0] * n
+    for i in range(n):
+        ri = rows[i]
+        if not ri:
+            continue
+        for j in range(i + 1, n):
+            if ri & rows[j]:
+                out[i] |= 1 << j
+                out[j] |= 1 << i
+    return BoolMatrix(n, tuple(out))
 
 
 def power_trajectory(

@@ -42,6 +42,13 @@ class TestBoolMatrix:
         assert a.entry(0, 0) == 0
         assert a.entry(3, 2) == 1
 
+    def test_columns_are_transposed_rows(self):
+        a = period3_matrix()
+        cols = a.columns()
+        assert all(
+            (cols[j] >> i) & 1 == a.entry(i, j) for i in range(a.n) for j in range(a.n)
+        )
+
     def test_entry_out_of_range(self):
         with pytest.raises(IndexError):
             BoolMatrix.zeros(2).entry(0, 2)
