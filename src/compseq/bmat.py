@@ -108,7 +108,15 @@ class BoolMatrix:
 
     def columns(self) -> list[int]:
         """Column masks: bit i of ``columns()[j]`` is entry (i, j)."""
-        cols = [0] * self.n
+        n = self.n
+        if 16 * sum(r.bit_count() for r in self.rows) >= n * (n + 64):
+            # dense: transpose the rows' binary digit strings in C, at
+            # O(n^2) character steps instead of O(set entries) Python steps
+            fmt = f"0{n}b"
+            cols = [int("".join(c), 2) for c in zip(*(format(r, fmt) for r in reversed(self.rows)))]
+            cols.reverse()
+            return cols
+        cols = [0] * n
         for i, r in enumerate(self.rows):
             bit = 1 << i
             while r:

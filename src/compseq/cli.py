@@ -29,7 +29,9 @@ from .graphs import (
     InternalCheckError,
     NotLinearlyConnectedError,
     SelfLoopError,
+    UndirectedGraph,
     component_chain,
+    detect_format,
     format_edge_list,
     imprimitivity,
     parse_digraph,
@@ -47,11 +49,6 @@ def _fail(message: str) -> int:
 def _read_input(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _detect_format(text: str) -> str:
-    first = text.splitlines()[0].split() if text.splitlines() else []
-    return "matrix" if len(first) == 1 else "edge-list"
 
 
 def _chain_report(chain, imp) -> dict:
@@ -85,7 +82,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "schema": 1,
         "input": {
             "path": args.input,
-            "format": _detect_format(text),
+            "format": detect_format(text),
             "n": d.n,
             "arcs": [list(a) for a in sorted(d.arcs)],
         },
@@ -106,6 +103,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "jbd": None,
     }
 
+    # (source, graph) of the limit, spliced into the report text at the end
+    limit = None
     all_nontrivial = not any(chain.trivial_flags)
     if all_nontrivial:
         sk = theory.cs_graph(d, chain, imp)
@@ -113,11 +112,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "class_counts": list(sk.class_counts),
             "edges": sorted([p, i, q, j] for (p, i), (q, j) in sk.edges),
         }
-        limit = theory.limit_graph(d, chain, imp)
-        report["limit"] = {
-            "source": "analytic",
-            "edges": [list(e) for e in sorted(limit.edges)],
-        }
+        limit = ("analytic", theory.limit_graph(d, chain, imp))
         jbd = theory.jbd_condition(d, chain, imp)
         report["jbd"] = {
             "source": "analytic",
@@ -131,10 +126,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except oracle.SizeCapError as e:
             return _fail(str(e))
         assert sim.limit is not None
-        report["limit"] = {
-            "source": "simulated",
-            "edges": [list(e) for e in sorted(sim.limit.edges)],
-        }
+        limit = ("simulated", sim.limit)
         report["jbd"] = {
             "source": "simulated",
             "holds": theory.union_of_cliques(sim.limit),
@@ -142,8 +134,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "detail": None,
         }
 
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if limit is not None:
+        # '\n  "' starts a top-level key: strings in the report escape their
+        # newlines and quotes, and deeper keys are indented further
+        text = text.replace('\n  "limit": null', '\n  "limit": ' + _limit_json(*limit), 1)
+    print(text)
     return 0 if verdict.converged else 2
+
+
+def _limit_json(source: str, g: UndirectedGraph) -> str:
+    """The report's "limit" object, {"edges": g's sorted edges as [u, v]
+    lists, "source": source}, exactly as json.dumps(indent=2,
+    sort_keys=True) writes it as a top-level value.  The edge list, most
+    of the report, is written straight from g's rows."""
+    runs = []
+    for u in range(1, g.n + 1):
+        head = f"      [\n        {u},\n        "
+        vs = ("\n      ],\n" + head).join(map(str, g.later_neighbours(u)))
+        if vs:
+            runs.append(head + vs + "\n      ]")
+    edges = "[\n" + ",\n".join(runs) + "\n    ]" if runs else "[]"
+    return f'{{\n    "edges": {edges},\n    "source": "{source}"\n  }}'
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -243,8 +255,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
         g = m_step_competition(d, m)
         nodes = [str(v) for v in range(1, g.n + 1)]
-        edges = [(str(u), str(v)) for u, v in sorted(g.edges)]
-        print(_dot_lines("competition", nodes, edges), end="")
+        print(_dot_lines("competition", nodes, g.edge_list()), end="")
         return 0
 
     try:
@@ -268,8 +279,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     limit = theory.limit_graph(d, chain, imp)
     nodes = [str(v) for v in range(1, limit.n + 1)]
-    edges = [(str(u), str(v)) for u, v in sorted(limit.edges)]
-    print(_dot_lines("limit", nodes, edges), end="")
+    print(_dot_lines("limit", nodes, limit.edge_list()), end="")
     return 0
 
 

@@ -13,6 +13,13 @@ anchored so the smallest vertex id of a nontrivial component lands in U_1;
 any other rotation of the labels is equally consistent and yields the same
 downstream answers.
 
+``UndirectedGraph`` stores its adjacency matrix as bitset rows, the
+layout of ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is set iff u ~ v.
+Every construction checks that the rows are symmetric with a zero
+diagonal and no bit outside the graph.  The edge set is derived from
+the rows only when asked for; ``edge_list`` reads the upper triangle row
+by row, which yields the edges in sorted order.
+
 ``competition_graph`` is ``gamma`` of the adjacency matrix.
 ``m_step_competition`` joins u and v iff some vertex is reachable from both
 by a directed walk of length exactly m.  It always evaluates two
@@ -25,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .bmat import BoolMatrix, ParseError, bool_pow, gamma
+from .bmat import BoolMatrix, ParseError, bool_pow, gamma, parse_matrix
 
 __all__ = [
     "Digraph",
@@ -47,6 +55,7 @@ __all__ = [
     "parse_edge_list",
     "format_edge_list",
     "parse_digraph",
+    "detect_format",
 ]
 
 
@@ -114,82 +123,95 @@ class Digraph:
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple undirected graph on 1..n; edges stored with u < v."""
+    """Simple undirected graph on 1..n stored as bitset rows: bit v-1 of
+    ``rows[u-1]`` is set iff u and v are adjacent.
+
+    Every construction checks that the rows form a symmetric matrix with
+    zero diagonal and no bit outside 0..n-1, naming the first bad entry in
+    row order.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) not normalized within 1..{self.n}")
-
-    @classmethod
-    def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "UndirectedGraph":
-        norm = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"loop edge ({u},{v}) not allowed")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(n, frozenset(norm))
-
-    @classmethod
-    def from_adjacency_matrix(cls, a: BoolMatrix) -> "UndirectedGraph":
-        """Edge (i+1, j+1) for each set entry (i, j) with i < j.  Raises
-        ValueError on a nonzero diagonal or an asymmetric entry, naming the
-        first one in row order."""
-        edges = []
-        for i, (r, c) in enumerate(zip(a.rows, a.columns())):
+        # BoolMatrix checks n >= 1, the row count and the bit range
+        cols = BoolMatrix(self.n, self.rows).columns()
+        for i, (r, c) in enumerate(zip(self.rows, cols)):
             if (r >> i) & 1:
                 raise ValueError(f"adjacency matrix has nonzero diagonal at {i}")
-            upper = r >> (i + 1)
-            diff = upper ^ (c >> (i + 1))
+            diff = (r ^ c) >> (i + 1)
             if diff:
                 j = i + (diff & -diff).bit_length()
                 raise ValueError(f"adjacency matrix not symmetric at ({i},{j})")
-            while upper:
-                low = upper & -upper
-                edges.append((i + 1, i + 1 + low.bit_length()))
-                upper ^= low
-        return cls(a.n, frozenset(edges))
 
-    def to_adjacency_matrix(self) -> BoolMatrix:
-        rows = [0] * self.n
-        for u, v in self.edges:
+    @classmethod
+    def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "UndirectedGraph":
+        rows = [0] * n
+        for u, v in pairs:
+            if u == v:
+                raise ValueError(f"loop edge ({u},{v}) not allowed")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
             rows[u - 1] |= 1 << (v - 1)
             rows[v - 1] |= 1 << (u - 1)
-        return BoolMatrix(self.n, tuple(rows))
+        return cls(n, tuple(rows))
+
+    @classmethod
+    def from_adjacency_matrix(cls, a: BoolMatrix) -> "UndirectedGraph":
+        """The graph whose adjacency matrix is a; raises ValueError on a
+        nonzero diagonal or an asymmetric entry."""
+        return cls(a.n, a.rows)
+
+    def to_adjacency_matrix(self) -> BoolMatrix:
+        return BoolMatrix(self.n, self.rows)
 
     def adjacent(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return ((min(u, v), max(u, v))) in self.edges
+        return bool((self.rows[u - 1] >> (v - 1)) & 1)
+
+    def later_neighbours(self, u: int) -> Iterator[int]:
+        """The neighbours v > u of u, in increasing order."""
+        # digit k of the reversed binary string is bit u + k of the row
+        digits = format(self.rows[u - 1] >> u, f"0{self.n - u}b")[::-1]
+        return compress(range(u + 1, self.n + 1), digits.encode().translate(_DIGIT_FLAGS))
+
+    def edge_list(self) -> list[tuple[int, int]]:
+        """Every edge (u, v) with u < v, in sorted order."""
+        return [(u, v) for u in range(1, self.n + 1) for v in self.later_neighbours(u)]
 
     @cached_property
-    def adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v."""
+        return frozenset(self.edge_list())
 
     def connected_components(self) -> tuple[frozenset[int], ...]:
-        seen: set[int] = set()
+        seen = 0
         comps = []
-        for start in range(1, self.n + 1):
-            if start in seen:
+        for start in range(self.n):
+            if (seen >> start) & 1:
                 continue
-            comp = {start}
-            frontier = [start]
+            comp = frontier = 1 << start
             while frontier:
-                u = frontier.pop()
-                for w in self.adjacency[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
+                nxt = 0
+                for v in _bit_indices(frontier):
+                    nxt |= self.rows[v]
+                frontier = nxt & ~comp
+                comp |= frontier
             seen |= comp
-            comps.append(frozenset(comp))
+            comps.append(frozenset(v + 1 for v in _bit_indices(comp)))
         return tuple(comps)
+
+
+# maps the ASCII digits "0" and "1" to the bytes 0 and 1, for itertools.compress
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def from_matrix(a: BoolMatrix) -> Digraph:
@@ -471,15 +493,16 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
         raise ValueError(f"step count must be >= 1, got {m}")
     via_matrix = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(to_matrix(d), m)))
     reach = _m_step_reach(d, m)
-    edges = set()
+    rows = [0] * d.n
     for u in range(d.n):
         ru = reach[u]
         if not ru:
             continue
         for v in range(u + 1, d.n):
             if ru & reach[v]:
-                edges.add((u + 1, v + 1))
-    via_walks = UndirectedGraph(d.n, frozenset(edges))
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    via_walks = UndirectedGraph(d.n, tuple(rows))
     if via_matrix != via_walks:
         diff = sorted(via_matrix.edges ^ via_walks.edges)
         raise InternalCheckError(
@@ -541,23 +564,28 @@ def format_edge_list(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_digraph(text: str) -> Digraph:
-    """Parse either input format, auto-detected by the first line: one
-    token means matrix text, two tokens means an edge list.  Self-loops
-    are rejected in both."""
+def detect_format(text: str) -> str:
+    """"matrix" when the first line holds one token, "edge-list" when it
+    holds two; ParseError otherwise."""
     lines = text.splitlines()
-    if not lines or not lines[0].split():
+    ntoks = len(lines[0].split()) if lines else 0
+    if ntoks == 0:
         raise ParseError(1, "empty input")
-    ntoks = len(lines[0].split())
     if ntoks == 1:
-        from .bmat import parse_matrix
-
-        a = parse_matrix(text)
-        for i in range(a.n):
-            if a.entry(i, i):
-                raise ParseError(i + 2, f"self-loop on vertex {i + 1}")
-        return from_matrix(a)
+        return "matrix"
     if ntoks == 2:
-        return parse_edge_list(text)
+        return "edge-list"
     raise ParseError(1, f"expected 1 token (matrix) or 2 tokens (edge list), got {ntoks}")
+
+
+def parse_digraph(text: str) -> Digraph:
+    """Parse either input format, auto-detected by ``detect_format``.
+    Self-loops are rejected in both."""
+    if detect_format(text) == "edge-list":
+        return parse_edge_list(text)
+    a = parse_matrix(text)
+    for i in range(a.n):
+        if a.entry(i, i):
+            raise ParseError(i + 2, f"self-loop on vertex {i + 1}")
+    return from_matrix(a)
 

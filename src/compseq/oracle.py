@@ -6,9 +6,9 @@ whole infinite sequence of competition graphs is read off one full cycle.
 No theory enters; this is the oracle the analytic route is tested against.
 
 ``verify`` runs both routes once on one digraph and compares verdicts,
-limits, and clique structure; on a mismatch it greedily deletes arcs
-(keeping the digraph linearly connected) to return a minimal
-counterexample.
+limits, and clique structure; an exception raised by the analytic route
+counts as a failed check.  On a failure it greedily deletes arcs (keeping
+the digraph linearly connected) to return a minimal counterexample.
 
 ``random_instance`` draws a linearly connected digraph deterministically
 from a seed: a Hamiltonian cycle plus random chords per nontrivial
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from . import theory
-from .bmat import BoolMatrix, DEFAULT_MEMORY_CAP, gamma, power_trajectory
+from .bmat import BoolMatrix, DEFAULT_MEMORY_CAP, PowerCycleMemoryError, gamma, power_trajectory
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 64
+
+CHECK_NAMES = ("verdict", "limit", "jbd")
 
 
 class SizeCapError(ValueError):
@@ -124,15 +126,26 @@ def _run_checks(
 ) -> list[CheckResult]:
     """The named comparisons between the analytic and simulated routes, in
     the order given, all read off one chain, imprimitivity and simulation
-    of d.  A check whose precondition does not hold for d is left out."""
+    of d.  A check whose precondition does not hold for d is left out; one
+    whose analytic side raises fails, with the exception as its detail."""
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r}")
     try:
         chain = component_chain(d)
     except (NotLinearlyConnectedError, SelfLoopError) as e:
         return [CheckResult(name, True, f"not applicable: {e}") for name in names]
     imp = imprimitivity(d, chain)
     sim = simulate_limit(to_matrix(d), size_cap=size_cap, memory_cap=memory_cap)
-    results = (_compare(name, d, chain, imp, sim) for name in names)
-    return [r for r in results if r is not None]
+    results = []
+    for name in names:
+        try:
+            result = _compare(name, d, chain, imp, sim)
+        except Exception as e:
+            result = CheckResult(name, False, f"raised {type(e).__name__}: {e}")
+        if result is not None:
+            results.append(result)
+    return results
 
 
 def _compare(
@@ -148,33 +161,28 @@ def _compare(
         )
     if any(chain.trivial_flags) or not sim.converged:
         return None
+    assert sim.limit is not None
     if name == "limit":
         analytic = theory.limit_graph(d, chain, imp)
-        assert sim.limit is not None
+        if analytic == sim.limit:
+            return CheckResult("limit", True, "graphs equal")
         extra = sorted(analytic.edges - sim.limit.edges)
         missing = sorted(sim.limit.edges - analytic.edges)
-        return CheckResult(
-            "limit",
-            analytic == sim.limit,
-            f"extra {extra[:3]} missing {missing[:3]}" if analytic != sim.limit else "graphs equal",
-        )
-    if name == "jbd":
-        jbd = theory.jbd_condition(d, chain, imp)
-        assert sim.limit is not None
-        actual = theory.union_of_cliques(sim.limit)
-        return CheckResult(
-            "jbd",
-            jbd.holds == actual,
-            f"analytic {jbd.holds} vs simulated {actual}",
-        )
-    raise ValueError(f"unknown check {name!r}")
+        return CheckResult("limit", False, f"extra {extra[:3]} missing {missing[:3]}")
+    jbd = theory.jbd_condition(d, chain, imp)
+    actual = theory.union_of_cliques(sim.limit)
+    return CheckResult(
+        "jbd",
+        jbd.holds == actual,
+        f"analytic {jbd.holds} vs simulated {actual}",
+    )
 
 
 def _check_fails(d: Digraph, name: str, *, size_cap: int, memory_cap: int) -> bool:
     try:
         results = _run_checks(d, (name,), size_cap=size_cap, memory_cap=memory_cap)
-    except Exception:
-        # a candidate that breaks preconditions is useless as a counterexample
+    except (SizeCapError, PowerCycleMemoryError):
+        # a candidate the simulation cannot decide is useless as a counterexample
         return False
     return any(not r.passed for r in results)
 
@@ -212,12 +220,13 @@ def verify(
 
     Checks: the convergence verdict always; the limit graph and the
     union-of-cliques criterion when every component is nontrivial (the
-    analytic constructions exist exactly then).  The first failing check
-    is shrunk to a minimal counterexample by greedy arc deletion.
+    analytic constructions exist exactly then).  An exception raised by the
+    analytic side of a check fails that check with detail "raised
+    <Type>: <message>"; the simulation's own cap errors propagate.  The
+    first failing check is shrunk to a minimal counterexample by greedy arc
+    deletion.
     """
-    checks = _run_checks(
-        d, ("verdict", "limit", "jbd"), size_cap=size_cap, memory_cap=memory_cap
-    )
+    checks = _run_checks(d, CHECK_NAMES, size_cap=size_cap, memory_cap=memory_cap)
     failed = next((c.name for c in checks if not c.passed), None)
     counterexample = None
     if failed is not None:

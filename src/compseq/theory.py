@@ -16,15 +16,20 @@ Conventions used throughout:
   is residue 0).
 * Skeleton paths are ascending: one partite level per step.  Under that
   reading the three limit adjacency clauses (same class, same component,
-  cross component) collapse to the single rule implemented in
-  ``limit_graph``: x in U_i of D_p and y in U_j of D_q with p <= q are
-  adjacent iff the ascending reach sets of (p, i) and (q, j) meet at some
-  level r >= q.
+  cross component) collapse to one rule between classes: x in U_i of D_p
+  and y in U_j of D_q with p <= q are adjacent iff the ascending reach
+  sets of (p, i) and (q, j) meet at some level r >= q.  ``limit_graph``
+  keeps each class's reach as one int mask R over all skeleton classes.
+  The reach of (q, j) has no class below level q, so the bound r >= q
+  holds by itself and the rule is just R_(p,i) & R_(q,j) != 0.  Every
+  vertex of a class then gets that class's row of the limit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 from typing import Iterator
 
@@ -256,15 +261,21 @@ def l_set(lambda_residues: ResidueSet, j: int) -> ResidueSet:
 
 
 def shifted_union(l1: ResidueSet, l2: ResidueSet, shifts: int) -> ResidueSet:
-    """Union over i = 0..shifts-1 of (i + l1) intersect (i + l2)."""
-    if l1.modulus != l2.modulus:
-        raise ValueError(f"moduli differ: {l1.modulus} vs {l2.modulus}")
+    """Union over i = 0..shifts-1 of (i + l1) intersect (i + l2).
+
+    Shifting is a bijection of Z_kappa, so (i + l1) intersect (i + l2) is
+    i + (l1 intersect l2): the intersection is taken once, and shifts
+    past kappa repeat earlier ones.
+    """
+    kappa = l1.modulus
+    if kappa != l2.modulus:
+        raise ValueError(f"moduli differ: {kappa} vs {l2.modulus}")
     if shifts < 1:
         raise ValueError(f"shift count must be >= 1, got {shifts}")
-    acc: frozenset[int] = frozenset()
-    for i in range(shifts):
-        acc |= l1.shift(i).members & l2.shift(i).members
-    return ResidueSet(l1.modulus, acc)
+    common = l1.members & l2.members
+    return ResidueSet(
+        kappa, frozenset((r + i) % kappa for r in common for i in range(min(shifts, kappa)))
+    )
 
 
 def converges(
@@ -317,33 +328,21 @@ def _label(residue: int, kappa: int) -> int:
 
 
 def b_graph(
-    kappa1: int,
-    kappa2: int,
-    interface: InterfaceSet,
-    d1_trivial: bool,
+    kappa1: int, kappa2: int, interface: InterfaceSet
 ) -> frozenset[tuple[int, int]]:
-    """Bipartite skeleton between the classes of two consecutive components.
-
-    Nontrivial first component: labels (i, j) are joined iff for some
-    interface pair (k, l) and some t in 0..lcm(kappa1,kappa2)-1,
-    i = k + 1 + t (mod kappa1) and j = l + t (mod kappa2).  Trivial first
-    component (kappa1 = 1): (1, j) is joined iff j = l - 1 (mod kappa2)
-    for some interface pair (1, l).
+    """Bipartite skeleton between the classes of two consecutive nontrivial
+    components: labels (i, j) are joined iff for some interface pair (k, l)
+    and some t in 0..lcm(kappa1,kappa2)-1, i = k + 1 + t (mod kappa1) and
+    j = l + t (mod kappa2).
     """
     if kappa1 < 1 or kappa2 < 1:
         raise ValueError(f"class counts must be >= 1, got {kappa1}, {kappa2}")
-    if d1_trivial and kappa1 != 1:
-        raise ValueError(f"trivial first component must have kappa1 = 1, got {kappa1}")
     for k, l in interface.pairs:
         if not (1 <= k <= kappa1 and 1 <= l <= kappa2):
             raise ValueError(
                 f"interface pair ({k},{l}) inconsistent with moduli ({kappa1},{kappa2})"
             )
     edges = set()
-    if d1_trivial:
-        for _, l in interface.pairs:
-            edges.add((1, _label((l - 1) % kappa2, kappa2)))
-        return frozenset(edges)
     period = lcm(kappa1, kappa2)
     for k, l in interface.pairs:
         for t in range(period):
@@ -366,7 +365,7 @@ def cs_graph(
     edges = set()
     for p in range(1, chain.eta):
         iset = interface_pairs(d, chain, imp, p)
-        for i, j in b_graph(imp.kappa(p), imp.kappa(p + 1), iset, d1_trivial=False):
+        for i, j in b_graph(imp.kappa(p), imp.kappa(p + 1), iset):
             edges.add(((p, i), (p + 1, j)))
     return SkeletonGraph(class_counts=imp.kappas, edges=frozenset(edges))
 
@@ -393,29 +392,35 @@ def limit_graph(
     class skeleton.  Defined only when every component is nontrivial (the
     sequence then converges unconditionally).
 
-    x in U_i of D_p and y in U_j of D_q with p <= q are adjacent iff the
-    ascending reach sets of (p, i) and (q, j) intersect at some level
-    r >= q.  Since reach of (q, j) at level q is {j}, this simultaneously
-    says: same class always adjacent; same component, different classes
-    adjacent iff their reaches meet strictly above; cross component
-    adjacent iff j is reachable from (p, i) or the reaches meet above q.
+    x in U_i of D_p and y in U_j of D_q are adjacent iff R_(p,i) & R_(q,j)
+    != 0, where R_c is the ascending reach of class c as a mask over all
+    skeleton classes, c itself included.  This is the rule "the reaches
+    meet at some level r >= q" for p <= q: R_(q,j) has no class below
+    level q, so the level bound holds by itself.  It says at once: same
+    class always adjacent; same component, different classes adjacent iff
+    their reaches meet strictly above; cross component adjacent iff j is
+    reachable from (p, i) or the reaches meet above q.  So adjacency is
+    decided once per class pair, and each vertex takes the OR of the
+    member masks of the classes that meet its own, minus its own bit.
     """
     sk = cs_graph(d, chain, imp)
-    eta = sk.eta
-    reach: dict[tuple[int, int], dict[int, frozenset[int]]] = {}
-    for p in range(1, eta + 1):
-        for i in range(1, sk.class_counts[p - 1] + 1):
-            reach[(p, i)] = ascending_reach(sk, p, i)
-    edges = set()
-    for u in range(1, d.n + 1):
-        pu, iu = imp.class_index[u]
-        for v in range(u + 1, d.n + 1):
-            pv, iv = imp.class_index[v]
-            (p, i), (q, j) = ((pu, iu), (pv, iv)) if pu <= pv else ((pv, iv), (pu, iu))
-            ru, rv = reach[(p, i)], reach[(q, j)]
-            if any(ru[r] & rv[r] for r in range(q, eta + 1)):
-                edges.add((u, v))
-    return UndirectedGraph(d.n, frozenset(edges))
+    # class (p, i) has index offset[p-1] + i - 1, ascending with the level
+    offset = list(accumulate(sk.class_counts, initial=0))
+    reach = [1 << c for c in range(offset[-1])]
+    # level p's edges after level p+1's, so every child's reach is final
+    for (p, i), (q, j) in sorted(sk.edges, reverse=True):
+        reach[offset[p - 1] + i - 1] |= reach[offset[q - 1] + j - 1]
+    classes = [cls for level in imp.classes for cls in level]
+    members = [sum(1 << (v - 1) for v in cls) for cls in classes]
+    rows = [0] * d.n
+    for cls, ra in zip(classes, reach):
+        row = 0
+        for rb, mb in zip(reach, members):
+            if ra & rb:
+                row |= mb
+        for v in cls:
+            rows[v - 1] = row & ~(1 << (v - 1))
+    return UndirectedGraph(d.n, tuple(rows))
 
 
 def jbd_condition(
@@ -475,13 +480,15 @@ def jbd_condition(
 
 
 def union_of_cliques(g: UndirectedGraph) -> bool:
-    """True iff every connected component of g induces a complete graph."""
-    for comp in g.connected_components():
-        k = len(comp)
-        inside = sum(1 for u, v in g.edges if u in comp)
-        if inside != k * (k - 1) // 2:
-            return False
-    return True
+    """True iff every connected component of g induces a complete graph.
+
+    Vertices are grouped by closed neighbourhood N[v] = N(v) + v.  g is a
+    union of cliques iff every group is as large as its mask: a group lies
+    inside its mask, so equal sizes make the mask a clique whose members
+    all have exactly that neighbourhood.
+    """
+    groups = Counter(r | (1 << i) for i, r in enumerate(g.rows))
+    return all(size == mask.bit_count() for mask, size in groups.items())
 
 
 @dataclass(frozen=True)

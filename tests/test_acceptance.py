@@ -233,7 +233,7 @@ def test_criterion_8_skeleton_soundness():
         imp = imprimitivity(d, chain)
         k1, k2 = imp.kappa(1), imp.kappa(2)
         iset = interface_pairs(d, chain, imp, 1)
-        skeleton = b_graph(k1, k2, iset, d1_trivial=False)
+        skeleton = b_graph(k1, k2, iset)
         stride = bool_pow(to_matrix(d), 2 * k1 * k2)
         _, powers = power_trajectory(stride)  # all distinct A^(2s*k1*k2), s >= 1
         for i in range(1, k1 + 1):

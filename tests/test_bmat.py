@@ -1,6 +1,8 @@
 """Bit-packed matrices: kernels against naive oracles, cycle detection,
 text format round trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +50,18 @@ class TestBoolMatrix:
         assert all(
             (cols[j] >> i) & 1 == a.entry(i, j) for i in range(a.n) for j in range(a.n)
         )
+
+    @pytest.mark.parametrize("density", [0.02, 0.1, 0.5, 0.9])
+    def test_columns_sparse_and_dense(self, density):
+        rng = random.Random(7)
+        for n in (1, 5, 24, 90):
+            rows = tuple(
+                sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)
+            )
+            cols = BoolMatrix(n, rows).columns()
+            assert cols == [
+                sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n)
+            ]
 
     def test_entry_out_of_range(self):
         with pytest.raises(IndexError):

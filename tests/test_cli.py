@@ -8,10 +8,14 @@ import sys
 import pytest
 
 from compseq import (
+    Digraph,
     GeneratorSpec,
+    component_chain,
     converges,
     format_edge_list,
     format_matrix,
+    imprimitivity,
+    limit_graph,
     random_instance,
 )
 from compseq import bmat, graphs, oracle
@@ -158,6 +162,47 @@ class TestAnalyze:
             report = json.loads(out)
             assert report["verdict"]["converged"] == verdict.converged
             assert report["verdict"]["rule"] == verdict.rule
+
+
+class TestReportText:
+    """analyze writes the limit's edge list straight from the graph's rows;
+    the whole report must still be exactly json.dumps(report, indent=2,
+    sort_keys=True) of the schema-1 report."""
+
+    def report(self, capsys, *argv):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return report
+
+    def test_analytic_limit(self, write, capsys):
+        d = random_instance(GeneratorSpec(eta=3, sizes=(3, 7), allow_trivial=False, seed=5))
+        report = self.report(capsys, write("r.el", format_edge_list(d)))
+        chain = component_chain(d)
+        limit = limit_graph(d, chain, imprimitivity(d, chain))
+        assert report["limit"] == {
+            "source": "analytic",
+            "edges": [list(e) for e in sorted(limit.edges)],
+        }
+        assert len(report["limit"]["edges"]) > 10
+
+    def test_simulated_limit(self, write, capsys):
+        path = write("c.el", format_edge_list(cycle4_feeders(4)))
+        report = self.report(capsys, path, "--simulate-fallback")
+        assert report["limit"]["source"] == "simulated"
+        assert len(report["limit"]["edges"]) == 6
+
+    def test_empty_limit(self, write, capsys):
+        path = write("cycle.el", format_edge_list(Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])))
+        report = self.report(capsys, path)
+        assert report["limit"] == {"source": "analytic", "edges": []}
+
+    def test_path_naming_the_limit_key(self, write, capsys):
+        path = write('x\n  "limit": null, y.el', format_edge_list(two_chain()))
+        report = self.report(capsys, path)
+        assert report["input"]["path"] == path
+        assert report["limit"]["edges"] == [[1, 3], [2, 4]]
 
 
 class TestVerifyCommand:

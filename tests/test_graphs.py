@@ -86,8 +86,42 @@ class TestUndirectedGraph:
     def test_edges_normalized(self):
         g = UndirectedGraph.from_edges(3, [(3, 1), (2, 3)])
         assert g.edges == {(1, 3), (2, 3)}
-        with pytest.raises(ValueError, match="not normalized"):
-            UndirectedGraph(3, frozenset({(3, 1)}))
+        assert g.rows == (0b100, 0b100, 0b011)
+
+    def test_asymmetric_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+            UndirectedGraph(3, (0b100, 0, 0))
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+            UndirectedGraph(3, (0, 0, 0b001))
+
+    def test_diagonal_bit_rejected(self):
+        with pytest.raises(ValueError, match="nonzero diagonal at 1"):
+            UndirectedGraph(3, (0, 0b010, 0))
+
+    def test_out_of_range_bit_rejected(self):
+        with pytest.raises(ValueError, match="bits outside 0..1"):
+            UndirectedGraph(2, (0b110, 0b001))
+        with pytest.raises(ValueError, match="expected 2 rows"):
+            UndirectedGraph(2, (0,))
+        with pytest.raises(ValueError, match="outside 1..2"):
+            UndirectedGraph.from_edges(2, [(1, 3)])
+
+    @given(bool_matrices())
+    def test_edge_list_is_sorted_upper_bits(self, a):
+        # a OR its transpose, diagonal cleared
+        rows = zip(a.rows, a.columns())
+        s = BoolMatrix(a.n, tuple((r | c) & ~(1 << i) for i, (r, c) in enumerate(rows)))
+        g = UndirectedGraph.from_adjacency_matrix(s)
+        expected = [
+            (i + 1, j + 1) for i in range(a.n) for j in range(i + 1, a.n) if s.entry(i, j)
+        ]
+        assert g.edge_list() == expected
+        assert g.edges == set(expected)
+        assert all(
+            g.adjacent(u, v) == ((min(u, v), max(u, v)) in g.edges)
+            for u in range(1, a.n + 1)
+            for v in range(1, a.n + 1)
+        )
 
     def test_loops_rejected(self):
         with pytest.raises(ValueError, match="loop"):

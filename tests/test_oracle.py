@@ -12,6 +12,8 @@ from compseq import (
     CheckResult,
     Digraph,
     GeneratorSpec,
+    InternalCheckError,
+    PowerCycleMemoryError,
     SizeCapError,
     UndirectedGraph,
     bool_pow,
@@ -22,8 +24,14 @@ from compseq import (
     to_matrix,
     verify,
 )
-from compseq import oracle
-from conftest import bool_matrices, cycle4_feeders, period3_matrix, two_chain
+from compseq import oracle, theory
+from conftest import (
+    bool_matrices,
+    cycle4_feeders,
+    period3_matrix,
+    three_chain_complete,
+    two_chain,
+)
 
 
 class TestSimulateLimit:
@@ -110,6 +118,44 @@ class TestVerify:
             4, [(1, 2), (2, 3), (3, 4)]
         )
         component_chain(report.counterexample)  # still linearly connected
+
+    def test_analytic_exception_is_a_shrunken_failed_check(self, monkeypatch):
+        def broken_limit(d, chain, imp):
+            raise InternalCheckError("injected")
+
+        monkeypatch.setattr(theory, "limit_graph", broken_limit)
+        report = verify(three_chain_complete())
+        assert not report.passed
+        assert report.failed_check == "limit"
+        limit = next(c for c in report.checks if c.name == "limit")
+        assert limit.detail == "raised InternalCheckError: injected"
+        assert [c.passed for c in report.checks] == [True, False, True]
+        # the fault shows on every all-nontrivial chain, so shrinking keeps
+        # the three 2-cycles and one arc per interface
+        ce = report.counterexample
+        assert len(ce.arcs) == 8 and ce.arcs < three_chain_complete().arcs
+        assert not any(component_chain(ce).trivial_flags)
+
+    @pytest.mark.parametrize(
+        "error, fails",
+        [(SizeCapError("cap"), False), (PowerCycleMemoryError("cap"), False), (None, True)],
+    )
+    def test_check_fails_skips_only_capped_candidates(self, monkeypatch, error, fails):
+        def run_checks(d, names, *, size_cap, memory_cap):
+            if error is not None:
+                raise error
+            return [CheckResult(names[0], False, "forced failure")]
+
+        monkeypatch.setattr(oracle, "_run_checks", run_checks)
+        assert oracle._check_fails(two_chain(), "verdict", size_cap=64, memory_cap=10) is fails
+
+    def test_check_fails_lets_other_errors_through(self, monkeypatch):
+        def run_checks(d, names, *, size_cap, memory_cap):
+            raise InternalCheckError("imprimitivity split")
+
+        monkeypatch.setattr(oracle, "_run_checks", run_checks)
+        with pytest.raises(InternalCheckError):
+            oracle._check_fails(two_chain(), "verdict", size_cap=64, memory_cap=10)
 
     def test_shrink_deletes_all_removable_arcs(self, monkeypatch):
         def fake_fails(d, name, *, size_cap, memory_cap):

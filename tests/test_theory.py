@@ -2,6 +2,7 @@
 pinned on worked examples and property-tested against the simulation."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,16 @@ class TestShiftedUnion:
         big = shifted_union(l1, l2, 3)
         assert small.members <= big.members
 
+    @given(st.data(), st.integers(1, 9), st.integers(1, 20))
+    def test_matches_per_shift_definition(self, data, kappa, shifts):
+        residues = st.frozensets(st.integers(0, kappa - 1))
+        l1 = ResidueSet(kappa, data.draw(residues))
+        l2 = ResidueSet(kappa, data.draw(residues))
+        literal = frozenset()
+        for i in range(shifts):
+            literal |= l1.shift(i).members & l2.shift(i).members
+        assert shifted_union(l1, l2, shifts) == ResidueSet(kappa, literal)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="moduli differ"):
             shifted_union(rset(2, 0), rset(3, 0), 1)
@@ -229,28 +240,18 @@ class TestInterfacePairs:
 
 class TestBGraph:
     def test_single_pair_two_by_two(self):
-        got = b_graph(2, 2, InterfaceSet(1, frozenset({(2, 1)})), d1_trivial=False)
+        got = b_graph(2, 2, InterfaceSet(1, frozenset({(2, 1)})))
         assert got == {(1, 1), (2, 2)}
 
     def test_coprime_moduli_fill_completely(self):
-        got = b_graph(2, 3, InterfaceSet(1, frozenset({(1, 1)})), d1_trivial=False)
+        got = b_graph(2, 3, InterfaceSet(1, frozenset({(1, 1)})))
         assert got == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
-
-    def test_trivial_first_component(self):
-        got = b_graph(1, 4, InterfaceSet(1, frozenset({(1, 3)})), d1_trivial=True)
-        assert got == {(1, 2)}
-
-    def test_trivial_wraps_label_one_to_kappa(self):
-        got = b_graph(1, 4, InterfaceSet(1, frozenset({(1, 1)})), d1_trivial=True)
-        assert got == {(1, 4)}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="class counts"):
-            b_graph(0, 2, InterfaceSet(1, frozenset()), d1_trivial=False)
-        with pytest.raises(ValueError, match="kappa1 = 1"):
-            b_graph(2, 2, InterfaceSet(1, frozenset()), d1_trivial=True)
+            b_graph(0, 2, InterfaceSet(1, frozenset()))
         with pytest.raises(ValueError, match="inconsistent"):
-            b_graph(2, 2, InterfaceSet(1, frozenset({(3, 1)})), d1_trivial=False)
+            b_graph(2, 2, InterfaceSet(1, frozenset({(3, 1)})))
 
 
 class TestSkeleton:
@@ -320,6 +321,26 @@ class TestAscendingReach:
             ascending_reach(sk, 1, 3)
 
 
+def pairwise_limit_graph(d, chain, imp):
+    """The limit by the vertex-pair rule: x in U_i of D_p and y in U_j of
+    D_q with p <= q are adjacent iff the ascending reach sets of (p, i) and
+    (q, j) meet at some level r >= q."""
+    sk = cs_graph(d, chain, imp)
+    reach = {
+        (p, i): ascending_reach(sk, p, i)
+        for p in range(1, sk.eta + 1)
+        for i in range(1, sk.class_counts[p - 1] + 1)
+    }
+    edges = []
+    for u in range(1, d.n + 1):
+        for v in range(u + 1, d.n + 1):
+            (p, i), (q, j) = sorted((imp.class_index[u], imp.class_index[v]))
+            ru, rv = reach[(p, i)], reach[(q, j)]
+            if any(ru[r] & rv[r] for r in range(q, sk.eta + 1)):
+                edges.append((u, v))
+    return UndirectedGraph.from_edges(d.n, edges)
+
+
 class TestLimitGraph:
     def limit(self, d):
         chain = component_chain(d)
@@ -368,6 +389,25 @@ class TestLimitGraph:
         sim = simulate_limit(to_matrix(d))
         assert sim.converged
         assert limit_graph(d, chain, imp) == sim.limit
+
+    def test_matches_pairwise_rule(self):
+        rng = random.Random(3)
+        seen_kappa, seen_jbd_fail = False, False
+        for _ in range(60):
+            d = random_instance(
+                GeneratorSpec(
+                    eta=rng.randint(1, 4),
+                    sizes=(2, 15),
+                    allow_trivial=False,
+                    seed=rng.getrandbits(32),
+                )
+            )
+            chain = component_chain(d)
+            imp = imprimitivity(d, chain)
+            assert limit_graph(d, chain, imp) == pairwise_limit_graph(d, chain, imp)
+            seen_kappa |= max(imp.kappas) > 1
+            seen_jbd_fail |= not jbd_condition(d, chain, imp).holds
+        assert seen_kappa and seen_jbd_fail
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000), st.integers(1, 3))
@@ -488,6 +528,21 @@ class TestJbdCondition:
 
 
 class TestUnionOfCliques:
+    @given(st.data(), st.integers(1, 9))
+    def test_matches_component_edge_count(self, data, n):
+        # cliques on the blocks of a random partition, with up to two pairs
+        # toggled, so that both answers come up
+        block = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        cliques = {(u, v) for u, v in pairs if block[u - 1] == block[v - 1]}
+        toggled = data.draw(st.sets(st.sampled_from(pairs), max_size=2)) if pairs else set()
+        g = UndirectedGraph.from_edges(n, cliques ^ toggled)
+        expected = all(
+            sum(1 for u, v in g.edges if u in comp) == len(comp) * (len(comp) - 1) // 2
+            for comp in g.connected_components()
+        )
+        assert union_of_cliques(g) == expected
+
     def test_cases(self):
         assert union_of_cliques(UndirectedGraph.from_edges(3, []))
         assert union_of_cliques(
