@@ -10,9 +10,7 @@ conditions hold at every interface p -> p+1:
   (every crossing shifts phase by the same amount).
 
 The per-level report of jbd_condition shows exactly where an instance
-fails.  The demo also peeks at the block structure of the adjacency
-matrix through matrix_block_view: sorting vertices by (component, class)
-reveals the block pattern the criterion talks about.
+fails.
 """
 
 from compseq import (
@@ -21,7 +19,6 @@ from compseq import (
     imprimitivity,
     jbd_condition,
     limit_graph,
-    matrix_block_view,
     simulate_limit,
     to_matrix,
     union_of_cliques,
@@ -53,16 +50,6 @@ def report(name: str, d: Digraph) -> None:
 def main() -> None:
     report("aligned interfaces (single lane-preserving arcs)", ALIGNED)
     report("misaligned interfaces (two residues at one interface)", MISALIGNED)
-
-    view = matrix_block_view(to_matrix(MISALIGNED))
-    print("block structure of the misaligned instance:")
-    print("  vertex order by (component, class):", view.order)
-    print("  nonzero cross blocks (p, p+1, i, j):", view.nonzero_cross_blocks())
-    print()
-    print("the two cross blocks land at different phase shifts, which is")
-    print("exactly the FAIL line above: the limit glues the two 2-cycles")
-    print("into one component but leaves one pair unjoined, so it is")
-    print("connected without being complete — not a union of cliques.")
 
 
 if __name__ == "__main__":

@@ -47,8 +47,16 @@ def _fail(message: str) -> int:
 
 
 def _read_input(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text; OSError when it cannot be read, ParseError naming
+    the line when it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        message = f"not UTF-8 text: byte 0x{data[e.start]:02x} at offset {e.start}"
+        raise ParseError(line, message) from None
 
 
 def _chain_report(chain, imp) -> dict:
@@ -68,12 +76,9 @@ def _chain_report(chain, imp) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         text = _read_input(args.input)
-    except OSError as e:
-        return _fail(str(e))
-    try:
         d = parse_digraph(text)
         chain = component_chain(d)
-    except (ParseError, SelfLoopError, NotLinearlyConnectedError, ValueError) as e:
+    except (OSError, ParseError, SelfLoopError, NotLinearlyConnectedError, ValueError) as e:
         return _fail(str(e))
     imp = imprimitivity(d, chain)
     verdict = theory.converges(d, chain=chain, imp=imp)
@@ -84,7 +89,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "path": args.input,
             "format": detect_format(text),
             "n": d.n,
-            "arcs": [list(a) for a in sorted(d.arcs)],
+            "arcs": [list(a) for a in d.arc_list()],
         },
         "chain": _chain_report(chain, imp),
         "verdict": {

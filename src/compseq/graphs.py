@@ -13,12 +13,14 @@ anchored so the smallest vertex id of a nontrivial component lands in U_1;
 any other rotation of the labels is equally consistent and yields the same
 downstream answers.
 
-``UndirectedGraph`` stores its adjacency matrix as bitset rows, the
-layout of ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is set iff u ~ v.
-Every construction checks that the rows are symmetric with a zero
-diagonal and no bit outside the graph.  The edge set is derived from
-the rows only when asked for; ``edge_list`` reads the upper triangle row
-by row, which yields the edges in sorted order.
+``Digraph`` and ``UndirectedGraph`` both store their adjacency matrix as
+bitset rows, the layout of ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is
+set iff (u, v) is an arc, or iff u ~ v.  Every construction checks the
+row count and the bit range; an ``UndirectedGraph`` must also be
+symmetric with a zero diagonal.  ``to_matrix`` and ``from_matrix`` are
+views that share the rows tuple, with no per-arc work.  The arc and edge
+sets are derived from the rows only when asked for; ``arc_list`` and
+``edge_list`` read the rows in order, which yields them sorted.
 
 ``competition_graph`` is ``gamma`` of the adjacency matrix.
 ``m_step_competition`` joins u and v iff some vertex is reachable from both
@@ -86,39 +88,41 @@ class InternalCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class Digraph:
-    """Finite digraph on vertices 1..n with arc set ``arcs``."""
+    """Finite digraph on vertices 1..n stored as bitset rows, the layout of
+    ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is set iff (u, v) is an arc.
+
+    Every construction checks n, the row count and the bit range through
+    ``BoolMatrix``.  ``arcs`` is derived from the rows only when asked for.
+    """
 
     n: int
-    arcs: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        for u, v in self.arcs:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"arc ({u},{v}) outside 1..{self.n}")
+        BoolMatrix(self.n, self.rows)
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        return cls(n, frozenset((u, v) for u, v in arcs))
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
+        rows = [0] * n
+        for u, v in arcs:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"arc ({u},{v}) outside 1..{n}")
+            rows[u - 1] |= 1 << (v - 1)
+        return cls(n, tuple(rows))
+
+    def arc_list(self) -> list[tuple[int, int]]:
+        """Every arc (u, v), in sorted order."""
+        return [(u + 1, v + 1) for u, r in enumerate(self.rows) for v in _bit_indices(r)]
 
     @cached_property
-    def out_sets(self) -> dict[int, frozenset[int]]:
-        out: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.arcs:
-            out[u].add(v)
-        return {v: frozenset(s) for v, s in out.items()}
-
-    @cached_property
-    def in_sets(self) -> dict[int, frozenset[int]]:
-        inc: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.arcs:
-            inc[v].add(u)
-        return {v: frozenset(s) for v, s in inc.items()}
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.arc_list())
 
     @cached_property
     def self_loops(self) -> tuple[int, ...]:
-        return tuple(sorted(u for u, v in self.arcs if u == v))
+        return tuple(u + 1 for u, r in enumerate(self.rows) if (r >> u) & 1)
 
 
 @dataclass(frozen=True)
@@ -215,35 +219,28 @@ def _bit_indices(mask: int) -> Iterator[int]:
 
 
 def from_matrix(a: BoolMatrix) -> Digraph:
-    """Digraph with arc (i+1, j+1) iff entry (i, j) of a is 1."""
-    arcs = set()
-    for i, r in enumerate(a.rows):
-        while r:
-            j = (r & -r).bit_length() - 1
-            arcs.add((i + 1, j + 1))
-            r &= r - 1
-    return Digraph(a.n, frozenset(arcs))
+    """Digraph with arc (i+1, j+1) iff entry (i, j) of a is 1; shares a's rows."""
+    return Digraph(a.n, a.rows)
 
 
 def to_matrix(d: Digraph) -> BoolMatrix:
-    """Adjacency matrix: entry (u-1, v-1) = 1 iff (u, v) is an arc."""
-    rows = [0] * d.n
-    for u, v in d.arcs:
-        rows[u - 1] |= 1 << (v - 1)
-    return BoolMatrix(d.n, tuple(rows))
+    """Adjacency matrix: entry (u-1, v-1) = 1 iff (u, v) is an arc; shares
+    d's rows."""
+    return BoolMatrix(d.n, d.rows)
 
 
 def _strong_components(d: Digraph) -> list[frozenset[int]]:
     """Tarjan's algorithm, iterative; components in topological order."""
-    succ = {v: sorted(d.out_sets[v]) for v in range(1, d.n + 1)}
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    n = d.n
+    succ = [list(_bit_indices(r)) for r in d.rows]
+    index_of = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     components: list[frozenset[int]] = []
     counter = 0
-    for root in range(1, d.n + 1):
-        if root in index_of:
+    for root in range(n):
+        if index_of[root] >= 0:
             continue
         work = [(root, 0)]
         while work:
@@ -252,17 +249,17 @@ def _strong_components(d: Digraph) -> list[frozenset[int]]:
                 index_of[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = True
             descended = False
             out = succ[v]
             for k in range(pc, len(out)):
                 w = out[k]
-                if w not in index_of:
+                if index_of[w] < 0:
                     work.append((v, k + 1))
                     work.append((w, 0))
                     descended = True
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index_of[w])
             if descended:
                 continue
@@ -270,8 +267,8 @@ def _strong_components(d: Digraph) -> list[frozenset[int]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
+                    on_stack[w] = False
+                    comp.append(w + 1)
                     if w == v:
                         break
                 components.append(frozenset(comp))
@@ -280,6 +277,11 @@ def _strong_components(d: Digraph) -> list[frozenset[int]]:
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
     components.reverse()  # Tarjan emits sinks first
     return components
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """Bitset of a set of 1-based vertices."""
+    return sum(1 << (v - 1) for v in vertices)
 
 
 @dataclass(frozen=True)
@@ -330,22 +332,26 @@ def component_chain(d: Digraph) -> ComponentChain:
         raise SelfLoopError(d.self_loops[0])
     comps = _strong_components(d)
     eta = len(comps)
-    pos = {}
+    masks = [_mask(comp) for comp in comps] + [0]
+    pos = [0] * d.n
     for p, comp in enumerate(comps):
         for v in comp:
-            pos[v] = p
+            pos[v - 1] = p
     interfaces: list[set[tuple[int, int]]] = [set() for _ in range(eta - 1)]
-    for u, v in d.arcs:
-        pu, pv = pos[u], pos[v]
-        if pu == pv:
+    # rows in vertex order and bits upwards: the witness is the first jump in (u, v) order
+    for u, row in enumerate(d.rows):
+        p = pos[u]
+        out = row & ~masks[p]
+        if not out:
             continue
-        if pv == pu + 1:
-            interfaces[pu].add((u, v))
-        else:
+        jump = out & ~masks[p + 1]
+        if jump:
+            v = (jump & -jump).bit_length() - 1
             raise NotLinearlyConnectedError(
-                f"arc ({u},{v}) jumps from component {pu + 1} to component {pv + 1}",
-                witness_arc=(u, v),
+                f"arc ({u + 1},{v + 1}) jumps from component {p + 1} to component {pos[v] + 1}",
+                witness_arc=(u + 1, v + 1),
             )
+        interfaces[p].update((u + 1, v + 1) for v in _bit_indices(out))
     for p, arcs in enumerate(interfaces):
         if not arcs:
             raise NotLinearlyConnectedError(
@@ -398,18 +404,19 @@ class ImprimitivityData:
         return idx
 
 
-def _bfs_levels(root: int, vertices: frozenset[int], out_sets) -> dict[int, int]:
-    level = {root: 0}
-    frontier = [root]
+def _bfs_levels(root: int, comp: int, rows: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the BFS levels from root without leaving the vertex
+    mask comp: level t holds the vertices at distance t from root."""
+    levels = []
+    seen = frontier = 1 << (root - 1)
     while frontier:
-        nxt = []
-        for u in frontier:
-            for w in out_sets[u]:
-                if w in vertices and w not in level:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return level
+        levels.append(frontier)
+        nxt = 0
+        for u in _bit_indices(frontier):
+            nxt |= rows[u]
+        frontier = nxt & comp & ~seen
+        seen |= frontier
+    return levels
 
 
 def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
@@ -421,6 +428,7 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
     all directed cycle lengths), and U_j collects the vertices with
     level = j - 1 (mod kappa), putting the BFS root in U_1.
     """
+    rows = d.rows
     kappas = []
     all_classes = []
     for comp, trivial in zip(chain.components, chain.trivial_flags):
@@ -429,29 +437,38 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
             all_classes.append((comp,))
             continue
         root = min(comp)
-        level = _bfs_levels(root, comp, d.out_sets)
-        if len(level) != len(comp):
+        cm = _mask(comp)
+        levels = _bfs_levels(root, cm, rows)
+        if sum(map(int.bit_count, levels)) != len(comp):
             raise InternalCheckError(
                 f"component containing {root} not strongly connected"
             )
+        level = {v: t for t, members in enumerate(levels) for v in _bit_indices(members)}
+        levels.append(0)  # the empty level after the last
         kappa = 0
-        for u in comp:
-            for w in d.out_sets[u]:
-                if w in comp:
-                    kappa = gcd(kappa, level[u] + 1 - level[w])
+        for u, t in level.items():
+            # arcs into the next level have discrepancy 0
+            others = rows[u] & cm & ~levels[t + 1]
+            if others:
+                for w in _bit_indices(others):
+                    kappa = gcd(kappa, t + 1 - level[w])
         if kappa < 1:
             raise InternalCheckError(
                 f"component containing {root} has no cycle discrepancy"
             )
-        classes = [set() for _ in range(kappa)]
-        for v in comp:
-            classes[level[v] % kappa].add(v)
-        for u in comp:
-            for w in d.out_sets[u]:
-                if w in comp and (level[u] + 1) % kappa != level[w] % kappa:
-                    raise InternalCheckError(
-                        f"arc ({u},{w}) does not advance its class by one"
-                    )
+        masks = [0] * kappa
+        for t, members in enumerate(levels):
+            masks[t % kappa] |= members
+        classes: list[set[int]] = [set() for _ in range(kappa)]
+        for u, t in level.items():
+            j = t % kappa
+            stray = rows[u] & cm & ~masks[(j + 1) % kappa]
+            if stray:
+                w = (stray & -stray).bit_length()
+                raise InternalCheckError(
+                    f"arc ({u + 1},{w}) does not advance its class by one"
+                )
+            classes[j].add(u + 1)
         kappas.append(kappa)
         all_classes.append(tuple(frozenset(c) for c in classes))
     return ImprimitivityData(kappas=tuple(kappas), classes=tuple(all_classes))
@@ -465,7 +482,7 @@ def competition_graph(d: Digraph) -> UndirectedGraph:
 def _m_step_reach(d: Digraph, m: int) -> list[int]:
     """reach[v-1] has bit w-1 set iff a walk of length exactly m runs from
     v to w."""
-    succ = [[w - 1 for w in d.out_sets[v]] for v in range(1, d.n + 1)]
+    succ = [list(_bit_indices(r)) for r in d.rows]
     reach = [1 << v for v in range(d.n)]
     for _ in range(m):
         nxt = []
@@ -534,7 +551,7 @@ def parse_edge_list(text: str) -> Digraph:
         raise ParseError(
             len(lines) + 1, f"expected {m} arcs, input ends after arc {len(lines) - 1}"
         )
-    arcs = set()
+    rows = [0] * n
     for i in range(m):
         lineno = i + 2
         toks = lines[i + 1].split()
@@ -548,19 +565,21 @@ def parse_edge_list(text: str) -> Digraph:
             raise ParseError(lineno, f"arc ({u},{v}) outside 1..{n}")
         if u == v:
             raise ParseError(lineno, f"self-loop on vertex {u}")
-        if (u, v) in arcs:
+        bit = 1 << (v - 1)
+        if rows[u - 1] & bit:
             raise ParseError(lineno, f"duplicate arc ({u},{v})")
-        arcs.add((u, v))
+        rows[u - 1] |= bit
     for extra in range(m + 1, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, "trailing content after arc list")
-    return Digraph(n, frozenset(arcs))
+    return Digraph(n, tuple(rows))
 
 
 def format_edge_list(d: Digraph) -> str:
     """Inverse of parse_edge_list; arcs sorted, newline-terminated."""
-    lines = [f"{d.n} {len(d.arcs)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(d.arcs))
+    arcs = d.arc_list()
+    lines = [f"{d.n} {len(arcs)}"]
+    lines.extend(f"{u} {v}" for u, v in arcs)
     return "\n".join(lines) + "\n"
 
 

@@ -197,8 +197,10 @@ def _shrink(
     improved = True
     while improved:
         improved = False
-        for arc in sorted(current.arcs):
-            candidate = Digraph(current.n, current.arcs - {arc})
+        for u, v in current.arc_list():
+            rows = list(current.rows)
+            rows[u - 1] ^= 1 << (v - 1)
+            candidate = Digraph(current.n, tuple(rows))
             try:
                 component_chain(candidate)
             except (NotLinearlyConnectedError, SelfLoopError):
@@ -313,22 +315,23 @@ def random_instance(spec: GeneratorSpec) -> Digraph:
     for s in sizes:
         components.append(sorted(ids[at : at + s]))
         at += s
-    arcs: set[tuple[int, int]] = set()
+    rows = [0] * total
     for comp in components:
         if len(comp) == 1:
             continue
         order = comp[:]
         rng.shuffle(order)
         for a, b in zip(order, order[1:] + order[:1]):
-            arcs.add((a, b))
+            rows[a - 1] |= 1 << (b - 1)
         if rng.random() >= 0.45:
             for _ in range(rng.randint(1, len(comp))):
                 u, v = rng.sample(comp, 2)
-                arcs.add((u, v))
+                rows[u - 1] |= 1 << (v - 1)
     for left, right in zip(components, components[1:]):
         for _ in range(rng.randint(1, 3)):
-            arcs.add((rng.choice(left), rng.choice(right)))
-    d = Digraph(total, frozenset(arcs))
+            u, v = rng.choice(left), rng.choice(right)
+            rows[u - 1] |= 1 << (v - 1)
+    d = Digraph(total, tuple(rows))
     chain = component_chain(d)  # generator soundness: must always hold
     if chain.eta != spec.eta:
         raise InternalCheckError(

@@ -8,12 +8,10 @@ these computations are tested against.
 Conventions used throughout:
 
 * Class labels are 1-based: the classes of a component with index kappa
-  are U_1 .. U_kappa.
-* Walk-length residues live in Z_kappa = {0 .. kappa-1} with no label
-  mapping; ``lambda_set`` stores class label j as residue j - 1 (so its
-  ``class_labels`` reports 1-based labels), while the skeleton arithmetic
-  of ``b_graph`` identifies label j with residue j mod kappa (label kappa
-  is residue 0).
+  are U_1 .. U_kappa, and label j is residue j - 1 of Z_kappa =
+  {0 .. kappa-1} everywhere.  ``lambda_set`` stores label j as residue
+  j - 1, and ``b_graph`` turns residue r back into label r + 1.
+  Walk-length residues live in Z_kappa with no label mapping.
 * Skeleton paths are ascending: one partite level per step.  Under that
   reading the three limit adjacency clauses (same class, same component,
   cross component) collapse to one rule between classes: x in U_i of D_p
@@ -33,7 +31,6 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterator
 
-from .bmat import BoolMatrix
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -41,7 +38,6 @@ from .graphs import (
     InternalCheckError,
     UndirectedGraph,
     component_chain,
-    from_matrix,
     imprimitivity,
 )
 
@@ -55,7 +51,6 @@ __all__ = [
     "DivergenceWitness",
     "ConvergenceVerdict",
     "JbdVerdict",
-    "BlockView",
     "TrivialComponentError",
     "interface_pairs",
     "lambda_set",
@@ -68,7 +63,6 @@ __all__ = [
     "limit_graph",
     "jbd_condition",
     "union_of_cliques",
-    "matrix_block_view",
 ]
 
 RULE_ALL_TRIVIAL = "AllTrivial"
@@ -240,7 +234,10 @@ def lambda_set(
     (v,) = chain.component(p + 1)
     kappa = imp.kappa(p)
     labels = set()
-    for u in d.in_sets[v]:
+    col = 1 << (v - 1)
+    for u, row in enumerate(d.rows, start=1):
+        if not row & col:
+            continue
         pu, k = imp.class_index[u]
         if pu != p:
             raise InternalCheckError(f"in-neighbor {u} of {v} not in component {p}")
@@ -322,11 +319,6 @@ def converges(
     return ConvergenceVerdict(True, RULE_TRAILING_CONDITION, None)
 
 
-def _label(residue: int, kappa: int) -> int:
-    """Residue r in Z_kappa as a 1-based class label (0 is label kappa)."""
-    return kappa if residue == 0 else residue
-
-
 def b_graph(
     kappa1: int, kappa2: int, interface: InterfaceSet
 ) -> frozenset[tuple[int, int]]:
@@ -346,8 +338,8 @@ def b_graph(
     period = lcm(kappa1, kappa2)
     for k, l in interface.pairs:
         for t in range(period):
-            i = _label((k + 1 + t) % kappa1, kappa1)
-            j = _label((l + t) % kappa2, kappa2)
+            i = (k + t) % kappa1 + 1
+            j = (l - 1 + t) % kappa2 + 1
             edges.add((i, j))
     return frozenset(edges)
 
@@ -489,86 +481,3 @@ def union_of_cliques(g: UndirectedGraph) -> bool:
     """
     groups = Counter(r | (1 << i) for i, r in enumerate(g.rows))
     return all(size == mask.bit_count() for mask, size in groups.items())
-
-
-@dataclass(frozen=True)
-class BlockView:
-    """Matrix-side window onto the chain/class block structure of a
-    linearly connected Boolean matrix.
-
-    ``order`` lists the vertices sorted by (component, class, id): the
-    permutation under which the matrix takes its block form.  Each query
-    is computed from the matrix entries and checked against the
-    digraph-side answer; a disagreement raises InternalCheckError.
-    """
-
-    matrix: BoolMatrix
-    digraph: Digraph
-    chain: ComponentChain
-    imp: ImprimitivityData
-    order: tuple[int, ...]
-
-    def block_nonzero(self, p: int, q: int, i: int, j: int) -> bool:
-        """Whether block (i, j) of the (D_p rows) x (D_q columns) slab has
-        any 1: rows U_i of D_p against columns U_j of D_q."""
-        rows = self.imp.class_set(p, i)
-        cols = self.imp.class_set(q, j)
-        via_matrix = any(
-            self.matrix.entry(u - 1, v - 1) for u in rows for v in cols
-        )
-        via_digraph = any((u, v) in self.digraph.arcs for u in rows for v in cols)
-        if via_matrix != via_digraph:
-            raise InternalCheckError(
-                f"block ({p},{q},{i},{j}): matrix and digraph reads disagree"
-            )
-        return via_matrix
-
-    def nonzero_cross_blocks(self) -> tuple[tuple[int, int, int, int], ...]:
-        """All (p, p+1, i, j) with a nonzero off-diagonal block; blocks
-        between non-consecutive components are zero by linear connectivity."""
-        out = []
-        for p in range(1, self.chain.eta):
-            for i in range(1, self.imp.kappa(p) + 1):
-                for j in range(1, self.imp.kappa(p + 1) + 1):
-                    if self.block_nonzero(p, p + 1, i, j):
-                        out.append((p, p + 1, i, j))
-        return tuple(out)
-
-    def lambda_residues(self) -> ResidueSet:
-        """Matrix-side lambda set: classes of the last nontrivial component
-        whose rows have a 1 in the trailing vertex's column; verified
-        against the digraph-side lambda_set."""
-        chain, imp = self.chain, self.imp
-        p = chain.last_nontrivial
-        if p is None:
-            raise ValueError("every component is trivial; no reference component exists")
-        if p == chain.eta:
-            raise ValueError("last component is nontrivial; no trailing trivial part")
-        (v,) = chain.component(p + 1)
-        kappa = imp.kappa(p)
-        labels = set()
-        for i in range(1, kappa + 1):
-            if any(self.matrix.entry(u - 1, v - 1) for u in imp.class_set(p, i)):
-                labels.add(i)
-        via_matrix = ResidueSet.from_class_labels(labels, kappa)
-        via_digraph = lambda_set(self.digraph, chain, imp)
-        if via_matrix != via_digraph:
-            raise InternalCheckError("lambda set: matrix and digraph reads disagree")
-        return via_matrix
-
-    def l_residues(self, j: int) -> ResidueSet:
-        """Walk-length residues from class j into the trailing vertex."""
-        return l_set(self.lambda_residues(), j)
-
-
-def matrix_block_view(a: BoolMatrix) -> BlockView:
-    """Block coordinate map of a linearly connected Boolean matrix; raises
-    the same errors as component_chain when the matrix is not in the class
-    (self-loop on the diagonal, components not in a chain)."""
-    d = from_matrix(a)
-    chain = component_chain(d)
-    imp = imprimitivity(d, chain)
-    order = tuple(
-        sorted(range(1, d.n + 1), key=lambda v: (*imp.class_index[v], v))
-    )
-    return BlockView(matrix=a, digraph=d, chain=chain, imp=imp, order=order)

@@ -114,18 +114,21 @@ def random_digraph(
         for v in range(1, n + 1):
             if (u != v or allow_loops) and rng.random() < density:
                 arcs.add((u, v))
-    return Digraph(n, frozenset(arcs))
+    return Digraph.from_arcs(n, arcs)
 
 
 def simple_cycle_lengths(d: Digraph, vertices: frozenset[int]) -> set[int]:
     """Lengths of all simple directed cycles inside the given vertex set,
     by exhaustive DFS (small instances only)."""
+    succ: dict[int, list[int]] = {}
+    for u, w in d.arcs:
+        succ.setdefault(u, []).append(w)
     lengths: set[int] = set()
     for start in sorted(vertices):
         work = [(start, frozenset((start,)), 0)]
         while work:
             u, visited, length = work.pop()
-            for w in d.out_sets[u]:
+            for w in succ.get(u, ()):
                 if w == start:
                     lengths.add(length + 1)
                 elif w in vertices and w > start and w not in visited:
@@ -163,4 +166,4 @@ def digraphs(draw, max_n: int = 7, allow_loops: bool = True):
         if allow_loops or u != v
     ]
     arcs = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
-    return Digraph(n, frozenset(arcs))
+    return Digraph.from_arcs(n, arcs)

@@ -117,6 +117,13 @@ class TestAnalyze:
         assert code == 1
         assert "line 1" in err
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"2 1\n1 2\n\xff\xfe\x00bad\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: line 3: not UTF-8 text: byte 0xff at offset 8\n"
+
     def test_self_loop_matrix(self, write, capsys):
         code, _, err = run(capsys, "analyze", write("loop.mat", "2\n11\n10\n"))
         assert code == 1
@@ -130,7 +137,7 @@ class TestAnalyze:
 
     def test_internal_check_error_reported(self, write, capsys, monkeypatch):
         # a BFS that stops at its root makes imprimitivity's own check fail
-        monkeypatch.setattr(graphs, "_bfs_levels", lambda root, vertices, out_sets: {root: 0})
+        monkeypatch.setattr(graphs, "_bfs_levels", lambda root, comp, rows: [1 << (root - 1)])
         path = write("t.el", format_edge_list(two_chain()))
         code, out, err = run(capsys, "analyze", path)
         assert code == 1 and out == ""
@@ -312,6 +319,13 @@ class TestExport:
         for bad in ("x", "0", "-3"):
             code, _, err = run(capsys, "export", path, "--what", "competition", bad)
             assert code == 1 and "step count" in err
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe\x00bad\n")
+        code, out, err = run(capsys, "export", str(path), "--what", "limit")
+        assert code == 1 and out == ""
+        assert err == "error: line 1: not UTF-8 text: byte 0xff at offset 0\n"
 
     def test_unknown_target(self, write, capsys):
         path = write("t.el", format_edge_list(two_chain()))

@@ -1,6 +1,7 @@
 """Digraph structure: strong components, chain recognition, imprimitivity
 classes, competition graphs, text formats."""
 
+import itertools
 import random
 
 import numpy as np
@@ -69,13 +70,30 @@ class TestDigraph:
 
     def test_needs_a_vertex(self):
         with pytest.raises(ValueError, match="at least one vertex"):
-            Digraph(0, frozenset())
+            Digraph.from_arcs(0, [])
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            Digraph(0, ())
+
+    def test_rows_validated(self):
+        with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+            Digraph(3, (0b010, 0b100))
+        with pytest.raises(ValueError, match="row 1 has bits outside 0..2"):
+            Digraph(3, (0b010, 0b1000, 0))
 
     def test_out_in_sets(self):
         d = two_chain()
-        assert d.out_sets[2] == {1, 3}
-        assert d.in_sets[3] == {2, 4}
-        assert d.out_sets[4] == {3}
+        assert d.rows[1] == 0b0101  # out-neighbours of 2: {1, 3}
+        assert to_matrix(d).columns()[2] == 0b1010  # in-neighbours of 3: {2, 4}
+        assert d.rows[3] == 0b0100  # out-neighbours of 4: {3}
+        assert d.arc_list() == [(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)]
+        assert d.arcs == set(d.arc_list())
+
+    @given(digraphs())
+    def test_arcs_round_trip(self, d):
+        assert Digraph.from_arcs(d.n, d.arcs) == d
+        assert d.arc_list() == sorted(d.arcs)
+        assert from_matrix(to_matrix(d)) == d
+        assert to_matrix(d).rows is d.rows
 
     def test_self_loops_listed_sorted(self):
         d = Digraph.from_arcs(3, [(3, 3), (1, 1), (1, 2)])
@@ -249,6 +267,14 @@ class TestComponentChain:
             component_chain(d)
         assert exc.value.witness_arc == (1, 3)
 
+    def test_witness_is_first_skipping_arc(self):
+        # path 1 -> 2 -> 3 -> 4 -> 5 with four skipping arcs, two out of vertex 1
+        for skips in itertools.permutations([(2, 4), (1, 4), (1, 3), (3, 5)]):
+            d = Digraph.from_arcs(5, [(1, 2), (2, 3), (3, 4), (4, 5), *skips])
+            with pytest.raises(NotLinearlyConnectedError, match=r"arc \(1,3\) jumps") as exc:
+                component_chain(d)
+            assert exc.value.witness_arc == (1, 3)
+
     def test_disconnected_components_rejected(self):
         d = Digraph.from_arcs(4, [(1, 2), (2, 1), (3, 4), (4, 3)])
         with pytest.raises(NotLinearlyConnectedError, match="no arcs") as exc:
@@ -335,12 +361,11 @@ class TestImprimitivity:
             assert sum(len(c) for c in cls) == len(comp)
             assert min(comp) in cls[0]  # anchoring: smallest id in U_1
             kappa = imp.kappa(p)
-            for u in comp:
-                for w in d.out_sets[u]:
-                    if w in comp:
-                        _, ju = imp.class_index[u]
-                        _, jw = imp.class_index[w]
-                        assert jw == ju % kappa + 1
+            for u, w in d.arcs:
+                if u in comp and w in comp:
+                    _, ju = imp.class_index[u]
+                    _, jw = imp.class_index[w]
+                    assert jw == ju % kappa + 1
 
 
 class TestCompetitionGraph:
@@ -353,7 +378,7 @@ class TestCompetitionGraph:
 
     @given(digraphs())
     def test_matches_common_prey_definition(self, d):
-        out = d.out_sets
+        out = {u: {w for x, w in d.arcs if x == u} for u in range(1, d.n + 1)}
         expected = {
             (u, v)
             for u in range(1, d.n + 1)

@@ -162,7 +162,7 @@ class TestVerify:
             return len(d.arcs) >= 5
 
         monkeypatch.setattr(oracle, "_check_fails", fake_fails)
-        start = Digraph(4, two_chain().arcs | {(1, 3)})
+        start = Digraph.from_arcs(4, two_chain().arcs | {(1, 3)})
         shrunk = oracle._shrink(start, "verdict", size_cap=64, memory_cap=100_000)
         assert len(shrunk.arcs) == 5
         component_chain(shrunk)  # deletions never leave the chain class

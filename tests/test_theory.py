@@ -2,6 +2,7 @@
 pinned on worked examples and property-tested against the simulation."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -11,16 +12,12 @@ from compseq import (
     RULE_ALL_TRIVIAL,
     RULE_NONTRIVIAL_TAIL,
     RULE_TRAILING_CONDITION,
-    BlockView,
-    BoolMatrix,
     ConvergenceVerdict,
     Digraph,
     DivergenceWitness,
     GeneratorSpec,
     InterfaceSet,
-    InternalCheckError,
     ResidueSet,
-    SelfLoopError,
     SkeletonGraph,
     TrivialComponentError,
     UndirectedGraph,
@@ -35,7 +32,6 @@ from compseq import (
     l_set,
     lambda_set,
     limit_graph,
-    matrix_block_view,
     power_trajectory,
     random_instance,
     shifted_union,
@@ -47,7 +43,6 @@ from conftest import (
     cycle4_feeders,
     mixed_residue_chain,
     period3_digraph,
-    period3_matrix,
     rotate_classes,
     three_chain_complete,
     three_chain_parallel,
@@ -246,6 +241,24 @@ class TestBGraph:
     def test_coprime_moduli_fill_completely(self):
         got = b_graph(2, 3, InterfaceSet(1, frozenset({(1, 1)})))
         assert got == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
+
+    def test_matches_congruence_definition(self):
+        # every interface set of up to two pairs with kappa1, kappa2 <= 5
+        for k1, k2 in itertools.product(range(1, 6), repeat=2):
+            period = k1 * k2 // math.gcd(k1, k2)
+            pairs = list(itertools.product(range(1, k1 + 1), range(1, k2 + 1)))
+            for size in (1, 2):
+                for iset in itertools.combinations(pairs, size):
+                    expected = {
+                        (i, j)
+                        for i in range(1, k1 + 1)
+                        for j in range(1, k2 + 1)
+                        for k, l in iset
+                        for t in range(period)
+                        if (i - k - 1 - t) % k1 == 0 and (j - l - t) % k2 == 0
+                    }
+                    got = b_graph(k1, k2, InterfaceSet(1, frozenset(iset)))
+                    assert got == expected, (k1, k2, iset)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="class counts"):
@@ -552,42 +565,3 @@ class TestUnionOfCliques:
         assert union_of_cliques(
             UndirectedGraph.from_edges(4, [(1, 2), (3, 4)])
         )
-
-
-class TestBlockView:
-    def test_order_sorts_by_component_class_id(self):
-        view = matrix_block_view(period3_matrix())
-        assert view.order == (1, 2, 4, 3)
-
-    def test_block_nonzero(self):
-        view = matrix_block_view(period3_matrix())
-        assert view.block_nonzero(1, 1, 1, 2)
-        assert view.block_nonzero(1, 1, 2, 3)
-        assert not view.block_nonzero(1, 1, 1, 3)
-
-    def test_nonzero_cross_blocks(self):
-        assert matrix_block_view(period3_matrix()).nonzero_cross_blocks() == ()
-        view = matrix_block_view(to_matrix(two_chain()))
-        assert view.nonzero_cross_blocks() == ((1, 2, 2, 1),)
-
-    def test_lambda_and_l_residues(self):
-        view = matrix_block_view(to_matrix(cycle4_feeders(2)))
-        lam = view.lambda_residues()
-        assert lam.class_labels() == (1, 2)
-        assert view.l_residues(1) == ResidueSet(4, frozenset({1, 2}))
-
-    def test_disagreeing_routes_refuse_to_answer(self):
-        honest = matrix_block_view(to_matrix(two_chain()))
-        doctored = BlockView(
-            matrix=BoolMatrix.zeros(4),
-            digraph=honest.digraph,
-            chain=honest.chain,
-            imp=honest.imp,
-            order=honest.order,
-        )
-        with pytest.raises(InternalCheckError, match="disagree"):
-            doctored.block_nonzero(1, 2, 2, 1)
-
-    def test_rejects_diagonal(self):
-        with pytest.raises(SelfLoopError):
-            matrix_block_view(BoolMatrix.identity(2))
