@@ -14,7 +14,9 @@ digraph whose adjacency matrix is A.
 ``power_cycle`` finds the exact index and period of the eventually
 periodic power sequence A, A^2, A^3, ... by storing every distinct power
 (the full matrix, not a hash, so collisions cannot lie) until the first
-repeat.
+repeat.  Each step computes A^(m+1) as A * A^m: powers of one matrix
+commute, and ``bool_mul`` walks the set bits of its left factor, so the
+sparse A goes on the left and the product costs about one row OR per arc.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def power_trajectory(
     current = a
     m = 1
     while True:
-        current = bool_mul(current, a)
+        current = bool_mul(a, current)  # the sparse A as the factor bool_mul walks
         m += 1
         first = seen.get(current.rows)
         if first is not None:

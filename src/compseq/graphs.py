@@ -326,10 +326,18 @@ def component_chain(d: Digraph) -> ComponentChain:
     """Strong-component chain of d, or NotLinearlyConnectedError.
 
     Rejects self-loops outright: a loop is a cycle of length one and falls
-    outside the loopless class every result here is stated for.
+    outside the loopless class every result here is stated for.  A chain
+    on n vertices needs at least n - 1 arcs, so fewer are rejected before
+    any per-component work.
     """
     if d.self_loops:
         raise SelfLoopError(d.self_loops[0])
+    arc_count = sum(map(int.bit_count, d.rows))
+    if arc_count < d.n - 1:
+        raise NotLinearlyConnectedError(
+            f"{arc_count} arc{'' if arc_count == 1 else 's'} cannot link {d.n} vertices "
+            f"in a chain (at least {d.n - 1} needed)"
+        )
     comps = _strong_components(d)
     eta = len(comps)
     masks = [_mask(comp) for comp in comps] + [0]

@@ -2,12 +2,16 @@
 
 ``simulate_limit`` decides convergence by pure simulation: the power
 sequence of a Boolean matrix repeats after finitely many steps, so the
-whole infinite sequence of competition graphs is read off one full cycle.
-No theory enters; this is the oracle the analytic route is tested against.
+whole infinite sequence of competition graphs is read off its periodic
+tail.  The tail pass stops at the first power past A^mu whose competition
+graph equals that of A^mu, because from there the graphs repeat (the
+argument is in ``simulate_limit``).  No theory enters; this is the oracle
+the analytic route is tested against.
 
 ``verify`` runs both routes once on one digraph and compares verdicts,
-limits, and clique structure; an exception raised by the analytic route
-counts as a failed check.  On a failure it greedily deletes arcs (keeping
+limits, clique structure and the period (pi = lcm of the components'
+imprimitivity indices); an exception raised by the analytic route counts
+as a failed check.  On a failure it greedily deletes arcs (keeping
 the digraph linearly connected) to return a minimal counterexample.
 
 ``random_instance`` draws a linearly connected digraph deterministically
@@ -17,6 +21,7 @@ component, and at least one arc across every consecutive interface.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -49,7 +54,7 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 64
 
-CHECK_NAMES = ("verdict", "limit", "jbd")
+CHECK_NAMES = ("verdict", "limit", "jbd", "period")
 
 
 class SizeCapError(ValueError):
@@ -79,12 +84,23 @@ def simulate_limit(
     size_cap: int = DEFAULT_SIZE_CAP,
     memory_cap: int = DEFAULT_MEMORY_CAP,
 ) -> SimulationResult:
-    """Evaluate the competition graph of every power of a over one full
-    period of the (eventually periodic) power sequence.
+    """Evaluate the competition graph of the powers of a from A^mu on, up
+    to the first return of that graph; every graph of the tail shows up
+    before it.
 
     The sequence of competition graphs is eventually constant iff it is
     constant on the periodic tail, so this is an exact decision, and
     raising either cap never changes the answer.
+
+    Stop rule: the pass ends at the first m > mu with
+    gamma(A^m) = gamma(A^mu).  Let G_m = A^m (A^m)^T.  Then
+    G_(m+1) = A G_m A^T, so G_m determines every later G.  G_m is
+    gamma(A^m) plus a diagonal marking the nonzero rows of A^m; that row
+    mask can only shrink as m grows and is periodic on the tail, so it is
+    constant for m >= mu.  A return of gamma to gamma(A^mu) is therefore a
+    return of G to G_mu, and the tail repeats from there: the distinct
+    graphs, their order of first appearance, and so the verdict and the
+    limit are those of the full period mu .. mu+pi-1.
     """
     if a.n > size_cap:
         raise SizeCapError(f"matrix dimension {a.n} exceeds size cap {size_cap}")
@@ -94,6 +110,8 @@ def simulate_limit(
     distinct: dict[tuple[int, ...], BoolMatrix] = {}
     for power in powers[mu - 1 : mu - 1 + pi]:
         g = gamma(power)
+        if distinct and g.rows == next(iter(distinct)):
+            break  # back at gamma(A^mu): the rest of the period repeats what is here
         distinct.setdefault(g.rows, g)
     graphs = tuple(UndirectedGraph.from_adjacency_matrix(g) for g in distinct.values())
     converged = len(graphs) == 1
@@ -159,6 +177,15 @@ def _compare(
             verdict.converged == sim.converged,
             f"analytic {verdict.converged} ({verdict.rule}) vs simulated {sim.converged}",
         )
+    if name == "period":
+        # the period of a reducible Boolean matrix is the lcm of its
+        # components' periods; a trivial component has kappa 1
+        expected = math.lcm(*imp.kappas)
+        return CheckResult(
+            "period",
+            sim.period_pi == expected,
+            f"lcm of kappas {expected} vs simulated {sim.period_pi}",
+        )
     if any(chain.trivial_flags) or not sim.converged:
         return None
     assert sim.limit is not None
@@ -220,7 +247,8 @@ def verify(
 ) -> VerificationReport:
     """Compare every applicable analytic answer against the simulation.
 
-    Checks: the convergence verdict always; the limit graph and the
+    Checks: the convergence verdict and the period (simulated pi equal to
+    the lcm of the components' kappas) always; the limit graph and the
     union-of-cliques criterion when every component is nontrivial (the
     analytic constructions exist exactly then).  An exception raised by the
     analytic side of a check fails that check with detail "raised

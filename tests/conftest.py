@@ -75,6 +75,24 @@ def mixed_residue_chain() -> Digraph:
     return Digraph.from_arcs(4, [(1, 2), (2, 1), (3, 4), (4, 3), (1, 3), (2, 3)])
 
 
+def cycle_chain(lengths: tuple[int, ...]) -> Digraph:
+    """Directed cycles of the given lengths, each joined to the next by an
+    arc between their first vertices, plus an arc from the last cycle's
+    first vertex to a trailing vertex.  Converges; the period of its powers
+    is lcm(lengths)."""
+    arcs = []
+    firsts = []
+    start = 1
+    for length in lengths:
+        arcs += [(start + i, start + (i + 1) % length) for i in range(length)]
+        if firsts:
+            arcs.append((firsts[-1], start))
+        firsts.append(start)
+        start += length
+    arcs.append((firsts[-1], start))
+    return Digraph.from_arcs(start, arcs)
+
+
 # ------------------------------------------------------------ naive oracles
 
 

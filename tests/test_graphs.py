@@ -281,6 +281,25 @@ class TestComponentChain:
             component_chain(d)
         assert exc.value.witness_arc is None
 
+    def test_too_few_arcs_rejected_before_tarjan(self, monkeypatch):
+        def no_tarjan(d):
+            raise AssertionError("strong components computed")
+
+        monkeypatch.setattr(graphs, "_strong_components", no_tarjan)
+        with pytest.raises(NotLinearlyConnectedError) as exc:
+            component_chain(Digraph.from_arcs(3, [(1, 2)]))
+        assert str(exc.value) == "1 arc cannot link 3 vertices in a chain (at least 2 needed)"
+        assert exc.value.witness_arc is None
+        with pytest.raises(SelfLoopError):  # the self-loop check still comes first
+            component_chain(Digraph.from_arcs(3, [(2, 2)]))
+
+    def test_too_few_arcs_on_a_huge_header(self):
+        with pytest.raises(NotLinearlyConnectedError) as exc:
+            component_chain(Digraph(200000, (0,) * 200000))
+        assert str(exc.value) == (
+            "0 arcs cannot link 200000 vertices in a chain (at least 199999 needed)"
+        )
+
     def test_branching_condensation_rejected(self):
         d = Digraph.from_arcs(3, [(1, 2), (1, 3)])
         with pytest.raises(NotLinearlyConnectedError):

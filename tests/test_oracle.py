@@ -1,6 +1,8 @@
 """Simulation oracle, differential verification harness, and the seeded
 instance generator."""
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -14,11 +16,15 @@ from compseq import (
     GeneratorSpec,
     InternalCheckError,
     PowerCycleMemoryError,
+    SimulationResult,
     SizeCapError,
     UndirectedGraph,
+    bool_mul,
     bool_pow,
     component_chain,
     gamma,
+    imprimitivity,
+    power_trajectory,
     random_instance,
     simulate_limit,
     to_matrix,
@@ -28,10 +34,57 @@ from compseq import oracle, theory
 from conftest import (
     bool_matrices,
     cycle4_feeders,
+    cycle_chain,
     period3_matrix,
+    random_matrix,
     three_chain_complete,
     two_chain,
 )
+
+COPRIME_CYCLE_CHAINS = [(3, 5, 7, 11), (4, 5, 7, 9), (3, 7, 8, 11), (3, 5, 7, 8)]
+
+
+def full_period_simulation(a: BoolMatrix) -> SimulationResult:
+    """The oracle without its stop rule, as the reference: powers stepped as
+    A^m * A, and gamma applied to every power of one full tail period."""
+    seen = {a.rows: 1}
+    powers = [a]
+    current = a
+    while True:
+        current = bool_mul(current, a)
+        first = seen.get(current.rows)
+        if first is not None:
+            break
+        powers.append(current)
+        seen[current.rows] = len(powers)
+    mu, pi = first, len(powers) + 1 - first
+    distinct = {}
+    for power in powers[mu - 1 : mu - 1 + pi]:
+        g = gamma(power)
+        distinct.setdefault(g.rows, g)
+    graphs = tuple(UndirectedGraph.from_adjacency_matrix(g) for g in distinct.values())
+    converged = len(graphs) == 1
+    return SimulationResult(mu, pi, converged, graphs[0] if converged else None, graphs)
+
+
+def transpose(x: BoolMatrix) -> BoolMatrix:
+    return BoolMatrix(x.n, tuple(x.columns()))
+
+
+def gram(x: BoolMatrix) -> BoolMatrix:
+    """X X^T: entry (i, j) is 1 iff rows i and j of X share a set column."""
+    return bool_mul(x, transpose(x))
+
+
+@st.composite
+def matrix_pairs(draw, max_n: int = 6):
+    """Two matrices of one dimension; the second has a drawn set of zero rows."""
+    n = draw(st.integers(1, max_n))
+    a = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+    p = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+    zero = draw(st.integers(0, (1 << n) - 1))
+    p = tuple(0 if (zero >> i) & 1 else r for i, r in enumerate(p))
+    return BoolMatrix(n, a), BoolMatrix(n, p)
 
 
 class TestSimulateLimit:
@@ -83,18 +136,89 @@ class TestSimulateLimit:
         assert sim.limit == (tail[0] if sim.converged else None)
 
 
+class TestTailStopRule:
+    """simulate_limit stops at the first return of gamma(A^mu); it must give
+    exactly what a pass over the whole period gives."""
+
+    def test_matches_full_period_on_seeded_instances(self, monkeypatch):
+        calls = []
+
+        def counted_gamma(x):
+            calls.append(x)
+            return gamma(x)
+
+        monkeypatch.setattr(oracle, "gamma", counted_gamma)
+        master = random.Random(20261018)
+        cycle_lengths = set()
+        divergent_early_stops = 0
+        for _ in range(2000):
+            spec = GeneratorSpec(
+                eta=master.randint(1, 5),
+                sizes=(1, 6),
+                allow_trivial=master.random() < 0.8,
+                seed=master.getrandbits(32),
+            )
+            a = to_matrix(random_instance(spec))
+            calls.clear()
+            sim = simulate_limit(a)
+            assert sim == full_period_simulation(a)
+            # one gamma per distinct graph, plus the one that sees the return
+            assert len(calls) == min(len(sim.gamma_cycle) + 1, sim.period_pi)
+            cycle_lengths.add(len(sim.gamma_cycle))
+            divergent_early_stops += not sim.converged and len(calls) < sim.period_pi
+        # divergent tails of several lengths occur, and some end early
+        assert {1, 2, 3} <= cycle_lengths
+        assert divergent_early_stops > 0
+
+    def test_matches_full_period_on_random_matrices(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            a = random_matrix(rng, rng.randint(1, 7), rng.choice([0.1, 0.2, 0.3, 0.5]))
+            assert simulate_limit(a) == full_period_simulation(a)
+
+    @pytest.mark.parametrize("lengths", COPRIME_CYCLE_CHAINS)
+    def test_matches_full_period_on_coprime_cycle_chains(self, lengths):
+        a = to_matrix(cycle_chain(lengths))
+        sim = simulate_limit(a)
+        assert sim == full_period_simulation(a)
+        assert sim.converged and sim.period_pi == math.lcm(*lengths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_pairs())
+    def test_gram_identity(self, pair):
+        # (AP)(AP)^T = A (P P^T) A^T: G_(m+1) is a function of G_m
+        a, p = pair
+        assert gram(bool_mul(a, p)) == bool_mul(bool_mul(a, gram(p)), transpose(a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bool_matrices(max_n=6))
+    def test_gram_is_gamma_plus_nonzero_row_diagonal(self, x):
+        diagonal = [(1 << i) if r else 0 for i, r in enumerate(x.rows)]
+        assert gram(x).rows == tuple(g | d for g, d in zip(gamma(x).rows, diagonal))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bool_matrices(max_n=6))
+    def test_nonzero_row_mask_constant_on_tail(self, a):
+        cycle, powers = power_trajectory(a)
+        masks = [sum(1 << i for i, r in enumerate(p.rows) if r) for p in powers]
+        masks.append(masks[cycle.index_mu - 1])  # A^(mu+pi) = A^mu
+        for before, after in zip(masks, masks[1:]):
+            assert after & ~before == 0  # rows only ever become zero
+        assert len(set(masks[cycle.index_mu - 1 :])) == 1
+
+
 class TestVerify:
     def test_all_checks_pass_on_nontrivial_chain(self):
         report = verify(two_chain())
         assert report.passed
-        assert [c.name for c in report.checks] == ["verdict", "limit", "jbd"]
+        assert [c.name for c in report.checks] == ["verdict", "limit", "jbd", "period"]
         assert report.failed_check is None
         assert report.counterexample is None
 
     def test_trivial_tail_runs_verdict_only(self):
         report = verify(cycle4_feeders(2))
         assert report.passed
-        assert [c.name for c in report.checks] == ["verdict"]
+        assert [c.name for c in report.checks] == ["verdict", "period"]
 
     def test_not_linearly_connected_is_not_applicable(self):
         d = Digraph.from_arcs(4, [(1, 2), (2, 1), (3, 4), (4, 3)])
@@ -129,12 +253,37 @@ class TestVerify:
         assert report.failed_check == "limit"
         limit = next(c for c in report.checks if c.name == "limit")
         assert limit.detail == "raised InternalCheckError: injected"
-        assert [c.passed for c in report.checks] == [True, False, True]
+        assert [c.passed for c in report.checks] == [True, False, True, True]
         # the fault shows on every all-nontrivial chain, so shrinking keeps
         # the three 2-cycles and one arc per interface
         ce = report.counterexample
         assert len(ce.arcs) == 8 and ce.arcs < three_chain_complete().arcs
         assert not any(component_chain(ce).trivial_flags)
+
+    def test_period_check_compares_lcm_of_kappas(self):
+        d = cycle_chain((2, 3))
+        chain = component_chain(d)
+        imp = imprimitivity(d, chain)
+        sim = simulate_limit(to_matrix(d))
+        assert oracle._compare("period", d, chain, imp, sim) == CheckResult(
+            "period", True, "lcm of kappas 6 vs simulated 6"
+        )
+        wrong = dataclasses.replace(sim, period_pi=3)
+        assert oracle._compare("period", d, chain, imp, wrong) == CheckResult(
+            "period", False, "lcm of kappas 6 vs simulated 3"
+        )
+
+    def test_period_failure_is_shrunk(self, monkeypatch):
+        def doubled_period(a, **caps):
+            sim = simulate_limit(a, **caps)
+            return dataclasses.replace(sim, period_pi=2 * sim.period_pi)
+
+        monkeypatch.setattr(oracle, "simulate_limit", doubled_period)
+        report = verify(two_chain())
+        assert report.failed_check == "period"
+        assert [c.passed for c in report.checks] == [True, True, True, False]
+        component_chain(report.counterexample)
+        assert report.counterexample.arcs <= two_chain().arcs
 
     @pytest.mark.parametrize(
         "error, fails",
@@ -242,3 +391,4 @@ class TestDifferentialSoak:
         assert names.count("verdict") == 200
         assert names.count("limit") >= 30
         assert names.count("jbd") >= 30
+        assert names.count("period") == 200
