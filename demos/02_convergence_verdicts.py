@@ -39,6 +39,11 @@ def feeder(k: int) -> Digraph:
     return Digraph.from_arcs(5, arcs)
 
 
+def residues(mask: int, kappa: int) -> list[int]:
+    """The residues of Z_kappa whose bits are set in mask."""
+    return [r for r in range(kappa) if mask >> r & 1]
+
+
 def report(name: str, d: Digraph) -> None:
     v = converges(d)
     sim = simulate_limit(to_matrix(d))
@@ -60,19 +65,21 @@ def main() -> None:
     d = feeder(2)
     chain = component_chain(d)
     imp = imprimitivity(d, chain)
-    lam = lambda_set(d, chain, imp)
-    kappa = lam.modulus
+    p = chain.last_nontrivial
+    kappa = imp.kappa(p)
+    lam = lambda_set(d, chain, imp)  # bit j-1 set iff class j feeds
     print(f"anatomy of the divergent case: kappa = {kappa}, "
-          f"feeding classes {lam.class_labels()}")
-    lsets = {j: l_set(lam, j) for j in range(1, kappa + 1)}
+          f"feeding classes {tuple(r + 1 for r in residues(lam, kappa))}")
+    lsets = {j: l_set(lam, j, kappa) for j in range(1, kappa + 1)}
     for j, ls in lsets.items():
-        print(f"  L_{j} = {sorted(ls.members)}")
-    shifts = chain.eta - chain.last_nontrivial
+        print(f"  L_{j} = {residues(ls, kappa)}")
+    shifts = chain.eta - p
+    full = (1 << kappa) - 1
     for j1 in range(1, kappa + 1):
         for j2 in range(j1 + 1, kappa + 1):
-            u = shifted_union(lsets[j1], lsets[j2], shifts)
-            verdict = "full" if u.is_full else ("empty" if u.is_empty else "PARTIAL")
-            print(f"  classes ({j1},{j2}): shifted union {sorted(u.members)} -> {verdict}")
+            u = shifted_union(lsets[j1], lsets[j2], shifts, kappa)
+            verdict = "full" if u == full else ("empty" if not u else "PARTIAL")
+            print(f"  classes ({j1},{j2}): shifted union {residues(u, kappa)} -> {verdict}")
     print()
 
     sim = simulate_limit(to_matrix(d))

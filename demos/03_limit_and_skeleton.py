@@ -47,7 +47,7 @@ def walk_through(name: str, d: Digraph) -> None:
         classes = [sorted(imp.class_set(p, j)) for j in range(1, imp.kappa(p) + 1)]
         print(f"  D_{p}: vertices {sorted(comp)}, kappa {imp.kappa(p)}, classes {classes}")
     for p in range(1, chain.eta):
-        pairs = sorted(interface_pairs(d, chain, imp, p).pairs)
+        pairs = sorted(interface_pairs(d, chain, imp, p))
         print(f"  interface {p}->{p + 1}: class pairs {pairs}")
 
     sk = cs_graph(d, chain, imp)

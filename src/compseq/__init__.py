@@ -33,7 +33,6 @@ from .graphs import (
     NotLinearlyConnectedError,
     SelfLoopError,
     UndirectedGraph,
-    competition_graph,
     component_chain,
     detect_format,
     format_edge_list,
@@ -61,9 +60,7 @@ from .theory import (
     RULE_TRAILING_CONDITION,
     ConvergenceVerdict,
     DivergenceWitness,
-    InterfaceSet,
     JbdVerdict,
-    ResidueSet,
     SkeletonGraph,
     TrivialComponentError,
     ascending_reach,
@@ -109,7 +106,6 @@ __all__ = [
     "to_matrix",
     "component_chain",
     "imprimitivity",
-    "competition_graph",
     "m_step_competition",
     "parse_edge_list",
     "format_edge_list",
@@ -119,8 +115,6 @@ __all__ = [
     "RULE_ALL_TRIVIAL",
     "RULE_NONTRIVIAL_TAIL",
     "RULE_TRAILING_CONDITION",
-    "ResidueSet",
-    "InterfaceSet",
     "SkeletonGraph",
     "DivergenceWitness",
     "ConvergenceVerdict",

@@ -197,14 +197,12 @@ def gamma(a: BoolMatrix) -> BoolMatrix:
     return BoolMatrix(n, tuple(out))
 
 
-def power_trajectory(
-    a: BoolMatrix, memory_cap: int = DEFAULT_MEMORY_CAP
-) -> tuple[PowerCycle, tuple[BoolMatrix, ...]]:
+def power_trajectory(a: BoolMatrix) -> tuple[PowerCycle, tuple[BoolMatrix, ...]]:
     """All distinct powers of a, in order, plus their cycle structure.
 
     Returns (cycle, powers) with powers[m-1] = A^m for m = 1..mu+pi-1.
-    Raises PowerCycleMemoryError once more than memory_cap distinct powers
-    would have to be stored.
+    Raises PowerCycleMemoryError once more than DEFAULT_MEMORY_CAP distinct
+    powers would have to be stored; the cap is read at call time.
     """
     seen = {a.rows: 1}
     powers = [a]
@@ -216,18 +214,18 @@ def power_trajectory(
         first = seen.get(current.rows)
         if first is not None:
             return PowerCycle(index_mu=first, period_pi=m - first), tuple(powers)
-        if len(seen) >= memory_cap:
+        if len(seen) >= DEFAULT_MEMORY_CAP:
             raise PowerCycleMemoryError(
-                f"power sequence exceeded memory cap of {memory_cap} distinct powers"
+                f"power sequence exceeded memory cap of {DEFAULT_MEMORY_CAP} distinct powers"
             )
         seen[current.rows] = m
         powers.append(current)
 
 
-def power_cycle(a: BoolMatrix, memory_cap: int = DEFAULT_MEMORY_CAP) -> PowerCycle:
+def power_cycle(a: BoolMatrix) -> PowerCycle:
     """Smallest (mu, pi) with A^(mu+pi) = A^mu, found by exhaustive hashing
     of full matrices (a repeat is a true repeat, never a hash collision)."""
-    cycle, _ = power_trajectory(a, memory_cap)
+    cycle, _ = power_trajectory(a)
     return cycle
 
 

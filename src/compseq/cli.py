@@ -9,7 +9,9 @@ DOT.
 
 Exit codes: analyze returns 0 when the sequence converges, 2 when it
 diverges, 1 on any input error; verify returns 0 when every instance
-passes, 2 when a counterexample is found; export returns 0 on success.
+passes, 2 when a counterexample is found, and 1 before drawing anything
+when its ranges allow an instance above the simulation's size cap;
+export returns 0 on success.
 Every subcommand returns 1 with an ``error:`` line on stderr when two
 independent routes disagree (InternalCheckError) or the simulation hits
 its cap on stored powers (PowerCycleMemoryError).
@@ -189,6 +191,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail(f"--count must be >= 0, got {args.count}")
     if not args.allow_trivial and size_hi < 2:
         return _fail(f"--sizes {args.sizes} cannot fit nontrivial components; pass --allow-trivial")
+    most = eta_hi * size_hi
+    if most > oracle.DEFAULT_SIZE_CAP:
+        return _fail(
+            f"--eta {args.eta} --sizes {args.sizes} can draw {most} vertices, "
+            f"above the simulation size cap of {oracle.DEFAULT_SIZE_CAP}"
+        )
     master = random.Random(args.seed)
     for i in range(1, args.count + 1):
         spec = oracle.GeneratorSpec(

@@ -22,7 +22,6 @@ views that share the rows tuple, with no per-arc work.  The arc and edge
 sets are derived from the rows only when asked for; ``arc_list`` and
 ``edge_list`` read the rows in order, which yields them sorted.
 
-``competition_graph`` is ``gamma`` of the adjacency matrix.
 ``m_step_competition`` joins u and v iff some vertex is reachable from both
 by a directed walk of length exactly m.  It always evaluates two
 independent routes and refuses to answer if they disagree: ``gamma`` of
@@ -52,7 +51,6 @@ __all__ = [
     "to_matrix",
     "component_chain",
     "imprimitivity",
-    "competition_graph",
     "m_step_competition",
     "parse_edge_list",
     "format_edge_list",
@@ -297,15 +295,6 @@ class ComponentChain:
     def eta(self) -> int:
         return len(self.components)
 
-    @cached_property
-    def component_index(self) -> dict[int, int]:
-        """vertex -> 1-based component position."""
-        idx = {}
-        for p, comp in enumerate(self.components, start=1):
-            for v in comp:
-                idx[v] = p
-        return idx
-
     def component(self, p: int) -> frozenset[int]:
         return self.components[p - 1]
 
@@ -480,11 +469,6 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
         kappas.append(kappa)
         all_classes.append(tuple(frozenset(c) for c in classes))
     return ImprimitivityData(kappas=tuple(kappas), classes=tuple(all_classes))
-
-
-def competition_graph(d: Digraph) -> UndirectedGraph:
-    """Join u and v iff they have a common out-neighbor (common prey)."""
-    return UndirectedGraph.from_adjacency_matrix(gamma(to_matrix(d)))
 
 
 def _m_step_reach(d: Digraph, m: int) -> list[int]:

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 
 from . import theory
-from .bmat import BoolMatrix, DEFAULT_MEMORY_CAP, PowerCycleMemoryError, gamma, power_trajectory
+from .bmat import BoolMatrix, PowerCycleMemoryError, gamma, power_trajectory
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -78,19 +78,18 @@ class SimulationResult:
     gamma_cycle: tuple[UndirectedGraph, ...]
 
 
-def simulate_limit(
-    a: BoolMatrix,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-) -> SimulationResult:
+def simulate_limit(a: BoolMatrix) -> SimulationResult:
     """Evaluate the competition graph of the powers of a from A^mu on, up
     to the first return of that graph; every graph of the tail shows up
     before it.
 
     The sequence of competition graphs is eventually constant iff it is
-    constant on the periodic tail, so this is an exact decision, and
-    raising either cap never changes the answer.
+    constant on the periodic tail, so this is an exact decision.  Raises
+    SizeCapError when a has more than DEFAULT_SIZE_CAP rows, and
+    PowerCycleMemoryError (from ``power_trajectory``) when the power
+    sequence has more than bmat.DEFAULT_MEMORY_CAP distinct powers.  Both
+    caps are read at call time; a cap only refuses inputs, it never
+    changes an answer.
 
     Stop rule: the pass ends at the first m > mu with
     gamma(A^m) = gamma(A^mu).  Let G_m = A^m (A^m)^T.  Then
@@ -102,9 +101,9 @@ def simulate_limit(
     graphs, their order of first appearance, and so the verdict and the
     limit are those of the full period mu .. mu+pi-1.
     """
-    if a.n > size_cap:
-        raise SizeCapError(f"matrix dimension {a.n} exceeds size cap {size_cap}")
-    cycle, powers = power_trajectory(a, memory_cap)
+    if a.n > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"matrix dimension {a.n} exceeds size cap {DEFAULT_SIZE_CAP}")
+    cycle, powers = power_trajectory(a)
     mu, pi = cycle.index_mu, cycle.period_pi
     # distinct gammas of the tail, keyed by their rows, in order of first appearance
     distinct: dict[tuple[int, ...], BoolMatrix] = {}
@@ -139,9 +138,7 @@ class VerificationReport:
     counterexample: Digraph | None
 
 
-def _run_checks(
-    d: Digraph, names: tuple[str, ...], *, size_cap: int, memory_cap: int
-) -> list[CheckResult]:
+def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
     """The named comparisons between the analytic and simulated routes, in
     the order given, all read off one chain, imprimitivity and simulation
     of d.  A check whose precondition does not hold for d is left out; one
@@ -154,7 +151,7 @@ def _run_checks(
     except (NotLinearlyConnectedError, SelfLoopError) as e:
         return [CheckResult(name, True, f"not applicable: {e}") for name in names]
     imp = imprimitivity(d, chain)
-    sim = simulate_limit(to_matrix(d), size_cap=size_cap, memory_cap=memory_cap)
+    sim = simulate_limit(to_matrix(d))
     results = []
     for name in names:
         try:
@@ -205,18 +202,16 @@ def _compare(
     )
 
 
-def _check_fails(d: Digraph, name: str, *, size_cap: int, memory_cap: int) -> bool:
+def _check_fails(d: Digraph, name: str) -> bool:
     try:
-        results = _run_checks(d, (name,), size_cap=size_cap, memory_cap=memory_cap)
+        results = _run_checks(d, (name,))
     except (SizeCapError, PowerCycleMemoryError):
         # a candidate the simulation cannot decide is useless as a counterexample
         return False
     return any(not r.passed for r in results)
 
 
-def _shrink(
-    d: Digraph, name: str, *, size_cap: int, memory_cap: int
-) -> Digraph:
+def _shrink(d: Digraph, name: str) -> Digraph:
     """Greedy arc deletion: remove any single arc whose removal keeps the
     digraph linearly connected and keeps the named check failing, until no
     single deletion survives.  Deterministic (arcs scanned in sorted order)."""
@@ -232,19 +227,14 @@ def _shrink(
                 component_chain(candidate)
             except (NotLinearlyConnectedError, SelfLoopError):
                 continue
-            if _check_fails(candidate, name, size_cap=size_cap, memory_cap=memory_cap):
+            if _check_fails(candidate, name):
                 current = candidate
                 improved = True
                 break
     return current
 
 
-def verify(
-    d: Digraph,
-    *,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    memory_cap: int = DEFAULT_MEMORY_CAP,
-) -> VerificationReport:
+def verify(d: Digraph) -> VerificationReport:
     """Compare every applicable analytic answer against the simulation.
 
     Checks: the convergence verdict and the period (simulated pi equal to
@@ -256,11 +246,11 @@ def verify(
     first failing check is shrunk to a minimal counterexample by greedy arc
     deletion.
     """
-    checks = _run_checks(d, CHECK_NAMES, size_cap=size_cap, memory_cap=memory_cap)
+    checks = _run_checks(d, CHECK_NAMES)
     failed = next((c.name for c in checks if not c.passed), None)
     counterexample = None
     if failed is not None:
-        counterexample = _shrink(d, failed, size_cap=size_cap, memory_cap=memory_cap)
+        counterexample = _shrink(d, failed)
     return VerificationReport(
         passed=failed is None,
         checks=tuple(checks),

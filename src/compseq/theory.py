@@ -9,9 +9,11 @@ Conventions used throughout:
 
 * Class labels are 1-based: the classes of a component with index kappa
   are U_1 .. U_kappa, and label j is residue j - 1 of Z_kappa =
-  {0 .. kappa-1} everywhere.  ``lambda_set`` stores label j as residue
-  j - 1, and ``b_graph`` turns residue r back into label r + 1.
-  Walk-length residues live in Z_kappa with no label mapping.
+  {0 .. kappa-1} everywhere.  A residue set is an int mask over Z_kappa,
+  bit r for residue r, so shifting it by s is a rotation of its kappa
+  bits.  ``lambda_set`` sets bit j - 1 for label j, and ``b_graph`` turns
+  residue r back into label r + 1.  Walk-length residues live in Z_kappa
+  with no label mapping.
 * Skeleton paths are ascending: one partite level per step.  Under that
   reading the three limit adjacency clauses (same class, same component,
   cross component) collapse to one rule between classes: x in U_i of D_p
@@ -29,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import lcm
-from typing import Iterator
 
 from .graphs import (
     ComponentChain,
@@ -45,8 +46,6 @@ __all__ = [
     "RULE_ALL_TRIVIAL",
     "RULE_NONTRIVIAL_TAIL",
     "RULE_TRAILING_CONDITION",
-    "ResidueSet",
-    "InterfaceSet",
     "SkeletonGraph",
     "DivergenceWitness",
     "ConvergenceVerdict",
@@ -72,67 +71,6 @@ RULE_TRAILING_CONDITION = "TrailingCondition"
 
 class TrivialComponentError(ValueError):
     """A construction that needs every component nontrivial met a trivial one."""
-
-
-@dataclass(frozen=True)
-class ResidueSet:
-    """A subset of Z_modulus."""
-
-    modulus: int
-    members: frozenset[int]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        for r in self.members:
-            if not (0 <= r < self.modulus):
-                raise ValueError(f"residue {r} outside Z_{self.modulus}")
-
-    def shift(self, i: int) -> "ResidueSet":
-        """i + self, elementwise mod modulus."""
-        return ResidueSet(
-            self.modulus, frozenset((r + i) % self.modulus for r in self.members)
-        )
-
-    def intersection(self, other: "ResidueSet") -> "ResidueSet":
-        if self.modulus != other.modulus:
-            raise ValueError(f"moduli differ: {self.modulus} vs {other.modulus}")
-        return ResidueSet(self.modulus, self.members & other.members)
-
-    def union(self, other: "ResidueSet") -> "ResidueSet":
-        if self.modulus != other.modulus:
-            raise ValueError(f"moduli differ: {self.modulus} vs {other.modulus}")
-        return ResidueSet(self.modulus, self.members | other.members)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.members) == self.modulus
-
-    @classmethod
-    def from_class_labels(cls, labels, modulus: int) -> "ResidueSet":
-        """Class label j stored as residue j - 1."""
-        out = set()
-        for j in labels:
-            if not (1 <= j <= modulus):
-                raise ValueError(f"class label {j} outside 1..{modulus}")
-            out.add(j - 1)
-        return cls(modulus, frozenset(out))
-
-    def class_labels(self) -> tuple[int, ...]:
-        """1-based class labels, for sets built via from_class_labels."""
-        return tuple(sorted(r + 1 for r in self.members))
-
-
-@dataclass(frozen=True)
-class InterfaceSet:
-    """Class-index pairs (k, l) with an arc from U_k of D_p to U_l of D_(p+1)."""
-
-    p: int
-    pairs: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -203,8 +141,8 @@ class JbdVerdict:
 
 def interface_pairs(
     d: Digraph, chain: ComponentChain, imp: ImprimitivityData, p: int
-) -> InterfaceSet:
-    """Class-index pairs realized by arcs from D_p to D_(p+1)."""
+) -> frozenset[tuple[int, int]]:
+    """Class-index pairs (k, l) with an arc from U_k of D_p to U_l of D_(p+1)."""
     if not (1 <= p <= chain.eta - 1):
         raise ValueError(f"interface index {p} outside 1..{chain.eta - 1}")
     pairs = set()
@@ -214,14 +152,13 @@ def interface_pairs(
         if pu != p or pv != p + 1:
             raise InternalCheckError(f"interface arc ({u},{v}) not between {p} and {p + 1}")
         pairs.add((k, l))
-    return InterfaceSet(p=p, pairs=frozenset(pairs))
+    return frozenset(pairs)
 
 
-def lambda_set(
-    d: Digraph, chain: ComponentChain, imp: ImprimitivityData
-) -> ResidueSet:
-    """Classes of the last nontrivial component that feed the next (trivial)
-    component's vertex; class label j is stored as residue j - 1.
+def lambda_set(d: Digraph, chain: ComponentChain, imp: ImprimitivityData) -> int:
+    """Classes of the last nontrivial component D_p that feed the next
+    (trivial) component's vertex, as a mask over Z_kappa with
+    kappa = imp.kappa(p): class label j is bit j - 1.
 
     Requires a trailing trivial part: some component after the last
     nontrivial one.
@@ -232,8 +169,7 @@ def lambda_set(
     if p == chain.eta:
         raise ValueError("last component is nontrivial; no trailing trivial part")
     (v,) = chain.component(p + 1)
-    kappa = imp.kappa(p)
-    labels = set()
+    mask = 0
     col = 1 << (v - 1)
     for u, row in enumerate(d.rows, start=1):
         if not row & col:
@@ -241,38 +177,44 @@ def lambda_set(
         pu, k = imp.class_index[u]
         if pu != p:
             raise InternalCheckError(f"in-neighbor {u} of {v} not in component {p}")
-        labels.add(k)
-    return ResidueSet.from_class_labels(labels, kappa)
+        mask |= 1 << (k - 1)
+    return mask
 
 
-def l_set(lambda_residues: ResidueSet, j: int) -> ResidueSet:
+def _rotate(mask: int, s: int, kappa: int) -> int:
+    """s + mask over Z_kappa: bit r moves to bit (r + s) mod kappa."""
+    s %= kappa
+    return (mask << s | mask >> (kappa - s)) & ((1 << kappa) - 1)
+
+
+def l_set(lam: int, j: int, kappa: int) -> int:
     """Walk-length residues from class j into the trailing vertex:
-    {(k - j + 1) mod kappa : k a class label of lambda_residues}."""
-    kappa = lambda_residues.modulus
+    {(k - j + 1) mod kappa : k a class label in lam}.  Label k is bit
+    k - 1 of lam, so this is lam rotated by 2 - j."""
     if not (1 <= j <= kappa):
         raise ValueError(f"class label {j} outside 1..{kappa}")
-    return ResidueSet(
-        kappa,
-        frozenset((k - j + 1) % kappa for k in lambda_residues.class_labels()),
-    )
+    if lam < 0 or lam >> kappa:
+        raise ValueError(f"mask {lam:#b} has bits outside Z_{kappa}")
+    return _rotate(lam, 2 - j, kappa)
 
 
-def shifted_union(l1: ResidueSet, l2: ResidueSet, shifts: int) -> ResidueSet:
-    """Union over i = 0..shifts-1 of (i + l1) intersect (i + l2).
+def shifted_union(l1: int, l2: int, shifts: int, kappa: int) -> int:
+    """Union over i = 0..shifts-1 of (i + l1) intersect (i + l2), for
+    masks l1, l2 over Z_kappa.
 
-    Shifting is a bijection of Z_kappa, so (i + l1) intersect (i + l2) is
-    i + (l1 intersect l2): the intersection is taken once, and shifts
-    past kappa repeat earlier ones.
+    Shifting is a rotation of Z_kappa, so (i + l1) intersect (i + l2) is
+    i + (l1 & l2): the intersection is taken once, and shifts past kappa
+    repeat earlier ones.
     """
-    kappa = l1.modulus
-    if kappa != l2.modulus:
-        raise ValueError(f"moduli differ: {kappa} vs {l2.modulus}")
     if shifts < 1:
         raise ValueError(f"shift count must be >= 1, got {shifts}")
-    common = l1.members & l2.members
-    return ResidueSet(
-        kappa, frozenset((r + i) % kappa for r in common for i in range(min(shifts, kappa)))
-    )
+    if kappa < 1 or l1 < 0 or l2 < 0 or (l1 | l2) >> kappa:
+        raise ValueError(f"masks {l1:#b}, {l2:#b} have bits outside Z_{kappa}")
+    common = l1 & l2
+    union = 0
+    for i in range(min(shifts, kappa)):
+        union |= _rotate(common, i, kappa)
+    return union
 
 
 def converges(
@@ -291,6 +233,15 @@ def converges(
     the next component's vertex, the sequence converges iff for every
     unordered pair j1 != j2 the union over i = 0..eta-p-1 of
     (i + L_j1) intersect (i + L_j2) is empty or all of Z_kappa.
+
+    Only the pairs (1, j2) are tested.  Every L_j is L_1 rotated by
+    -(j - 1), and rotation commutes with intersection, union and the
+    shifts, so the union for (j1, j2) is the union for (1, 1 + j2 - j1)
+    rotated by -(j1 - 1).  A rotation keeps an empty set empty and a full
+    one full, so (j1, j2) fails iff (1, 1 + j2 - j1) does.  The first
+    failing pair in (j1, j2) order is therefore (1, 1 + d) for the
+    smallest failing difference d, and the witness, its excluded residue
+    included, is the one a loop over all pairs would report.
     """
     if chain is None:
         chain = component_chain(d)
@@ -303,24 +254,25 @@ def converges(
     p = chain.last_nontrivial
     assert p is not None
     kappa = imp.kappa(p)
-    lam = lambda_set(d, chain, imp)
     shifts = chain.eta - p
-    lsets = {j: l_set(lam, j) for j in range(1, kappa + 1)}
-    for j1 in range(1, kappa + 1):
-        for j2 in range(j1 + 1, kappa + 1):
-            union = shifted_union(lsets[j1], lsets[j2], shifts)
-            if not union.is_empty and not union.is_full:
-                excluded = min(set(range(kappa)) - union.members)
-                return ConvergenceVerdict(
-                    False,
-                    RULE_TRAILING_CONDITION,
-                    DivergenceWitness(j1=j1, j2=j2, excluded_residue=excluded),
-                )
+    lam = lambda_set(d, chain, imp)
+    l1 = l_set(lam, 1, kappa)
+    full = (1 << kappa) - 1
+    for j2 in range(2, kappa + 1):
+        union = shifted_union(l1, l_set(lam, j2, kappa), shifts, kappa)
+        if union and union != full:
+            # union + 1 carries into the lowest residue missing from union
+            excluded = (~union & (union + 1)).bit_length() - 1
+            return ConvergenceVerdict(
+                False,
+                RULE_TRAILING_CONDITION,
+                DivergenceWitness(j1=1, j2=j2, excluded_residue=excluded),
+            )
     return ConvergenceVerdict(True, RULE_TRAILING_CONDITION, None)
 
 
 def b_graph(
-    kappa1: int, kappa2: int, interface: InterfaceSet
+    kappa1: int, kappa2: int, pairs: frozenset[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
     """Bipartite skeleton between the classes of two consecutive nontrivial
     components: labels (i, j) are joined iff for some interface pair (k, l)
@@ -329,14 +281,14 @@ def b_graph(
     """
     if kappa1 < 1 or kappa2 < 1:
         raise ValueError(f"class counts must be >= 1, got {kappa1}, {kappa2}")
-    for k, l in interface.pairs:
+    for k, l in pairs:
         if not (1 <= k <= kappa1 and 1 <= l <= kappa2):
             raise ValueError(
                 f"interface pair ({k},{l}) inconsistent with moduli ({kappa1},{kappa2})"
             )
     edges = set()
     period = lcm(kappa1, kappa2)
-    for k, l in interface.pairs:
+    for k, l in pairs:
         for t in range(period):
             i = (k + t) % kappa1 + 1
             j = (l - 1 + t) % kappa2 + 1
@@ -356,8 +308,8 @@ def cs_graph(
             )
     edges = set()
     for p in range(1, chain.eta):
-        iset = interface_pairs(d, chain, imp, p)
-        for i, j in b_graph(imp.kappa(p), imp.kappa(p + 1), iset):
+        pairs = interface_pairs(d, chain, imp, p)
+        for i, j in b_graph(imp.kappa(p), imp.kappa(p + 1), pairs):
             edges.add(((p, i), (p + 1, j)))
     return SkeletonGraph(class_counts=imp.kappas, edges=frozenset(edges))
 
@@ -447,7 +399,7 @@ def jbd_condition(
                 holds, failing_level, detail = False, p, line
             lines.append("FAIL " + line)
             continue
-        pairs = sorted(interface_pairs(d, chain, imp, p).pairs)
+        pairs = sorted(interface_pairs(d, chain, imp, p))
         residues: dict[int, tuple[int, int]] = {}
         for k, l in pairs:
             residues.setdefault((k - l) % kappa_last, (k, l))

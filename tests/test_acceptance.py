@@ -12,7 +12,6 @@ from compseq import (
     BoolMatrix,
     Digraph,
     GeneratorSpec,
-    ResidueSet,
     UndirectedGraph,
     bool_mul,
     bool_pow,
@@ -77,12 +76,12 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_caption_arithmetic():
     start = time.perf_counter()
-    l1 = ResidueSet(4, frozenset({0, 1, 2}))
-    l2 = ResidueSet(4, frozenset({0, 1, 3}))
-    with_three = shifted_union(l1, l2, 3)
-    with_two = shifted_union(l1, l2, 2)
-    assert with_three.members == frozenset({0, 1, 2, 3})
-    assert with_two.members == frozenset({0, 1, 2})
+    l1 = 0b0111  # {0, 1, 2} as a mask over Z_4
+    l2 = 0b1011  # {0, 1, 3}
+    with_three = shifted_union(l1, l2, 3, 4)
+    with_two = shifted_union(l1, l2, 2, 4)
+    assert with_three == 0b1111
+    assert with_two == 0b0111
     elapsed = time.perf_counter() - start
     _criterion(
         2,

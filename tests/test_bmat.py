@@ -21,6 +21,7 @@ from compseq import (
     power_cycle,
     power_trajectory,
 )
+from compseq import bmat
 from conftest import bool_matrices, naive_mul, numpy_mul, period3_matrix
 
 
@@ -206,11 +207,14 @@ class TestPowerCycle:
         for m, p in enumerate(powers, start=1):
             assert p == bool_pow(a, m)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
         entries = [[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]
         a = BoolMatrix.from_entries(entries)
-        with pytest.raises(PowerCycleMemoryError):
-            power_cycle(a, memory_cap=3)
+        assert power_cycle(a) == PowerCycle(1, 5)
+        # the cap is read when called
+        monkeypatch.setattr(bmat, "DEFAULT_MEMORY_CAP", 3)
+        with pytest.raises(PowerCycleMemoryError, match="memory cap of 3"):
+            power_cycle(a)
 
     @settings(max_examples=60, deadline=None)
     @given(bool_matrices(max_n=5))

@@ -145,9 +145,7 @@ class TestAnalyze:
 
     def test_power_cycle_memory_error_reported(self, write, capsys, monkeypatch):
         # the period-4 tail needs more than two stored powers
-        monkeypatch.setattr(
-            oracle, "power_trajectory", lambda a, cap: bmat.power_trajectory(a, 2)
-        )
+        monkeypatch.setattr(bmat, "DEFAULT_MEMORY_CAP", 2)
         path = write("c.el", format_edge_list(cycle4_feeders(4)))
         code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
         assert code == 1 and out == ""
@@ -248,6 +246,27 @@ class TestVerifyCommand:
     def test_sizes_too_small_without_trivial(self, capsys):
         code, _, err = run(capsys, "verify", "--sizes", "1")
         assert code == 1 and "cannot fit" in err
+
+    def test_ranges_above_size_cap_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--count", "3", "--eta", "3", "--sizes", "30..40"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: --eta 3 --sizes 30..40 can draw 120 vertices, "
+            "above the simulation size cap of 64\n"
+        )
+
+    def test_size_cap_checked_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(spec):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(oracle, "random_instance", no_draw)
+        code, _, err = run(capsys, "verify", "--eta", "1..1000000", "--sizes", "2")
+        assert code == 1 and "size cap of 64" in err
+        # eta_hi * size_hi at the cap itself is allowed
+        code, out, _ = run(capsys, "verify", "--count", "0", "--eta", "8", "--sizes", "8")
+        assert code == 0 and out.startswith("verified 0/0")
 
 
 class TestExport:

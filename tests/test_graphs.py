@@ -19,7 +19,6 @@ from compseq import (
     SelfLoopError,
     UndirectedGraph,
     bool_pow,
-    competition_graph,
     component_chain,
     format_edge_list,
     from_matrix,
@@ -242,7 +241,6 @@ class TestComponentChain:
         chain = component_chain(two_chain())
         assert chain.components == (frozenset({1, 2}), frozenset({3, 4}))
         assert chain.interface_arcs == (frozenset({(2, 3)}),)
-        assert chain.component_index == {1: 1, 2: 1, 3: 2, 4: 2}
         assert chain.component(2) == {3, 4}
 
     def test_trailing_trivial(self):
@@ -310,7 +308,7 @@ class TestComponentChain:
     def test_accepted_chains_have_consecutive_arcs(self, seed):
         d = random_instance(GeneratorSpec(eta=3, sizes=(1, 4), seed=seed))
         chain = component_chain(d)
-        idx = chain.component_index
+        idx = {v: p for p, comp in enumerate(chain.components, start=1) for v in comp}
         for u, v in d.arcs:
             assert idx[v] - idx[u] in (0, 1)
         for arcs in chain.interface_arcs:
@@ -388,12 +386,14 @@ class TestImprimitivity:
 
 
 class TestCompetitionGraph:
+    """The one-step competition graph, m_step_competition(d, 1)."""
+
     def test_worked_example(self):
-        assert competition_graph(period3_digraph()).edges == {(2, 4)}
+        assert m_step_competition(period3_digraph(), 1).edges == {(2, 4)}
 
     def test_no_common_prey_three_cycle(self):
         d = Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])
-        assert competition_graph(d).edges == frozenset()
+        assert m_step_competition(d, 1).edges == frozenset()
 
     @given(digraphs())
     def test_matches_common_prey_definition(self, d):
@@ -404,14 +404,10 @@ class TestCompetitionGraph:
             for v in range(u + 1, d.n + 1)
             if out[u] & out[v]
         }
-        assert competition_graph(d).edges == expected
+        assert m_step_competition(d, 1).edges == expected
 
 
 class TestMStepCompetition:
-    def test_one_step_is_competition_graph(self):
-        d = two_chain()
-        assert m_step_competition(d, 1) == competition_graph(d)
-
     def test_step_count_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
             m_step_competition(two_chain(), 0)

@@ -108,12 +108,15 @@ class TestSimulateLimit:
             frozenset({(2, 3)}),
         ]
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         assert DEFAULT_SIZE_CAP == 64
-        with pytest.raises(SizeCapError):
+        simulate_limit(BoolMatrix.zeros(64))
+        with pytest.raises(SizeCapError, match="size cap 64"):
             simulate_limit(BoolMatrix.zeros(65))
-        with pytest.raises(SizeCapError):
-            simulate_limit(BoolMatrix.zeros(10), size_cap=9)
+        # the cap is read when called
+        monkeypatch.setattr(oracle, "DEFAULT_SIZE_CAP", 9)
+        with pytest.raises(SizeCapError, match="size cap 9"):
+            simulate_limit(BoolMatrix.zeros(10))
 
     @settings(max_examples=50, deadline=None)
     @given(bool_matrices(max_n=5))
@@ -227,7 +230,7 @@ class TestVerify:
         assert all("not applicable" in c.detail for c in report.checks)
 
     def test_failure_reporting(self, monkeypatch):
-        def fake_run(d, names, *, size_cap, memory_cap):
+        def fake_run(d, names):
             if "verdict" in names:
                 return [CheckResult("verdict", False, "forced failure")]
             return []
@@ -274,8 +277,8 @@ class TestVerify:
         )
 
     def test_period_failure_is_shrunk(self, monkeypatch):
-        def doubled_period(a, **caps):
-            sim = simulate_limit(a, **caps)
+        def doubled_period(a):
+            sim = simulate_limit(a)
             return dataclasses.replace(sim, period_pi=2 * sim.period_pi)
 
         monkeypatch.setattr(oracle, "simulate_limit", doubled_period)
@@ -290,29 +293,29 @@ class TestVerify:
         [(SizeCapError("cap"), False), (PowerCycleMemoryError("cap"), False), (None, True)],
     )
     def test_check_fails_skips_only_capped_candidates(self, monkeypatch, error, fails):
-        def run_checks(d, names, *, size_cap, memory_cap):
+        def run_checks(d, names):
             if error is not None:
                 raise error
             return [CheckResult(names[0], False, "forced failure")]
 
         monkeypatch.setattr(oracle, "_run_checks", run_checks)
-        assert oracle._check_fails(two_chain(), "verdict", size_cap=64, memory_cap=10) is fails
+        assert oracle._check_fails(two_chain(), "verdict") is fails
 
     def test_check_fails_lets_other_errors_through(self, monkeypatch):
-        def run_checks(d, names, *, size_cap, memory_cap):
+        def run_checks(d, names):
             raise InternalCheckError("imprimitivity split")
 
         monkeypatch.setattr(oracle, "_run_checks", run_checks)
         with pytest.raises(InternalCheckError):
-            oracle._check_fails(two_chain(), "verdict", size_cap=64, memory_cap=10)
+            oracle._check_fails(two_chain(), "verdict")
 
     def test_shrink_deletes_all_removable_arcs(self, monkeypatch):
-        def fake_fails(d, name, *, size_cap, memory_cap):
+        def fake_fails(d, name):
             return len(d.arcs) >= 5
 
         monkeypatch.setattr(oracle, "_check_fails", fake_fails)
         start = Digraph.from_arcs(4, two_chain().arcs | {(1, 3)})
-        shrunk = oracle._shrink(start, "verdict", size_cap=64, memory_cap=100_000)
+        shrunk = oracle._shrink(start, "verdict")
         assert len(shrunk.arcs) == 5
         component_chain(shrunk)  # deletions never leave the chain class
 

@@ -16,8 +16,6 @@ from compseq import (
     Digraph,
     DivergenceWitness,
     GeneratorSpec,
-    InterfaceSet,
-    ResidueSet,
     SkeletonGraph,
     TrivialComponentError,
     UndirectedGraph,
@@ -39,6 +37,7 @@ from compseq import (
     to_matrix,
     union_of_cliques,
 )
+from compseq.theory import _rotate
 from conftest import (
     cycle4_feeders,
     mixed_residue_chain,
@@ -50,60 +49,65 @@ from conftest import (
 )
 
 
-def rset(modulus, *members):
-    return ResidueSet(modulus, frozenset(members))
-
-
 class TestResidueSet:
+    """Residue sets are int masks over Z_kappa: bit r is residue r."""
+
     def test_members_validated(self):
-        with pytest.raises(ValueError, match="modulus"):
-            rset(0)
-        with pytest.raises(ValueError, match="outside"):
-            rset(3, 3)
-        with pytest.raises(ValueError, match="outside"):
-            rset(3, -1)
+        with pytest.raises(ValueError, match="outside Z_3"):
+            l_set(0b1000, 1, 3)
+        with pytest.raises(ValueError, match="outside Z_3"):
+            l_set(-1, 1, 3)
+        with pytest.raises(ValueError, match="outside Z_3"):
+            shifted_union(0b001, 0b1001, 1, 3)
+        with pytest.raises(ValueError, match="outside Z_0"):
+            shifted_union(0, 0, 1, 0)
 
     def test_shift_wraps(self):
-        assert rset(4, 2, 3).shift(2) == rset(4, 0, 1)
-        assert rset(4, 1).shift(0) == rset(4, 1)
+        assert _rotate(0b1100, 2, 4) == 0b0011
+        assert _rotate(0b0010, 0, 4) == 0b0010
+        assert _rotate(0b0001, -1, 4) == 0b1000
+        assert _rotate(0b0110, 9, 4) == 0b1100
 
-    def test_set_algebra(self):
-        assert rset(4, 0, 1).intersection(rset(4, 1, 2)) == rset(4, 1)
-        assert rset(4, 0).union(rset(4, 2)) == rset(4, 0, 2)
-        with pytest.raises(ValueError, match="moduli differ"):
-            rset(4, 0).intersection(rset(3, 0))
-        with pytest.raises(ValueError, match="moduli differ"):
-            rset(4, 0).union(rset(3, 0))
+    @given(st.data(), st.integers(1, 9), st.integers(-20, 20))
+    def test_set_algebra(self, data, kappa, s):
+        # rotation is a bijection of Z_kappa: it commutes with & and |,
+        # which is what lets converges test only the pairs (1, j2)
+        masks = st.integers(0, (1 << kappa) - 1)
+        a, b = data.draw(masks), data.draw(masks)
+        assert _rotate(a & b, s, kappa) == _rotate(a, s, kappa) & _rotate(b, s, kappa)
+        assert _rotate(a | b, s, kappa) == _rotate(a, s, kappa) | _rotate(b, s, kappa)
+        assert _rotate(_rotate(a, s, kappa), -s, kappa) == a
 
     def test_empty_and_full(self):
-        assert rset(3).is_empty
-        assert not rset(3).is_full
-        assert rset(3, 0, 1, 2).is_full
-        assert not rset(3, 0).is_empty
+        assert shifted_union(0b001, 0b010, 3, 3) == 0
+        assert shifted_union(0b011, 0b110, 3, 3) == 0b111
+        assert shifted_union(0b011, 0b110, 2, 3) == 0b110
 
     def test_class_label_convention(self):
-        # label j is stored as residue j - 1: residue 0 holds label 1
-        s = ResidueSet.from_class_labels([1, 3], 4)
-        assert s == rset(4, 0, 2)
-        assert s.class_labels() == (1, 3)
+        # label j is bit j - 1: bit 0 holds label 1
+        d = cycle4_feeders(2)
+        chain = component_chain(d)
+        assert lambda_set(d, chain, imprimitivity(d, chain)) == 0b0011
+        # L_1 = {k : k a label in lam}: labels 1 and 3 are residues 1 and 3
+        assert l_set(0b0101, 1, 4) == 0b1010
         with pytest.raises(ValueError, match="label"):
-            ResidueSet.from_class_labels([0], 4)
+            l_set(0b0101, 0, 4)
         with pytest.raises(ValueError, match="label"):
-            ResidueSet.from_class_labels([5], 4)
+            l_set(0b0101, 5, 4)
 
 
 class TestLambdaAndLSets:
     def test_lambda_set_of_divergent_feeder(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        lam = lambda_set(d, chain, imprimitivity(d, chain))
-        assert lam.modulus == 4
-        assert lam.class_labels() == (1, 2)
+        imp = imprimitivity(d, chain)
+        assert imp.kappa(chain.last_nontrivial) == 4
+        assert lambda_set(d, chain, imp) == 0b0011  # labels 1 and 2
 
     def test_lambda_set_full_when_all_classes_feed(self):
         d = cycle4_feeders(4)
         chain = component_chain(d)
-        assert lambda_set(d, chain, imprimitivity(d, chain)).is_full
+        assert lambda_set(d, chain, imprimitivity(d, chain)) == 0b1111
 
     def test_lambda_set_requires_trailing_trivial_part(self):
         d = two_chain()
@@ -120,53 +124,91 @@ class TestLambdaAndLSets:
             lambda_set(d, chain, imp)
 
     def test_l_set_examples(self):
-        lam = ResidueSet.from_class_labels([1], 2)
-        assert l_set(lam, 1) == rset(2, 1)
-        assert l_set(lam, 2) == rset(2, 0)
+        lam = 0b01  # label 1 of Z_2
+        assert l_set(lam, 1, 2) == 0b10
+        assert l_set(lam, 2, 2) == 0b01
 
     def test_l_set_formula(self):
-        lam = ResidueSet.from_class_labels([1, 2], 4)
-        assert l_set(lam, 1) == rset(4, 1, 2)
-        assert l_set(lam, 2) == rset(4, 0, 1)
-        assert l_set(lam, 3) == rset(4, 3, 0)
-        assert l_set(lam, 4) == rset(4, 2, 3)
+        lam = 0b0011  # labels 1 and 2 of Z_4
+        assert l_set(lam, 1, 4) == 0b0110  # {1, 2}
+        assert l_set(lam, 2, 4) == 0b0011  # {0, 1}
+        assert l_set(lam, 3, 4) == 0b1001  # {3, 0}
+        assert l_set(lam, 4, 4) == 0b1100  # {2, 3}
 
     def test_l_set_label_validated(self):
         with pytest.raises(ValueError, match="label"):
-            l_set(rset(3, 0), 4)
+            l_set(0b001, 4, 3)
 
 
 class TestShiftedUnion:
     def test_disjoint_stays_empty(self):
-        assert shifted_union(rset(2, 1), rset(2, 0), 1).is_empty
+        assert shifted_union(0b10, 0b01, 1, 2) == 0
 
     def test_caption_arithmetic(self):
-        l1 = rset(4, 0, 1, 2)
-        l2 = rset(4, 0, 1, 3)
-        assert shifted_union(l1, l2, 2) == rset(4, 0, 1, 2)
-        assert shifted_union(l1, l2, 3).is_full
+        l1 = 0b0111  # {0, 1, 2}
+        l2 = 0b1011  # {0, 1, 3}
+        assert shifted_union(l1, l2, 2, 4) == 0b0111
+        assert shifted_union(l1, l2, 3, 4) == 0b1111
 
     def test_union_grows_with_shifts(self):
-        l1, l2 = rset(4, 1, 2), rset(4, 0, 1)
-        small = shifted_union(l1, l2, 1)
-        big = shifted_union(l1, l2, 3)
-        assert small.members <= big.members
+        l1, l2 = 0b0110, 0b0011
+        small = shifted_union(l1, l2, 1, 4)
+        big = shifted_union(l1, l2, 3, 4)
+        assert small & ~big == 0
 
     @given(st.data(), st.integers(1, 9), st.integers(1, 20))
     def test_matches_per_shift_definition(self, data, kappa, shifts):
-        residues = st.frozensets(st.integers(0, kappa - 1))
-        l1 = ResidueSet(kappa, data.draw(residues))
-        l2 = ResidueSet(kappa, data.draw(residues))
-        literal = frozenset()
+        masks = st.integers(0, (1 << kappa) - 1)
+        l1, l2 = data.draw(masks), data.draw(masks)
+        # r is in i + L iff r - i is in L
+        literal = 0
         for i in range(shifts):
-            literal |= l1.shift(i).members & l2.shift(i).members
-        assert shifted_union(l1, l2, shifts) == ResidueSet(kappa, literal)
+            for r in range(kappa):
+                if (l1 & l2) >> ((r - i) % kappa) & 1:
+                    literal |= 1 << r
+        assert shifted_union(l1, l2, shifts, kappa) == literal
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="moduli differ"):
-            shifted_union(rset(2, 0), rset(3, 0), 1)
+        with pytest.raises(ValueError, match="outside Z_2"):
+            shifted_union(0b01, 0b100, 1, 2)
         with pytest.raises(ValueError, match="shift count"):
-            shifted_union(rset(2, 0), rset(2, 0), 0)
+            shifted_union(0b01, 0b01, 0, 2)
+
+
+def all_pairs_verdict(d):
+    """The trailing condition read literally, with frozensets of residues:
+    every unordered class pair (j1, j2) in order, the union over the
+    shifts i of (i + L_j1) & (i + L_j2), and as witness the first pair
+    whose union is neither empty nor full, with its smallest missing
+    residue.  d must end in a trivial component after a nontrivial one."""
+    chain = component_chain(d)
+    imp = imprimitivity(d, chain)
+    p = chain.last_nontrivial
+    kappa = imp.kappa(p)
+    feeders = {imp.class_index[u][1] for u, _ in chain.interface_arcs[p - 1]}
+    lsets = {
+        j: frozenset((k - j + 1) % kappa for k in feeders) for j in range(1, kappa + 1)
+    }
+    everything = frozenset(range(kappa))
+    for j1 in range(1, kappa + 1):
+        for j2 in range(j1 + 1, kappa + 1):
+            union = frozenset()
+            for i in range(chain.eta - p):
+                union |= frozenset((r + i) % kappa for r in lsets[j1]) & frozenset(
+                    (r + i) % kappa for r in lsets[j2]
+                )
+            if union and union != everything:
+                witness = DivergenceWitness(j1, j2, min(everything - union))
+                return ConvergenceVerdict(False, RULE_TRAILING_CONDITION, witness)
+    return ConvergenceVerdict(True, RULE_TRAILING_CONDITION, None)
+
+
+def full_feed_cycle(kappa: int) -> Digraph:
+    """A directed kappa-cycle on 1..kappa with every vertex feeding vertex
+    kappa + 1, followed by one more trivial vertex."""
+    arcs = [(v, v % kappa + 1) for v in range(1, kappa + 1)]
+    arcs += [(v, kappa + 1) for v in range(1, kappa + 1)] + [(kappa + 1, kappa + 2)]
+    return Digraph.from_arcs(kappa + 2, arcs)
 
 
 class TestConverges:
@@ -189,11 +231,41 @@ class TestConverges:
         v = converges(cycle4_feeders(4))
         assert v.converged and v.rule == RULE_TRAILING_CONDITION and v.witness is None
 
+    def test_large_full_feeder_converges(self):
+        # kappa = 197: every L_j is all of Z_197, so every union is full
+        d = full_feed_cycle(197)
+        v = converges(d)
+        assert v.converged and v.rule == RULE_TRAILING_CONDITION and v.witness is None
+
     def test_disjoint_l_sets_converge(self):
         # single class feeds the tail: every L-pair intersection is empty
         d = Digraph.from_arcs(3, [(1, 2), (2, 1), (1, 3)])
         v = converges(d)
         assert v.converged and v.rule == RULE_TRAILING_CONDITION
+
+    def test_matches_all_pairs_loop(self):
+        # the loop over (1, j2) against the literal loop over all pairs,
+        # on chains that end in one to three trivial components
+        rng = random.Random(7)
+        compared = divergent = later_witness = 0
+        while compared < 5000:
+            eta = rng.randint(2, 5)
+            tail = rng.randint(1, min(3, eta - 1))
+            hi = rng.choice((6, 12))
+            spec = GeneratorSpec(
+                eta=eta,
+                sizes=((1, hi),) * (eta - tail) + ((1, 1),) * tail,
+                seed=rng.getrandbits(32),
+            )
+            d = random_instance(spec)
+            if component_chain(d).all_trivial:
+                continue
+            got = converges(d)
+            assert got == all_pairs_verdict(d), spec
+            compared += 1
+            divergent += not got.converged
+            later_witness += got.witness is not None and got.witness.j2 > 2
+        assert divergent >= 100 and later_witness >= 5
 
     def test_witness_present_iff_divergent(self):
         with pytest.raises(ValueError, match="witness"):
@@ -223,7 +295,7 @@ class TestInterfacePairs:
         d = two_chain()
         chain = component_chain(d)
         iset = interface_pairs(d, chain, imprimitivity(d, chain), 1)
-        assert iset == InterfaceSet(p=1, pairs=frozenset({(2, 1)}))
+        assert iset == {(2, 1)}
 
     def test_index_validated(self):
         d = two_chain()
@@ -235,11 +307,11 @@ class TestInterfacePairs:
 
 class TestBGraph:
     def test_single_pair_two_by_two(self):
-        got = b_graph(2, 2, InterfaceSet(1, frozenset({(2, 1)})))
+        got = b_graph(2, 2, frozenset({(2, 1)}))
         assert got == {(1, 1), (2, 2)}
 
     def test_coprime_moduli_fill_completely(self):
-        got = b_graph(2, 3, InterfaceSet(1, frozenset({(1, 1)})))
+        got = b_graph(2, 3, frozenset({(1, 1)}))
         assert got == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
 
     def test_matches_congruence_definition(self):
@@ -257,14 +329,14 @@ class TestBGraph:
                         for t in range(period)
                         if (i - k - 1 - t) % k1 == 0 and (j - l - t) % k2 == 0
                     }
-                    got = b_graph(k1, k2, InterfaceSet(1, frozenset(iset)))
+                    got = b_graph(k1, k2, frozenset(iset))
                     assert got == expected, (k1, k2, iset)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="class counts"):
-            b_graph(0, 2, InterfaceSet(1, frozenset()))
+            b_graph(0, 2, frozenset())
         with pytest.raises(ValueError, match="inconsistent"):
-            b_graph(2, 2, InterfaceSet(1, frozenset({(3, 1)})))
+            b_graph(2, 2, frozenset({(3, 1)}))
 
 
 class TestSkeleton:
