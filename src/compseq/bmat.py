@@ -21,8 +21,9 @@ sparse A goes on the left and the product costs about one row OR per arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._record import frozen
 
 __all__ = [
     "DEFAULT_MEMORY_CAP",
@@ -59,7 +60,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolMatrix:
     """n x n matrix over {0,1}; ``rows[i]`` has bit j set iff entry (i,j) is 1.
 
@@ -135,7 +136,7 @@ class BoolMatrix:
         return f"BoolMatrix({self.n}, [{body}])"
 
 
-@dataclass(frozen=True)
+@frozen
 class PowerCycle:
     """Exact index and period of a power sequence: A^(m+pi) = A^m iff m >= mu,
     and all of A^1 .. A^(mu+pi-1) are pairwise distinct."""
@@ -250,13 +251,11 @@ def parse_matrix(text: str) -> BoolMatrix:
         row = lines[i + 1].strip()
         if len(row) != n:
             raise ParseError(lineno, f"expected {n} characters, got {len(row)}")
-        acc = 0
-        for j, ch in enumerate(row):
-            if ch == "1":
-                acc |= 1 << j
-            elif ch != "0":
-                raise ParseError(lineno, f"invalid character {ch!r} at column {j + 1}")
-        rows.append(acc)
+        # int(..., 2) would also take "_", a sign or spaces: check {0, 1} first
+        if row.count("0") + row.count("1") != n:
+            j = next(j for j, ch in enumerate(row) if ch not in "01")
+            raise ParseError(lineno, f"invalid character {row[j]!r} at column {j + 1}")
+        rows.append(int(row[::-1], 2))
     for extra in range(n + 1, len(lines)):
         if lines[extra].strip():
             raise ParseError(extra + 1, "trailing content after matrix rows")

@@ -31,12 +31,12 @@ time on int masks without calling ``bool_mul`` or ``gamma``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
 
+from ._record import frozen
 from .bmat import BoolMatrix, ParseError, bool_pow, gamma, parse_matrix
 
 __all__ = [
@@ -84,7 +84,7 @@ class InternalCheckError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Digraph:
     """Finite digraph on vertices 1..n stored as bitset rows, the layout of
     ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is set iff (u, v) is an arc.
@@ -123,7 +123,7 @@ class Digraph:
         return tuple(u + 1 for u, r in enumerate(self.rows) if (r >> u) & 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class UndirectedGraph:
     """Simple undirected graph on 1..n stored as bitset rows: bit v-1 of
     ``rows[u-1]`` is set iff u and v are adjacent.
@@ -282,7 +282,7 @@ def _mask(vertices: Iterable[int]) -> int:
     return sum(1 << (v - 1) for v in vertices)
 
 
-@dataclass(frozen=True)
+@frozen
 class ComponentChain:
     """Strong components D_1..D_eta of a linearly connected digraph, in
     chain order, with the arc sets of each consecutive interface."""
@@ -361,7 +361,7 @@ def component_chain(d: Digraph) -> ComponentChain:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class ImprimitivityData:
     """Cyclic class structure of every component of a chain.
 

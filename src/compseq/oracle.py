@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import theory
+from ._record import frozen
 from .bmat import BoolMatrix, PowerCycleMemoryError, gamma, power_trajectory
 from .graphs import (
     ComponentChain,
@@ -61,7 +61,7 @@ class SizeCapError(ValueError):
     """The matrix is larger than the simulation size cap."""
 
 
-@dataclass(frozen=True)
+@frozen
 class SimulationResult:
     """Exact behavior of the competition graph sequence of one matrix.
 
@@ -123,14 +123,14 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     passed: bool
     checks: tuple[CheckResult, ...]
@@ -259,7 +259,7 @@ def verify(d: Digraph) -> VerificationReport:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class GeneratorSpec:
     """Deterministic recipe for one random linearly connected digraph.
 

@@ -28,10 +28,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
+from ._record import frozen
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -73,7 +73,7 @@ class TrivialComponentError(ValueError):
     """A construction that needs every component nontrivial met a trivial one."""
 
 
-@dataclass(frozen=True)
+@frozen
 class SkeletonGraph:
     """The class skeleton: an eta-partite graph whose level-p part is the
     label set {1 .. kappa_p}, with edges only between consecutive levels.
@@ -104,7 +104,7 @@ class SkeletonGraph:
         return frozenset((i, j) for (pp, i), (_, j) in self.edges if pp == p)
 
 
-@dataclass(frozen=True)
+@frozen
 class DivergenceWitness:
     """A class pair whose shifted union is neither empty nor all of Z_kappa;
     excluded_residue is one residue missing from the nonempty union."""
@@ -114,7 +114,7 @@ class DivergenceWitness:
     excluded_residue: int
 
 
-@dataclass(frozen=True)
+@frozen
 class ConvergenceVerdict:
     converged: bool
     rule: str
@@ -125,7 +125,7 @@ class ConvergenceVerdict:
             raise ValueError("witness must be present iff the verdict is divergence")
 
 
-@dataclass(frozen=True)
+@frozen
 class JbdVerdict:
     """Whether the limit is block diagonal with all-ones diagonal blocks
     (a disjoint union of cliques); diagnostics name the first violation."""
@@ -278,6 +278,12 @@ def b_graph(
     components: labels (i, j) are joined iff for some interface pair (k, l)
     and some t in 0..lcm(kappa1,kappa2)-1, i = k + 1 + t (mod kappa1) and
     j = l + t (mod kappa2).
+
+    Along the walk of (k, l), i - j = k - l + 1 (mod gcd(kappa1, kappa2)),
+    and by the Chinese remainder theorem the walk reaches every (i, j)
+    with that difference.  Pairs with the same (k - l) mod gcd therefore
+    give the same edges, and one pair per residue is walked: at most
+    gcd * lcm = kappa1 * kappa2 steps, however many pairs there are.
     """
     if kappa1 < 1 or kappa2 < 1:
         raise ValueError(f"class counts must be >= 1, got {kappa1}, {kappa2}")
@@ -288,7 +294,8 @@ def b_graph(
             )
     edges = set()
     period = lcm(kappa1, kappa2)
-    for k, l in pairs:
+    modulus = gcd(kappa1, kappa2)
+    for k, l in {(k - l) % modulus: (k, l) for k, l in pairs}.values():
         for t in range(period):
             i = (k + t) % kappa1 + 1
             j = (l - 1 + t) % kappa2 + 1

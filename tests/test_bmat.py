@@ -2,6 +2,7 @@
 text format round trips."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +266,20 @@ class TestMatrixText:
     def test_invalid_character_names_column(self):
         with pytest.raises(ParseError, match="column 2") as exc:
             parse_matrix("2\n01\n1x\n")
+        assert exc.value.line == 3
+
+    # each row is a valid argument to int(row, 2), so only the explicit
+    # {0, 1} check rejects it
+    @pytest.mark.parametrize(
+        "row, char, column",
+        [("0_1", "_", 2), ("+01", "+", 1), ("-01", "-", 1), ("0 1", " ", 2), ("1\u0661", "\u0661", 2)],
+    )
+    def test_int_literal_syntax_rejected(self, row, char, column):
+        n = len(row)
+        text = f"{n}\n{'0' * n}\n{row}\n" + f"{'0' * n}\n" * (n - 2)
+        message = re.escape(f"invalid character {char!r} at column {column}")
+        with pytest.raises(ParseError, match=message + "$") as exc:
+            parse_matrix(text)
         assert exc.value.line == 3
 
     def test_trailing_content_rejected(self):

@@ -1,7 +1,6 @@
 """Simulation oracle, differential verification harness, and the seeded
 instance generator."""
 
-import dataclasses
 import math
 import random
 
@@ -271,7 +270,9 @@ class TestVerify:
         assert oracle._compare("period", d, chain, imp, sim) == CheckResult(
             "period", True, "lcm of kappas 6 vs simulated 6"
         )
-        wrong = dataclasses.replace(sim, period_pi=3)
+        wrong = SimulationResult(
+            sim.index_mu, 3, sim.converged, sim.limit, sim.gamma_cycle
+        )
         assert oracle._compare("period", d, chain, imp, wrong) == CheckResult(
             "period", False, "lcm of kappas 6 vs simulated 3"
         )
@@ -279,7 +280,9 @@ class TestVerify:
     def test_period_failure_is_shrunk(self, monkeypatch):
         def doubled_period(a):
             sim = simulate_limit(a)
-            return dataclasses.replace(sim, period_pi=2 * sim.period_pi)
+            return SimulationResult(
+                sim.index_mu, 2 * sim.period_pi, sim.converged, sim.limit, sim.gamma_cycle
+            )
 
         monkeypatch.setattr(oracle, "simulate_limit", doubled_period)
         report = verify(two_chain())

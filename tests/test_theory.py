@@ -305,6 +305,16 @@ class TestInterfacePairs:
             interface_pairs(d, chain, imp, 2)
 
 
+def per_pair_b_graph(kappa1, kappa2, pairs):
+    """b_graph as it walked every interface pair over the full lcm period."""
+    edges = set()
+    period = math.lcm(kappa1, kappa2)
+    for k, l in pairs:
+        for t in range(period):
+            edges.add(((k + t) % kappa1 + 1, (l - 1 + t) % kappa2 + 1))
+    return frozenset(edges)
+
+
 class TestBGraph:
     def test_single_pair_two_by_two(self):
         got = b_graph(2, 2, frozenset({(2, 1)}))
@@ -331,6 +341,20 @@ class TestBGraph:
                     }
                     got = b_graph(k1, k2, frozenset(iset))
                     assert got == expected, (k1, k2, iset)
+
+    def test_matches_per_pair_loop(self):
+        # pair sets large enough that many pairs share (k - l) mod gcd
+        rng = random.Random(808)
+        repeated = 0
+        for _ in range(300):
+            k1, k2 = rng.randint(1, 12), rng.randint(1, 12)
+            g = math.gcd(k1, k2)
+            pairs = frozenset(
+                (rng.randint(1, k1), rng.randint(1, k2)) for _ in range(rng.randint(1, 10))
+            )
+            repeated += len({(k - l) % g for k, l in pairs}) < len(pairs)
+            assert b_graph(k1, k2, pairs) == per_pair_b_graph(k1, k2, pairs), (k1, k2, pairs)
+        assert repeated >= 100
 
     def test_validation(self):
         with pytest.raises(ValueError, match="class counts"):
