@@ -20,7 +20,6 @@ completely — and checks both limits against the brute-force simulation.
 
 from compseq import (
     Digraph,
-    ascending_reach,
     component_chain,
     cs_graph,
     imprimitivity,
@@ -52,9 +51,6 @@ def walk_through(name: str, d: Digraph) -> None:
 
     sk = cs_graph(d, chain, imp)
     print("  skeleton edges:", sorted(sk.edges))
-    reach = ascending_reach(sk, 1, 1)
-    print("  ascending reach of class (1,1):",
-          {r: sorted(s) for r, s in reach.items()})
 
     limit = limit_graph(d, chain, imp)
     sim = simulate_limit(to_matrix(d))

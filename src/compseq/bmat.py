@@ -230,6 +230,16 @@ def power_cycle(a: BoolMatrix) -> PowerCycle:
     return cycle
 
 
+def _decimal(token: str) -> int:
+    """token as an int when it is ASCII digits after an optional "-";
+    ValueError otherwise.  int() alone would also take "+", "_" and
+    non-ASCII digits such as "\u0663"."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_matrix(text: str) -> BoolMatrix:
     """Parse the matrix text format: line 1 is the dimension n in decimal,
     lines 2..n+1 are rows of exactly n characters from {0,1}."""
@@ -238,7 +248,7 @@ def parse_matrix(text: str) -> BoolMatrix:
         raise ParseError(1, "empty input")
     head = lines[0].strip()
     try:
-        n = int(head)
+        n = _decimal(head)
     except ValueError:
         raise ParseError(1, f"expected a decimal dimension, got {head!r}") from None
     if n < 1:

@@ -13,8 +13,9 @@ passes, 2 when a counterexample is found, and 1 before drawing anything
 when its ranges allow an instance above the simulation's size cap;
 export returns 0 on success.
 Every subcommand returns 1 with an ``error:`` line on stderr when two
-independent routes disagree (InternalCheckError) or the simulation hits
-its cap on stored powers (PowerCycleMemoryError).
+independent routes disagree (InternalCheckError), the simulation hits
+its cap on stored powers (PowerCycleMemoryError), or the reader closes
+stdout early (BrokenPipeError).
 All output is byte-deterministic for identical inputs and flags.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -341,9 +343,16 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except (InternalCheckError, PowerCycleMemoryError) as e:
         return _fail(str(e))
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("stdout was closed before the output was written")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,11 @@ anchored so the smallest vertex id of a nontrivial component lands in U_1;
 any other rotation of the labels is equally consistent and yields the same
 downstream answers.
 
+Each component and each class is stored as one vertex mask, in the layout
+of a ``Digraph`` row: bit v-1 is set iff vertex v belongs to it.  The
+frozenset views (``components``, ``classes``) are derived from the masks
+only when asked for.
+
 ``Digraph`` and ``UndirectedGraph`` both store their adjacency matrix as
 bitset rows, the layout of ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is
 set iff (u, v) is an arc, or iff u ~ v.  Every construction checks the
@@ -37,7 +42,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from ._record import frozen
-from .bmat import BoolMatrix, ParseError, bool_pow, gamma, parse_matrix
+from .bmat import BoolMatrix, ParseError, _decimal, bool_pow, gamma, parse_matrix
 
 __all__ = [
     "Digraph",
@@ -186,23 +191,6 @@ class UndirectedGraph:
         """The edges as (u, v) pairs with u < v."""
         return frozenset(self.edge_list())
 
-    def connected_components(self) -> tuple[frozenset[int], ...]:
-        seen = 0
-        comps = []
-        for start in range(self.n):
-            if (seen >> start) & 1:
-                continue
-            comp = frontier = 1 << start
-            while frontier:
-                nxt = 0
-                for v in _bit_indices(frontier):
-                    nxt |= self.rows[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            comps.append(frozenset(v + 1 for v in _bit_indices(comp)))
-        return tuple(comps)
-
 
 # maps the ASCII digits "0" and "1" to the bytes 0 and 1, for itertools.compress
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -216,6 +204,11 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _vertex_set(mask: int) -> frozenset[int]:
+    """The 1-based vertices whose bits are set in mask."""
+    return frozenset(v + 1 for v in _bit_indices(mask))
+
+
 def from_matrix(a: BoolMatrix) -> Digraph:
     """Digraph with arc (i+1, j+1) iff entry (i, j) of a is 1; shares a's rows."""
     return Digraph(a.n, a.rows)
@@ -227,15 +220,16 @@ def to_matrix(d: Digraph) -> BoolMatrix:
     return BoolMatrix(d.n, d.rows)
 
 
-def _strong_components(d: Digraph) -> list[frozenset[int]]:
-    """Tarjan's algorithm, iterative; components in topological order."""
+def _strong_components(d: Digraph) -> list[int]:
+    """Tarjan's algorithm, iterative; the vertex masks of the components in
+    topological order."""
     n = d.n
     succ = [list(_bit_indices(r)) for r in d.rows]
     index_of = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
-    components: list[frozenset[int]] = []
+    components: list[int] = []
     counter = 0
     for root in range(n):
         if index_of[root] >= 0:
@@ -262,14 +256,14 @@ def _strong_components(d: Digraph) -> list[frozenset[int]]:
             if descended:
                 continue
             if lowlink[v] == index_of[v]:
-                comp = []
+                comp = 0
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp.append(w + 1)
+                    comp |= 1 << w
                     if w == v:
                         break
-                components.append(frozenset(comp))
+                components.append(comp)
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
@@ -277,26 +271,31 @@ def _strong_components(d: Digraph) -> list[frozenset[int]]:
     return components
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    """Bitset of a set of 1-based vertices."""
-    return sum(1 << (v - 1) for v in vertices)
-
-
 @frozen
 class ComponentChain:
     """Strong components D_1..D_eta of a linearly connected digraph, in
-    chain order, with the arc sets of each consecutive interface."""
+    chain order: masks[p-1] is the vertex mask of D_p.
 
-    components: tuple[frozenset[int], ...]
-    trivial_flags: tuple[bool, ...]
-    interface_arcs: tuple[frozenset[tuple[int, int]], ...]
+    The vertex sets and trivial flags are derived from the masks only when
+    asked for.
+    """
+
+    masks: tuple[int, ...]
 
     @property
     def eta(self) -> int:
-        return len(self.components)
+        return len(self.masks)
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(_vertex_set, self.masks))
 
     def component(self, p: int) -> frozenset[int]:
         return self.components[p - 1]
+
+    @cached_property
+    def trivial_flags(self) -> tuple[bool, ...]:
+        return tuple(m.bit_count() == 1 for m in self.masks)
 
     @property
     def all_trivial(self) -> bool:
@@ -328,13 +327,12 @@ def component_chain(d: Digraph) -> ComponentChain:
             f"in a chain (at least {d.n - 1} needed)"
         )
     comps = _strong_components(d)
-    eta = len(comps)
-    masks = [_mask(comp) for comp in comps] + [0]
+    masks = comps + [0]
     pos = [0] * d.n
     for p, comp in enumerate(comps):
-        for v in comp:
-            pos[v - 1] = p
-    interfaces: list[set[tuple[int, int]]] = [set() for _ in range(eta - 1)]
+        for v in _bit_indices(comp):
+            pos[v] = p
+    linked = [False] * (len(comps) - 1)
     # rows in vertex order and bits upwards: the witness is the first jump in (u, v) order
     for u, row in enumerate(d.rows):
         p = pos[u]
@@ -348,17 +346,13 @@ def component_chain(d: Digraph) -> ComponentChain:
                 f"arc ({u + 1},{v + 1}) jumps from component {p + 1} to component {pos[v] + 1}",
                 witness_arc=(u + 1, v + 1),
             )
-        interfaces[p].update((u + 1, v + 1) for v in _bit_indices(out))
-    for p, arcs in enumerate(interfaces):
-        if not arcs:
+        linked[p] = True
+    for p, ok in enumerate(linked):
+        if not ok:
             raise NotLinearlyConnectedError(
                 f"no arcs from component {p + 1} to component {p + 2}"
             )
-    return ComponentChain(
-        components=tuple(comps),
-        trivial_flags=tuple(len(c) == 1 for c in comps),
-        interface_arcs=tuple(frozenset(a) for a in interfaces),
-    )
+    return ComponentChain(tuple(comps))
 
 
 @frozen
@@ -366,39 +360,36 @@ class ImprimitivityData:
     """Cyclic class structure of every component of a chain.
 
     kappas[p-1] is the gcd of directed cycle lengths of D_p (1 for a
-    trivial component); classes[p-1][j-1] is the vertex set U_j of D_p.
-    Every intra-component arc goes from U_j to U_(j+1), indices cyclic.
+    trivial component); class_masks[p-1][j-1] is the vertex mask of the
+    class U_j of D_p.  Every intra-component arc goes from U_j to U_(j+1),
+    indices cyclic.  The vertex sets are derived from the masks only when
+    asked for.
     """
 
     kappas: tuple[int, ...]
-    classes: tuple[tuple[frozenset[int], ...], ...]
+    class_masks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.kappas) != len(self.classes):
+        if len(self.kappas) != len(self.class_masks):
             raise ValueError("kappas and classes disagree on component count")
-        for p, (k, cls) in enumerate(zip(self.kappas, self.classes), start=1):
+        for p, (k, cls) in enumerate(zip(self.kappas, self.class_masks), start=1):
             if k < 1:
                 raise ValueError(f"component {p}: kappa must be >= 1, got {k}")
             if len(cls) != k:
                 raise ValueError(f"component {p}: expected {k} classes, got {len(cls)}")
-            if any(not c for c in cls):
+            if not all(cls):
                 raise ValueError(f"component {p}: empty imprimitivity class")
 
     def kappa(self, p: int) -> int:
         return self.kappas[p - 1]
 
+    @cached_property
+    def classes(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """classes[p-1][j-1] is the vertex set U_j of D_p."""
+        return tuple(tuple(map(_vertex_set, cls)) for cls in self.class_masks)
+
     def class_set(self, p: int, j: int) -> frozenset[int]:
         return self.classes[p - 1][j - 1]
-
-    @cached_property
-    def class_index(self) -> dict[int, tuple[int, int]]:
-        """vertex -> (component p, class label j), both 1-based."""
-        idx = {}
-        for p, cls in enumerate(self.classes, start=1):
-            for j, members in enumerate(cls, start=1):
-                for v in members:
-                    idx[v] = (p, j)
-        return idx
 
 
 def _bfs_levels(root: int, comp: int, rows: tuple[int, ...]) -> list[int]:
@@ -428,15 +419,14 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
     rows = d.rows
     kappas = []
     all_classes = []
-    for comp, trivial in zip(chain.components, chain.trivial_flags):
+    for cm, trivial in zip(chain.masks, chain.trivial_flags):
         if trivial:
             kappas.append(1)
-            all_classes.append((comp,))
+            all_classes.append((cm,))
             continue
-        root = min(comp)
-        cm = _mask(comp)
+        root = (cm & -cm).bit_length()
         levels = _bfs_levels(root, cm, rows)
-        if sum(map(int.bit_count, levels)) != len(comp):
+        if sum(map(int.bit_count, levels)) != cm.bit_count():
             raise InternalCheckError(
                 f"component containing {root} not strongly connected"
             )
@@ -456,19 +446,16 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
         masks = [0] * kappa
         for t, members in enumerate(levels):
             masks[t % kappa] |= members
-        classes: list[set[int]] = [set() for _ in range(kappa)]
         for u, t in level.items():
-            j = t % kappa
-            stray = rows[u] & cm & ~masks[(j + 1) % kappa]
+            stray = rows[u] & cm & ~masks[(t + 1) % kappa]
             if stray:
                 w = (stray & -stray).bit_length()
                 raise InternalCheckError(
                     f"arc ({u + 1},{w}) does not advance its class by one"
                 )
-            classes[j].add(u + 1)
         kappas.append(kappa)
-        all_classes.append(tuple(frozenset(c) for c in classes))
-    return ImprimitivityData(kappas=tuple(kappas), classes=tuple(all_classes))
+        all_classes.append(tuple(masks))
+    return ImprimitivityData(kappas=tuple(kappas), class_masks=tuple(all_classes))
 
 
 def _m_step_reach(d: Digraph, m: int) -> list[int]:
@@ -532,7 +519,7 @@ def parse_edge_list(text: str) -> Digraph:
     if len(head) != 2:
         raise ParseError(1, f"expected 'n m', got {lines[0].strip()!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _decimal(head[0]), _decimal(head[1])
     except ValueError:
         raise ParseError(1, f"expected integers, got {lines[0].strip()!r}") from None
     if n < 1:
@@ -550,7 +537,7 @@ def parse_edge_list(text: str) -> Digraph:
         if len(toks) != 2:
             raise ParseError(lineno, f"expected 'u v', got {lines[i + 1].strip()!r}")
         try:
-            u, v = int(toks[0]), int(toks[1])
+            u, v = _decimal(toks[0]), _decimal(toks[1])
         except ValueError:
             raise ParseError(lineno, f"expected integers, got {lines[i + 1].strip()!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):

@@ -7,6 +7,11 @@ these computations are tested against.
 
 Conventions used throughout:
 
+* Vertex sets are masks in the layout of a ``Digraph`` row, bit v-1 for
+  vertex v: D_p is ``chain.masks[p-1]`` and U_j of D_p is
+  ``imp.class_masks[p-1][j-1]``.  Which classes an interface or the
+  trailing vertex touches is found by ANDing rows, or ORs of rows, with
+  these masks; no layer keeps a vertex -> class map.
 * Class labels are 1-based: the classes of a component with index kappa
   are U_1 .. U_kappa, and label j is residue j - 1 of Z_kappa =
   {0 .. kappa-1} everywhere.  A residue set is an int mask over Z_kappa,
@@ -38,6 +43,7 @@ from .graphs import (
     ImprimitivityData,
     InternalCheckError,
     UndirectedGraph,
+    _bit_indices,
     component_chain,
     imprimitivity,
 )
@@ -58,7 +64,6 @@ __all__ = [
     "converges",
     "b_graph",
     "cs_graph",
-    "ascending_reach",
     "limit_graph",
     "jbd_condition",
     "union_of_cliques",
@@ -96,13 +101,6 @@ class SkeletonGraph:
     @property
     def eta(self) -> int:
         return len(self.class_counts)
-
-    def level_edges(self, p: int) -> frozenset[tuple[int, int]]:
-        """Label pairs (i, j) joined between levels p and p+1."""
-        if not (1 <= p <= self.eta - 1):
-            raise ValueError(f"level {p} outside 1..{self.eta - 1}")
-        return frozenset((i, j) for (pp, i), (_, j) in self.edges if pp == p)
-
 
 @frozen
 class DivergenceWitness:
@@ -142,16 +140,23 @@ class JbdVerdict:
 def interface_pairs(
     d: Digraph, chain: ComponentChain, imp: ImprimitivityData, p: int
 ) -> frozenset[tuple[int, int]]:
-    """Class-index pairs (k, l) with an arc from U_k of D_p to U_l of D_(p+1)."""
+    """Class-index pairs (k, l) with an arc from U_k of D_p to U_l of D_(p+1).
+
+    The rows of U_k are ORed into one out-neighbour mask; when it reaches
+    D_(p+1), it is tested against each class mask there.
+    """
     if not (1 <= p <= chain.eta - 1):
         raise ValueError(f"interface index {p} outside 1..{chain.eta - 1}")
+    rows = d.rows
     pairs = set()
-    for u, v in chain.interface_arcs[p - 1]:
-        pu, k = imp.class_index[u]
-        pv, l = imp.class_index[v]
-        if pu != p or pv != p + 1:
-            raise InternalCheckError(f"interface arc ({u},{v}) not between {p} and {p + 1}")
-        pairs.add((k, l))
+    for k, members in enumerate(imp.class_masks[p - 1], start=1):
+        out = 0
+        for u in _bit_indices(members):
+            out |= rows[u]
+        if out & chain.masks[p]:
+            for l, target in enumerate(imp.class_masks[p], start=1):
+                if out & target:
+                    pairs.add((k, l))
     return frozenset(pairs)
 
 
@@ -168,16 +173,19 @@ def lambda_set(d: Digraph, chain: ComponentChain, imp: ImprimitivityData) -> int
         raise ValueError("every component is trivial; no reference component exists")
     if p == chain.eta:
         raise ValueError("last component is nontrivial; no trailing trivial part")
-    (v,) = chain.component(p + 1)
+    col = chain.masks[p]  # the one vertex of the trivial D_(p+1)
+    feeders = 0
+    for u, row in enumerate(d.rows):
+        if row & col:
+            feeders |= 1 << u
+    stray = feeders & ~chain.masks[p - 1]
+    if stray:
+        u = (stray & -stray).bit_length()
+        raise InternalCheckError(f"in-neighbor {u} of {col.bit_length()} not in component {p}")
     mask = 0
-    col = 1 << (v - 1)
-    for u, row in enumerate(d.rows, start=1):
-        if not row & col:
-            continue
-        pu, k = imp.class_index[u]
-        if pu != p:
-            raise InternalCheckError(f"in-neighbor {u} of {v} not in component {p}")
-        mask |= 1 << (k - 1)
+    for k, members in enumerate(imp.class_masks[p - 1]):
+        if feeders & members:
+            mask |= 1 << k
     return mask
 
 
@@ -321,21 +329,6 @@ def cs_graph(
     return SkeletonGraph(class_counts=imp.kappas, edges=frozenset(edges))
 
 
-def ascending_reach(sk: SkeletonGraph, p: int, i: int) -> dict[int, frozenset[int]]:
-    """Labels reachable from (p, i) by skeleton paths that advance exactly
-    one level per step; result maps each level r >= p to its label set
-    (level p maps to {i})."""
-    if not (1 <= p <= sk.eta):
-        raise ValueError(f"level {p} outside 1..{sk.eta}")
-    if not (1 <= i <= sk.class_counts[p - 1]):
-        raise ValueError(f"label {i} outside 1..{sk.class_counts[p - 1]} at level {p}")
-    reach: dict[int, frozenset[int]] = {p: frozenset((i,))}
-    for r in range(p, sk.eta):
-        cur = reach[r]
-        reach[r + 1] = frozenset(j for (k, j) in sk.level_edges(r) if k in cur)
-    return reach
-
-
 def limit_graph(
     d: Digraph, chain: ComponentChain, imp: ImprimitivityData
 ) -> UndirectedGraph:
@@ -361,16 +354,15 @@ def limit_graph(
     # level p's edges after level p+1's, so every child's reach is final
     for (p, i), (q, j) in sorted(sk.edges, reverse=True):
         reach[offset[p - 1] + i - 1] |= reach[offset[q - 1] + j - 1]
-    classes = [cls for level in imp.classes for cls in level]
-    members = [sum(1 << (v - 1) for v in cls) for cls in classes]
+    members = [m for level in imp.class_masks for m in level]
     rows = [0] * d.n
-    for cls, ra in zip(classes, reach):
+    for ma, ra in zip(members, reach):
         row = 0
         for rb, mb in zip(reach, members):
             if ra & rb:
                 row |= mb
-        for v in cls:
-            rows[v - 1] = row & ~(1 << (v - 1))
+        for v in _bit_indices(ma):
+            rows[v] = row & ~(1 << v)
     return UndirectedGraph(d.n, tuple(rows))
 
 

@@ -158,10 +158,10 @@ def rotate_classes(imp: ImprimitivityData, shifts: tuple[int, ...]) -> Imprimiti
     """Relabel every component's classes by a rotation; the arc invariant
     is preserved, only the anchoring of U_1 changes."""
     new_classes = []
-    for cls, s in zip(imp.classes, shifts):
+    for cls, s in zip(imp.class_masks, shifts):
         k = len(cls)
         new_classes.append(tuple(cls[(j + s) % k] for j in range(k)))
-    return ImprimitivityData(kappas=imp.kappas, classes=tuple(new_classes))
+    return ImprimitivityData(kappas=imp.kappas, class_masks=tuple(new_classes))
 
 
 # --------------------------------------------------------------- strategies

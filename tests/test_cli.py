@@ -2,6 +2,7 @@
 campaign lines.  Everything runs in-process through main(argv)."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -379,3 +380,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"]["converged"] is True
+
+    # the reader is gone before analyze writes: with stdout buffered, a
+    # report of a few hundred bytes fails at the final flush, and the 2 MB
+    # report of a primitive 300-vertex component (its limit is complete)
+    # fails while it is printed
+    @pytest.mark.parametrize("n", [4, 300])
+    def test_reader_closing_stdout_early(self, write, n):
+        arcs = [(v, v + 1) for v in range(1, n)] + [(n, 1), (n - 1, 1)]
+        path = write("a.el", format_edge_list(Digraph.from_arcs(n, arcs)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "compseq", "analyze", path],
+                stdout=writer,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(writer)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

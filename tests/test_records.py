@@ -37,12 +37,8 @@ SAMPLES = {
     PowerCycle: {"index_mu": 2, "period_pi": 3},
     Digraph: {"n": 3, "rows": (0b010, 0b100, 0b001)},
     UndirectedGraph: {"n": 3, "rows": (0b010, 0b101, 0b010)},
-    ComponentChain: {
-        "components": (frozenset({1}), frozenset({2})),
-        "trivial_flags": (True, True),
-        "interface_arcs": (frozenset({(1, 2)}),),
-    },
-    ImprimitivityData: {"kappas": (2,), "classes": ((frozenset({1}), frozenset({2})),)},
+    ComponentChain: {"masks": (0b01, 0b10)},
+    ImprimitivityData: {"kappas": (2,), "class_masks": ((0b01, 0b10),)},
     SkeletonGraph: {"class_counts": (2, 2), "edges": frozenset({((1, 1), (2, 2))})},
     DivergenceWitness: {"j1": 1, "j2": 2, "excluded_residue": 0},
     ConvergenceVerdict: {"converged": True, "rule": "NontrivialTail", "witness": None},
@@ -70,7 +66,7 @@ INVALID = [
     (BoolMatrix, (2, (0b100, 0)), "bits outside"),
     (Digraph, (2, (0,)), "expected 2 rows"),
     (UndirectedGraph, (2, (0b10, 0)), "not symmetric"),
-    (ImprimitivityData, ((2,), ((frozenset({1}),),)), "expected 2 classes"),
+    (ImprimitivityData, ((2,), ((0b1,),)), "expected 2 classes"),
     (SkeletonGraph, ((2, 2), frozenset({((1, 1), (1, 2))})), "not consecutive"),
     (ConvergenceVerdict, (True, "NontrivialTail", DivergenceWitness(1, 2, 0)), "witness"),
     (GeneratorSpec, (0,), "at least one component"),
@@ -176,8 +172,11 @@ def test_cached_properties_survive_freezing():
     assert isinstance(Digraph.__dict__["arcs"], cached_property)
     assert d.arcs is d.arcs == frozenset({(1, 2), (2, 3), (3, 1)})
     assert UndirectedGraph(**SAMPLES[UndirectedGraph]).edges == {(1, 2), (2, 3)}
+    chain = ComponentChain(**SAMPLES[ComponentChain])
+    assert chain.components == (frozenset({1}), frozenset({2}))
+    assert chain.trivial_flags == (True, True)
     imp = ImprimitivityData(**SAMPLES[ImprimitivityData])
-    assert imp.class_index == {1: (1, 1), 2: (1, 2)}
+    assert imp.classes == ((frozenset({1}), frozenset({2})),)
     assert d == Digraph(3, (0b010, 0b100, 0b001))  # a cached value is not a field
 
 

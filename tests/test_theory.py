@@ -19,7 +19,6 @@ from compseq import (
     SkeletonGraph,
     TrivialComponentError,
     UndirectedGraph,
-    ascending_reach,
     b_graph,
     component_chain,
     converges,
@@ -185,7 +184,10 @@ def all_pairs_verdict(d):
     imp = imprimitivity(d, chain)
     p = chain.last_nontrivial
     kappa = imp.kappa(p)
-    feeders = {imp.class_index[u][1] for u, _ in chain.interface_arcs[p - 1]}
+    (v,) = chain.component(p + 1)
+    feeders = {
+        j for j, cls in enumerate(imp.classes[p - 1], start=1) if any((u, v) in d.arcs for u in cls)
+    }
     lsets = {
         j: frozenset((k - j + 1) % kappa for k in feeders) for j in range(1, kappa + 1)
     }
@@ -376,14 +378,14 @@ class TestSkeleton:
             ((2, 1), (3, 1)),
             ((2, 2), (3, 2)),
         }
-        assert sk.level_edges(1) == {(1, 1), (2, 2)}
 
     def test_complete_chain(self):
         d = three_chain_complete()
         chain = component_chain(d)
         sk = cs_graph(d, chain, imprimitivity(d, chain))
-        for p in (1, 2):
-            assert sk.level_edges(p) == {(i, j) for i in (1, 2) for j in (1, 2)}
+        assert sk.edges == {
+            ((p, i), (p + 1, j)) for p in (1, 2) for i in (1, 2) for j in (1, 2)
+        }
 
     def test_trivial_component_rejected(self):
         d = cycle4_feeders(2)
@@ -397,11 +399,31 @@ class TestSkeleton:
             SkeletonGraph((2, 2), frozenset({((1, 1), (1, 2))}))
         with pytest.raises(ValueError, match="out of range"):
             SkeletonGraph((2, 2), frozenset({((1, 3), (2, 1))}))
-        with pytest.raises(ValueError, match="level"):
-            SkeletonGraph((2,), frozenset()).level_edges(1)
+
+
+def ascending_reach(sk, p, i):
+    """Labels reachable from (p, i) by skeleton paths that advance exactly
+    one level per step; maps each level r >= p to its label set (level p
+    maps to {i})."""
+    reach = {p: frozenset((i,))}
+    for r in range(p, sk.eta):
+        reach[r + 1] = frozenset(j for (q, k), (_, j) in sk.edges if q == r and k in reach[r])
+    return reach
+
+
+def class_labels(imp):
+    """vertex -> (component p, class label j), both 1-based."""
+    return {
+        v: (p, j)
+        for p, cls in enumerate(imp.classes, start=1)
+        for j, members in enumerate(cls, start=1)
+        for v in members
+    }
 
 
 class TestAscendingReach:
+    """The reference reach that the pairwise limit rule is built on."""
+
     def test_parallel_chain_tracks_one_lane(self):
         d = three_chain_parallel()
         chain = component_chain(d)
@@ -420,15 +442,6 @@ class TestAscendingReach:
         sk = cs_graph(d, chain, imprimitivity(d, chain))
         assert ascending_reach(sk, 1, 1)[3] == frozenset({1, 2})
 
-    def test_bounds_checked(self):
-        d = three_chain_parallel()
-        chain = component_chain(d)
-        sk = cs_graph(d, chain, imprimitivity(d, chain))
-        with pytest.raises(ValueError, match="level"):
-            ascending_reach(sk, 4, 1)
-        with pytest.raises(ValueError, match="label"):
-            ascending_reach(sk, 1, 3)
-
 
 def pairwise_limit_graph(d, chain, imp):
     """The limit by the vertex-pair rule: x in U_i of D_p and y in U_j of
@@ -440,10 +453,11 @@ def pairwise_limit_graph(d, chain, imp):
         for p in range(1, sk.eta + 1)
         for i in range(1, sk.class_counts[p - 1] + 1)
     }
+    label = class_labels(imp)
     edges = []
     for u in range(1, d.n + 1):
         for v in range(u + 1, d.n + 1):
-            (p, i), (q, j) = sorted((imp.class_index[u], imp.class_index[v]))
+            (p, i), (q, j) = sorted((label[u], label[v]))
             ru, rv = reach[(p, i)], reach[(q, j)]
             if any(ru[r] & rv[r] for r in range(q, sk.eta + 1)):
                 edges.append((u, v))
@@ -550,20 +564,16 @@ class TestStepCommonPrey:
         imp = imprimitivity(d, chain)
         sk = cs_graph(d, chain, imp)
         _, powers = power_trajectory(to_matrix(d))
-        masks = {
-            r: sum(1 << (v - 1) for v in chain.component(r))
-            for r in range(1, chain.eta + 1)
-        }
+        masks = dict(enumerate(chain.masks, start=1))
         reach = {
             (p, i): ascending_reach(sk, p, i)
             for p in range(1, chain.eta + 1)
             for i in range(1, imp.kappa(p) + 1)
         }
+        label = class_labels(imp)
         for x in range(1, d.n + 1):
             for y in range(x + 1, d.n + 1):
-                px, ix = imp.class_index[x]
-                py, iy = imp.class_index[y]
-                (p, i), (q, j) = sorted(((px, ix), (py, iy)))
+                (p, i), (q, j) = sorted((label[x], label[y]))
                 for r in range(max(p + 1, q), chain.eta + 1):
                     simulated = any(
                         a.rows[x - 1] & a.rows[y - 1] & masks[r] for a in powers
@@ -636,6 +646,26 @@ class TestJbdCondition:
         assert jbd_condition(d, chain, imp).holds == union_of_cliques(sim.limit)
 
 
+def connected_components(g):
+    """The vertex sets of g's connected components, by search over edges."""
+    neighbours = {v: set() for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    comps, seen = [], set()
+    for start in range(1, g.n + 1):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in neighbours[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 class TestUnionOfCliques:
     @given(st.data(), st.integers(1, 9))
     def test_matches_component_edge_count(self, data, n):
@@ -648,7 +678,7 @@ class TestUnionOfCliques:
         g = UndirectedGraph.from_edges(n, cliques ^ toggled)
         expected = all(
             sum(1 for u, v in g.edges if u in comp) == len(comp) * (len(comp) - 1) // 2
-            for comp in g.connected_components()
+            for comp in connected_components(g)
         )
         assert union_of_cliques(g) == expected
 
