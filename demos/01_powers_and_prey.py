@@ -18,7 +18,7 @@ from compseq import (
     bool_pow,
     format_matrix,
     gamma,
-    power_cycle,
+    simulate_limit,
 )
 
 A = BoolMatrix.from_entries(
@@ -44,8 +44,8 @@ def main() -> None:
         print(format_matrix(bool_pow(A, m)))
     print("A^4 equals A:", bool_pow(A, 4) == A)
 
-    cycle = power_cycle(A)
-    print(f"power cycle: index {cycle.index_mu}, period {cycle.period_pi}")
+    sim = simulate_limit(A)
+    print(f"power cycle: index {sim.index_mu}, period {sim.period_pi}")
     print()
 
     print("m-step competition graphs (edges of Gamma(A^m)):")

@@ -11,12 +11,8 @@ with zero diagonal whose (i, j) entry is 1 iff rows i and j of A share a
 set column; it is the adjacency matrix of the competition graph of the
 digraph whose adjacency matrix is A.
 
-``power_cycle`` finds the exact index and period of the eventually
-periodic power sequence A, A^2, A^3, ... by storing every distinct power
-(the full matrix, not a hash, so collisions cannot lie) until the first
-repeat.  Each step computes A^(m+1) as A * A^m: powers of one matrix
-commute, and ``bool_mul`` walks the set bits of its left factor, so the
-sparse A goes on the left and the product costs about one row OR per arc.
+``parse_matrix`` and ``format_matrix`` read and write the matrix text
+format: the dimension on line 1, then one row of 0s and 1s per line.
 """
 
 from __future__ import annotations
@@ -26,30 +22,19 @@ from typing import Iterable, Sequence
 from ._record import frozen
 
 __all__ = [
-    "DEFAULT_MEMORY_CAP",
     "BoolMatrix",
-    "PowerCycle",
     "DimensionMismatchError",
-    "PowerCycleMemoryError",
     "ParseError",
     "bool_mul",
     "bool_pow",
     "gamma",
-    "power_cycle",
-    "power_trajectory",
     "parse_matrix",
     "format_matrix",
 ]
 
-DEFAULT_MEMORY_CAP = 100_000
-
 
 class DimensionMismatchError(ValueError):
     """Two matrices were combined but their dimensions differ."""
-
-
-class PowerCycleMemoryError(RuntimeError):
-    """power_cycle hit its cap on stored distinct powers before repeating."""
 
 
 class ParseError(ValueError):
@@ -136,15 +121,6 @@ class BoolMatrix:
         return f"BoolMatrix({self.n}, [{body}])"
 
 
-@frozen
-class PowerCycle:
-    """Exact index and period of a power sequence: A^(m+pi) = A^m iff m >= mu,
-    and all of A^1 .. A^(mu+pi-1) are pairwise distinct."""
-
-    index_mu: int
-    period_pi: int
-
-
 def _check_same_dim(a: BoolMatrix, b: BoolMatrix) -> None:
     if a.n != b.n:
         raise DimensionMismatchError(f"dimensions differ: {a.n} vs {b.n}")
@@ -196,38 +172,6 @@ def gamma(a: BoolMatrix) -> BoolMatrix:
                 out[i] |= 1 << j
                 out[j] |= 1 << i
     return BoolMatrix(n, tuple(out))
-
-
-def power_trajectory(a: BoolMatrix) -> tuple[PowerCycle, tuple[BoolMatrix, ...]]:
-    """All distinct powers of a, in order, plus their cycle structure.
-
-    Returns (cycle, powers) with powers[m-1] = A^m for m = 1..mu+pi-1.
-    Raises PowerCycleMemoryError once more than DEFAULT_MEMORY_CAP distinct
-    powers would have to be stored; the cap is read at call time.
-    """
-    seen = {a.rows: 1}
-    powers = [a]
-    current = a
-    m = 1
-    while True:
-        current = bool_mul(a, current)  # the sparse A as the factor bool_mul walks
-        m += 1
-        first = seen.get(current.rows)
-        if first is not None:
-            return PowerCycle(index_mu=first, period_pi=m - first), tuple(powers)
-        if len(seen) >= DEFAULT_MEMORY_CAP:
-            raise PowerCycleMemoryError(
-                f"power sequence exceeded memory cap of {DEFAULT_MEMORY_CAP} distinct powers"
-            )
-        seen[current.rows] = m
-        powers.append(current)
-
-
-def power_cycle(a: BoolMatrix) -> PowerCycle:
-    """Smallest (mu, pi) with A^(mu+pi) = A^mu, found by exhaustive hashing
-    of full matrices (a repeat is a true repeat, never a hash collision)."""
-    cycle, _ = power_trajectory(a)
-    return cycle
 
 
 def _decimal(token: str) -> int:

@@ -13,9 +13,10 @@ passes, 2 when a counterexample is found, and 1 before drawing anything
 when its ranges allow an instance above the simulation's size cap;
 export returns 0 on success.
 Every subcommand returns 1 with an ``error:`` line on stderr when two
-independent routes disagree (InternalCheckError), the simulation hits
-its cap on stored powers (PowerCycleMemoryError), or the reader closes
+independent routes disagree (InternalCheckError), the simulation refuses
+an input over one of its caps (SizeCapError), or the reader closes
 stdout early (BrokenPipeError).
+Numeric flags are decimal integers, as numbers in the input formats are.
 All output is byte-deterministic for identical inputs and flags.
 """
 
@@ -28,7 +29,7 @@ import random
 import sys
 
 from . import oracle, theory
-from .bmat import ParseError, PowerCycleMemoryError
+from .bmat import ParseError, _decimal
 from .graphs import (
     InternalCheckError,
     NotLinearlyConnectedError,
@@ -130,10 +131,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "detail": jbd.detail,
         }
     elif verdict.converged and args.simulate_fallback:
-        try:
-            sim = oracle.simulate_limit(to_matrix(d))
-        except oracle.SizeCapError as e:
-            return _fail(str(e))
+        sim = oracle.simulate_limit(to_matrix(d))
         assert sim.limit is not None
         limit = ("simulated", sim.limit)
         report["jbd"] = {
@@ -171,9 +169,9 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     parts = text.split("..")
     try:
         if len(parts) == 1:
-            lo = hi = int(parts[0])
+            lo = hi = _decimal(parts[0])
         elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
+            lo, hi = _decimal(parts[0]), _decimal(parts[1])
         else:
             raise ValueError
     except ValueError:
@@ -181,6 +179,14 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     if not (1 <= lo <= hi):
         raise ValueError(f"{flag} range must satisfy 1 <= lo <= hi, got {text!r}")
     return lo, hi
+
+
+def _int_flag(token: str) -> int:
+    """argparse type for an integer flag: decimal digits only."""
+    try:
+        return _decimal(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -251,7 +257,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         if len(args.what) != 2:
             return _fail("--what competition needs a step count M")
         try:
-            m = int(args.what[1])
+            m = _decimal(args.what[1])
         except ValueError:
             return _fail(f"step count must be an integer, got {args.what[1]!r}")
         if m < 1:
@@ -319,8 +325,8 @@ def main(argv: list[str] | None = None) -> int:
     p_verify = sub.add_parser(
         "verify", help="differential campaign: analytic answers vs simulation"
     )
-    p_verify.add_argument("--count", type=int, default=100, help="number of instances")
-    p_verify.add_argument("--seed", type=int, default=0, help="campaign seed")
+    p_verify.add_argument("--count", type=_int_flag, default=100, help="number of instances")
+    p_verify.add_argument("--seed", type=_int_flag, default=0, help="campaign seed")
     p_verify.add_argument("--eta", default="1..4", help="component count, N or LO..HI")
     p_verify.add_argument("--sizes", default="1..5", help="component size, N or LO..HI")
     p_verify.add_argument(
@@ -346,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except (InternalCheckError, PowerCycleMemoryError) as e:
+    except (InternalCheckError, oracle.SizeCapError) as e:
         return _fail(str(e))
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the

@@ -3,9 +3,10 @@
 ``simulate_limit`` decides convergence by pure simulation: the power
 sequence of a Boolean matrix repeats after finitely many steps, so the
 whole infinite sequence of competition graphs is read off its periodic
-tail.  The tail pass stops at the first power past A^mu whose competition
-graph equals that of A^mu, because from there the graphs repeat (the
-argument is in ``simulate_limit``).  No theory enters; this is the oracle
+tail.  One walk to the first repeated power gives the index mu and the
+period pi exactly; the tail pass then stops at the first power past A^mu
+whose competition graph equals that of A^mu, because from there the
+graphs repeat (the argument is in ``simulate_limit``).  No theory enters; this is the oracle
 the analytic route is tested against.
 
 ``verify`` runs both routes once on one digraph and compares verdicts,
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import islice
 
 from . import theory
 from ._record import frozen
-from .bmat import BoolMatrix, PowerCycleMemoryError, gamma, power_trajectory
+from .bmat import BoolMatrix, bool_mul, gamma
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -42,6 +44,7 @@ from .graphs import (
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
+    "DEFAULT_MEMORY_CAP",
     "SizeCapError",
     "SimulationResult",
     "CheckResult",
@@ -53,12 +56,15 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 64
+DEFAULT_MEMORY_CAP = 100_000
 
 CHECK_NAMES = ("verdict", "limit", "jbd", "period")
 
 
 class SizeCapError(ValueError):
-    """The matrix is larger than the simulation size cap."""
+    """The simulation will not run on this input: the matrix has more rows
+    than DEFAULT_SIZE_CAP, or its power sequence more distinct powers than
+    DEFAULT_MEMORY_CAP."""
 
 
 @frozen
@@ -85,11 +91,18 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
 
     The sequence of competition graphs is eventually constant iff it is
     constant on the periodic tail, so this is an exact decision.  Raises
-    SizeCapError when a has more than DEFAULT_SIZE_CAP rows, and
-    PowerCycleMemoryError (from ``power_trajectory``) when the power
-    sequence has more than bmat.DEFAULT_MEMORY_CAP distinct powers.  Both
+    SizeCapError when a has more than DEFAULT_SIZE_CAP rows, or when the
+    power sequence has more than DEFAULT_MEMORY_CAP distinct powers.  Both
     caps are read at call time; a cap only refuses inputs, it never
     changes an answer.
+
+    Power walk: every distinct power's rows are stored (the full matrix,
+    not a hash, so a repeat is a true repeat) until A^(mu+pi) = A^mu, after
+    mu+pi-1 products.  A dict keeps insertion order, so its keys are
+    A^1 .. A^(mu+pi-1) in order and the tail is read off them.  A^(m+1) is
+    A * A^m: powers of one matrix commute, and ``bool_mul`` walks the set
+    bits of its left factor, so the sparse A goes on the left and a product
+    costs about one row OR per arc.
 
     Stop rule: the pass ends at the first m > mu with
     gamma(A^m) = gamma(A^mu).  Let G_m = A^m (A^m)^T.  Then
@@ -103,12 +116,23 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     """
     if a.n > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"matrix dimension {a.n} exceeds size cap {DEFAULT_SIZE_CAP}")
-    cycle, powers = power_trajectory(a)
-    mu, pi = cycle.index_mu, cycle.period_pi
+    seen = {a.rows: 1}
+    power = a
+    while True:
+        power = bool_mul(a, power)
+        mu = seen.get(power.rows)
+        if mu is not None:
+            break
+        if len(seen) >= DEFAULT_MEMORY_CAP:
+            raise SizeCapError(
+                f"power sequence exceeded memory cap of {DEFAULT_MEMORY_CAP} distinct powers"
+            )
+        seen[power.rows] = len(seen) + 1
+    pi = len(seen) + 1 - mu
     # distinct gammas of the tail, keyed by their rows, in order of first appearance
     distinct: dict[tuple[int, ...], BoolMatrix] = {}
-    for power in powers[mu - 1 : mu - 1 + pi]:
-        g = gamma(power)
+    for rows in islice(seen, mu - 1, None):
+        g = gamma(BoolMatrix(a.n, rows))
         if distinct and g.rows == next(iter(distinct)):
             break  # back at gamma(A^mu): the rest of the period repeats what is here
         distinct.setdefault(g.rows, g)
@@ -205,7 +229,7 @@ def _compare(
 def _check_fails(d: Digraph, name: str) -> bool:
     try:
         results = _run_checks(d, (name,))
-    except (SizeCapError, PowerCycleMemoryError):
+    except SizeCapError:
         # a candidate the simulation cannot decide is useless as a counterexample
         return False
     return any(not r.passed for r in results)
@@ -242,7 +266,7 @@ def verify(d: Digraph) -> VerificationReport:
     union-of-cliques criterion when every component is nontrivial (the
     analytic constructions exist exactly then).  An exception raised by the
     analytic side of a check fails that check with detail "raised
-    <Type>: <message>"; the simulation's own cap errors propagate.  The
+    <Type>: <message>"; the simulation's SizeCapError propagates.  The
     first failing check is shrunk to a minimal counterexample by greedy arc
     deletion.
     """

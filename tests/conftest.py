@@ -96,6 +96,22 @@ def cycle_chain(lengths: tuple[int, ...]) -> Digraph:
 # ------------------------------------------------------------ naive oracles
 
 
+def reference_powers(a: BoolMatrix) -> tuple[int, int, list[BoolMatrix]]:
+    """(mu, pi, [A^1, ..., A^(mu+pi-1)]): every distinct power of a, stepped
+    as A^m * A (the other factor order from the oracle's) until the first
+    repeat A^(mu+pi) = A^mu."""
+    seen = {a.rows: 1}
+    powers = [a]
+    current = a
+    while True:
+        current = bool_mul(current, a)
+        first = seen.get(current.rows)
+        if first is not None:
+            return first, len(powers) + 1 - first, powers
+        powers.append(current)
+        seen[current.rows] = len(powers)
+
+
 def naive_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     """Literal triple-loop Boolean product."""
     ea, eb = a.to_entries(), b.to_entries()

@@ -25,15 +25,13 @@ from compseq import (
     jbd_condition,
     limit_graph,
     m_step_competition,
-    power_cycle,
-    power_trajectory,
     random_instance,
     shifted_union,
     simulate_limit,
     to_matrix,
     union_of_cliques,
 )
-from conftest import naive_mul, numpy_mul, period3_matrix, random_matrix
+from conftest import naive_mul, numpy_mul, period3_matrix, random_matrix, reference_powers
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -63,8 +61,8 @@ def test_criterion_1_worked_example():
     for m in range(1, 13):
         g = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(a, m)))
         assert g.edges == expected, f"edge set changed at m={m}"
-    cycle = power_cycle(a)
-    assert (cycle.index_mu, cycle.period_pi) == (1, 3)
+    sim = simulate_limit(a)
+    assert (sim.index_mu, sim.period_pi) == (1, 3)
     assert bool_pow(a, 4) == a
     elapsed = time.perf_counter() - start
     _criterion(
@@ -234,7 +232,7 @@ def test_criterion_8_skeleton_soundness():
         iset = interface_pairs(d, chain, imp, 1)
         skeleton = b_graph(k1, k2, iset)
         stride = bool_pow(to_matrix(d), 2 * k1 * k2)
-        _, powers = power_trajectory(stride)  # all distinct A^(2s*k1*k2), s >= 1
+        _, _, powers = reference_powers(stride)  # all distinct A^(2s*k1*k2), s >= 1
         for i in range(1, k1 + 1):
             for j in range(1, k2 + 1):
                 walk_exists = any(

@@ -11,19 +11,17 @@ from compseq import (
     BoolMatrix,
     DimensionMismatchError,
     ParseError,
-    PowerCycle,
-    PowerCycleMemoryError,
+    SizeCapError,
     UndirectedGraph,
     bool_mul,
     bool_pow,
     format_matrix,
     gamma,
     parse_matrix,
-    power_cycle,
-    power_trajectory,
+    simulate_limit,
 )
-from compseq import bmat
-from conftest import bool_matrices, naive_mul, numpy_mul, period3_matrix
+from compseq import oracle
+from conftest import bool_matrices, naive_mul, numpy_mul, period3_matrix, reference_powers
 
 
 @st.composite
@@ -184,45 +182,55 @@ class TestGamma:
                 assert g.entry(i, j) == expected
 
 
+def mu_pi(a):
+    sim = simulate_limit(a)
+    return sim.index_mu, sim.period_pi
+
+
 class TestPowerCycle:
+    """Index and period of the power sequence, as the oracle's walk finds them."""
+
     def test_identity(self):
-        assert power_cycle(BoolMatrix.identity(3)) == PowerCycle(1, 1)
+        assert mu_pi(BoolMatrix.identity(3)) == (1, 1)
 
     def test_five_cycle_permutation(self):
         entries = [[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]
         a = BoolMatrix.from_entries(entries)
-        assert power_cycle(a) == PowerCycle(1, 5)
+        assert mu_pi(a) == (1, 5)
 
     def test_worked_example_period_three(self):
-        assert power_cycle(period3_matrix()) == PowerCycle(1, 3)
+        assert mu_pi(period3_matrix()) == (1, 3)
 
     def test_nilpotent_path(self):
         # 1 -> 2 -> 3: A^3 = 0 = A^4, so the index is 3 and the period 1
         a = BoolMatrix.from_entries([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert power_cycle(a) == PowerCycle(3, 1)
+        assert mu_pi(a) == (3, 1)
 
     def test_trajectory_lists_all_distinct_powers(self):
         a = period3_matrix()
-        cycle, powers = power_trajectory(a)
-        assert len(powers) == cycle.index_mu + cycle.period_pi - 1
+        mu, pi, powers = reference_powers(a)
+        assert mu_pi(a) == (mu, pi)
+        assert len(powers) == mu + pi - 1
         for m, p in enumerate(powers, start=1):
             assert p == bool_pow(a, m)
 
     def test_memory_cap(self, monkeypatch):
         entries = [[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]
         a = BoolMatrix.from_entries(entries)
-        assert power_cycle(a) == PowerCycle(1, 5)
-        # the cap is read when called
-        monkeypatch.setattr(bmat, "DEFAULT_MEMORY_CAP", 3)
-        with pytest.raises(PowerCycleMemoryError, match="memory cap of 3"):
-            power_cycle(a)
+        assert oracle.DEFAULT_MEMORY_CAP == 100_000
+        # the cap is read when called; five distinct powers fit a cap of 5
+        monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 5)
+        assert mu_pi(a) == (1, 5)
+        monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 3)
+        with pytest.raises(SizeCapError, match="memory cap of 3 distinct powers"):
+            simulate_limit(a)
 
     @settings(max_examples=60, deadline=None)
     @given(bool_matrices(max_n=5))
     def test_index_and_period_are_exact(self, a):
-        cycle, powers = power_trajectory(a)
-        mu, pi = cycle.index_mu, cycle.period_pi
-        assert len(set(powers)) == len(powers) == mu + pi - 1
+        mu, pi = mu_pi(a)
+        powers = [bool_pow(a, m) for m in range(1, mu + pi)]
+        assert len(set(powers)) == len(powers)
         assert bool_pow(a, mu + pi) == bool_pow(a, mu)
         # minimality: the first repeat happens exactly at exponent mu + pi
         assert bool_pow(a, mu + pi - 1) != bool_pow(a, mu - 1) or mu == 1

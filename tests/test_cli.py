@@ -19,7 +19,7 @@ from compseq import (
     limit_graph,
     random_instance,
 )
-from compseq import bmat, graphs, oracle
+from compseq import graphs, oracle
 from compseq.cli import main
 from conftest import (
     cycle4_feeders,
@@ -146,7 +146,7 @@ class TestAnalyze:
 
     def test_power_cycle_memory_error_reported(self, write, capsys, monkeypatch):
         # the period-4 tail needs more than two stored powers
-        monkeypatch.setattr(bmat, "DEFAULT_MEMORY_CAP", 2)
+        monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 2)
         path = write("c.el", format_edge_list(cycle4_feeders(4)))
         code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
         assert code == 1 and out == ""
@@ -239,6 +239,22 @@ class TestVerifyCommand:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--eta", "5..2")
         assert code == 1 and "--eta" in err
+
+    @pytest.mark.parametrize("flag", ["--eta", "--sizes"])
+    @pytest.mark.parametrize("bad", ["+1", "2_0", "\u0663", "1..+2", "1..2_0", "1..\u0663"])
+    def test_range_takes_decimal_digits_only(self, capsys, flag, bad):
+        code, out, err = run(capsys, "verify", "--count", "1", flag, bad)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} expects N or LO..HI, got {bad!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--count", "--seed"])
+    @pytest.mark.parametrize("bad", ["+1", "2_0", "\u0663", "abc"])
+    def test_int_flag_takes_decimal_digits_only(self, capsys, flag, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, bad])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {flag}: invalid int value: {bad!r}" in captured.err
 
     def test_negative_count(self, capsys):
         code, _, err = run(capsys, "verify", "--count", "-1")
@@ -339,6 +355,10 @@ class TestExport:
         for bad in ("x", "0", "-3"):
             code, _, err = run(capsys, "export", path, "--what", "competition", bad)
             assert code == 1 and "step count" in err
+        for bad in ("+1", "2_0", "\u0663"):
+            code, out, err = run(capsys, "export", path, "--what", "competition", bad)
+            assert code == 1 and out == ""
+            assert err == f"error: step count must be an integer, got {bad!r}\n"
 
     def test_non_utf8_input(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"

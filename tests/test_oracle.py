@@ -14,7 +14,6 @@ from compseq import (
     Digraph,
     GeneratorSpec,
     InternalCheckError,
-    PowerCycleMemoryError,
     SimulationResult,
     SizeCapError,
     UndirectedGraph,
@@ -23,7 +22,6 @@ from compseq import (
     component_chain,
     gamma,
     imprimitivity,
-    power_trajectory,
     random_instance,
     simulate_limit,
     to_matrix,
@@ -36,6 +34,7 @@ from conftest import (
     cycle_chain,
     period3_matrix,
     random_matrix,
+    reference_powers,
     three_chain_complete,
     two_chain,
 )
@@ -46,17 +45,7 @@ COPRIME_CYCLE_CHAINS = [(3, 5, 7, 11), (4, 5, 7, 9), (3, 7, 8, 11), (3, 5, 7, 8)
 def full_period_simulation(a: BoolMatrix) -> SimulationResult:
     """The oracle without its stop rule, as the reference: powers stepped as
     A^m * A, and gamma applied to every power of one full tail period."""
-    seen = {a.rows: 1}
-    powers = [a]
-    current = a
-    while True:
-        current = bool_mul(current, a)
-        first = seen.get(current.rows)
-        if first is not None:
-            break
-        powers.append(current)
-        seen[current.rows] = len(powers)
-    mu, pi = first, len(powers) + 1 - first
+    mu, pi, powers = reference_powers(a)
     distinct = {}
     for power in powers[mu - 1 : mu - 1 + pi]:
         g = gamma(power)
@@ -144,12 +133,18 @@ class TestTailStopRule:
 
     def test_matches_full_period_on_seeded_instances(self, monkeypatch):
         calls = []
+        products = []
 
         def counted_gamma(x):
             calls.append(x)
             return gamma(x)
 
+        def counted_mul(x, y):
+            products.append(x)
+            return bool_mul(x, y)
+
         monkeypatch.setattr(oracle, "gamma", counted_gamma)
+        monkeypatch.setattr(oracle, "bool_mul", counted_mul)
         master = random.Random(20261018)
         cycle_lengths = set()
         divergent_early_stops = 0
@@ -162,8 +157,11 @@ class TestTailStopRule:
             )
             a = to_matrix(random_instance(spec))
             calls.clear()
+            products.clear()
             sim = simulate_limit(a)
             assert sim == full_period_simulation(a)
+            # the walk to the first repeat, and no product in the tail pass
+            assert len(products) == sim.index_mu + sim.period_pi - 1
             # one gamma per distinct graph, plus the one that sees the return
             assert len(calls) == min(len(sim.gamma_cycle) + 1, sim.period_pi)
             cycle_lengths.add(len(sim.gamma_cycle))
@@ -201,12 +199,12 @@ class TestTailStopRule:
     @settings(max_examples=200, deadline=None)
     @given(bool_matrices(max_n=6))
     def test_nonzero_row_mask_constant_on_tail(self, a):
-        cycle, powers = power_trajectory(a)
+        mu, _, powers = reference_powers(a)
         masks = [sum(1 << i for i, r in enumerate(p.rows) if r) for p in powers]
-        masks.append(masks[cycle.index_mu - 1])  # A^(mu+pi) = A^mu
+        masks.append(masks[mu - 1])  # A^(mu+pi) = A^mu
         for before, after in zip(masks, masks[1:]):
             assert after & ~before == 0  # rows only ever become zero
-        assert len(set(masks[cycle.index_mu - 1 :])) == 1
+        assert len(set(masks[mu - 1 :])) == 1
 
 
 class TestVerify:
@@ -293,7 +291,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "error, fails",
-        [(SizeCapError("cap"), False), (PowerCycleMemoryError("cap"), False), (None, True)],
+        [(SizeCapError("size cap"), False), (SizeCapError("memory cap"), False), (None, True)],
     )
     def test_check_fails_skips_only_capped_candidates(self, monkeypatch, error, fails):
         def run_checks(d, names):

@@ -22,7 +22,6 @@ from compseq import (
     GeneratorSpec,
     ImprimitivityData,
     JbdVerdict,
-    PowerCycle,
     SimulationResult,
     SkeletonGraph,
     UndirectedGraph,
@@ -34,7 +33,6 @@ PATH = UndirectedGraph(3, (0b010, 0b101, 0b010))
 # field values, in field order, of one valid instance of every record class
 SAMPLES = {
     BoolMatrix: {"n": 2, "rows": (0b10, 0b01)},
-    PowerCycle: {"index_mu": 2, "period_pi": 3},
     Digraph: {"n": 3, "rows": (0b010, 0b100, 0b001)},
     UndirectedGraph: {"n": 3, "rows": (0b010, 0b101, 0b010)},
     ComponentChain: {"masks": (0b01, 0b10)},

@@ -29,7 +29,6 @@ from compseq import (
     l_set,
     lambda_set,
     limit_graph,
-    power_trajectory,
     random_instance,
     shifted_union,
     simulate_limit,
@@ -41,6 +40,7 @@ from conftest import (
     cycle4_feeders,
     mixed_residue_chain,
     period3_digraph,
+    reference_powers,
     rotate_classes,
     three_chain_complete,
     three_chain_parallel,
@@ -563,7 +563,7 @@ class TestStepCommonPrey:
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
         sk = cs_graph(d, chain, imp)
-        _, powers = power_trajectory(to_matrix(d))
+        _, _, powers = reference_powers(to_matrix(d))
         masks = dict(enumerate(chain.masks, start=1))
         reach = {
             (p, i): ascending_reach(sk, p, i)
