@@ -26,7 +26,6 @@ from compseq import (
     lambda_set,
     shifted_union,
     simulate_limit,
-    to_matrix,
 )
 
 ALL_TRIVIAL = Digraph.from_arcs(3, [(1, 2), (2, 3)])
@@ -46,7 +45,7 @@ def residues(mask: int, kappa: int) -> list[int]:
 
 def report(name: str, d: Digraph) -> None:
     v = converges(d)
-    sim = simulate_limit(to_matrix(d))
+    sim = simulate_limit(d)
     print(f"{name}: rule {v.rule}, converged={v.converged} "
           f"(simulation says {sim.converged})")
     if v.witness is not None:
@@ -82,7 +81,7 @@ def main() -> None:
             print(f"  classes ({j1},{j2}): shifted union {residues(u, kappa)} -> {verdict}")
     print()
 
-    sim = simulate_limit(to_matrix(d))
+    sim = simulate_limit(d)
     print(f"simulation: power cycle index {sim.index_mu}, period {sim.period_pi}; "
           f"{len(sim.gamma_cycle)} distinct competition graphs rotate:")
     for k, g in enumerate(sim.gamma_cycle):

@@ -26,7 +26,6 @@ from compseq import (
     interface_pairs,
     limit_graph,
     simulate_limit,
-    to_matrix,
 )
 
 PARALLEL = Digraph.from_arcs(
@@ -38,13 +37,18 @@ MIXING = Digraph.from_arcs(
 )
 
 
+def vertices(mask: int) -> list[int]:
+    """A vertex set is a mask: bit v-1 is set iff vertex v belongs to it."""
+    return [v + 1 for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def walk_through(name: str, d: Digraph) -> None:
     chain = component_chain(d)
     imp = imprimitivity(d, chain)
     print(f"=== {name} ===")
-    for p, comp in enumerate(chain.components, start=1):
-        classes = [sorted(imp.class_set(p, j)) for j in range(1, imp.kappa(p) + 1)]
-        print(f"  D_{p}: vertices {sorted(comp)}, kappa {imp.kappa(p)}, classes {classes}")
+    for p, mask in enumerate(chain.masks, start=1):
+        classes = [vertices(c) for c in imp.class_masks[p - 1]]
+        print(f"  D_{p}: vertices {vertices(mask)}, kappa {imp.kappa(p)}, classes {classes}")
     for p in range(1, chain.eta):
         pairs = sorted(interface_pairs(d, chain, imp, p))
         print(f"  interface {p}->{p + 1}: class pairs {pairs}")
@@ -53,7 +57,7 @@ def walk_through(name: str, d: Digraph) -> None:
     print("  skeleton edges:", sorted(sk.edges))
 
     limit = limit_graph(d, chain, imp)
-    sim = simulate_limit(to_matrix(d))
+    sim = simulate_limit(d)
     print("  limit edges:", sorted(limit.edges))
     print("  matches simulation:", limit == sim.limit)
     print()

@@ -20,7 +20,6 @@ from compseq import (
     jbd_condition,
     limit_graph,
     simulate_limit,
-    to_matrix,
     union_of_cliques,
 )
 
@@ -40,7 +39,7 @@ def report(name: str, d: Digraph) -> None:
     print(f"  union of cliques: {verdict.holds}")
 
     limit = limit_graph(d, chain, imp)
-    sim = simulate_limit(to_matrix(d))
+    sim = simulate_limit(d)
     print(f"  limit edges {sorted(limit.edges)}")
     print(f"  shape check against simulation: "
           f"{union_of_cliques(sim.limit) == verdict.holds}")

@@ -11,13 +11,19 @@ with zero diagonal whose (i, j) entry is 1 iff rows i and j of A share a
 set column; it is the adjacency matrix of the competition graph of the
 digraph whose adjacency matrix is A.
 
+A ``BoolMatrix`` is also the digraph on vertices 1..n whose adjacency
+matrix it is: (u, v) is an arc iff bit v-1 of ``rows[u-1]`` is set.
+``from_arcs`` builds one from 1-based arcs, and ``arc_list``, ``arcs`` and
+``self_loops`` read the arcs back.
+
 ``parse_matrix`` and ``format_matrix`` read and write the matrix text
 format: the dimension on line 1, then one row of 0s and 1s per line.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from ._record import frozen
 
@@ -51,6 +57,10 @@ class BoolMatrix:
 
     Canonical form: bits at positions >= n are zero, so two values compare
     equal iff they are the same matrix.
+
+    Read as a digraph on 1-based vertex ids, (u, v) is an arc iff entry
+    (u-1, v-1) is 1.  ``arcs`` and ``self_loops`` are derived from the
+    rows only when asked for.
     """
 
     n: int
@@ -113,12 +123,43 @@ class BoolMatrix:
                 r ^= low
         return cols
 
+    @classmethod
+    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "BoolMatrix":
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
+        rows = [0] * n
+        for u, v in arcs:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ValueError(f"arc ({u},{v}) outside 1..{n}")
+            rows[u - 1] |= 1 << (v - 1)
+        return cls(n, tuple(rows))
+
+    def arc_list(self) -> list[tuple[int, int]]:
+        """Every arc (u, v), in sorted order."""
+        return [(u + 1, v + 1) for u, r in enumerate(self.rows) for v in _bit_indices(r)]
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.arc_list())
+
+    @cached_property
+    def self_loops(self) -> tuple[int, ...]:
+        return tuple(u + 1 for u, r in enumerate(self.rows) if (r >> u) & 1)
+
     def to_entries(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
 
     def __repr__(self):
         body = ",".join(format(r, "b").zfill(self.n)[::-1] for r in self.rows)
         return f"BoolMatrix({self.n}, [{body}])"
+
+
+def _bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_same_dim(a: BoolMatrix, b: BoolMatrix) -> None:

@@ -14,17 +14,14 @@ any other rotation of the labels is equally consistent and yields the same
 downstream answers.
 
 Each component and each class is stored as one vertex mask, in the layout
-of a ``Digraph`` row: bit v-1 is set iff vertex v belongs to it.  The
-frozenset views (``components``, ``classes``) are derived from the masks
-only when asked for.
+of a matrix row: bit v-1 is set iff vertex v belongs to it.
 
-``Digraph`` and ``UndirectedGraph`` both store their adjacency matrix as
-bitset rows, the layout of ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is
-set iff (u, v) is an arc, or iff u ~ v.  Every construction checks the
-row count and the bit range; an ``UndirectedGraph`` must also be
-symmetric with a zero diagonal.  ``to_matrix`` and ``from_matrix`` are
-views that share the rows tuple, with no per-arc work.  The arc and edge
-sets are derived from the rows only when asked for; ``arc_list`` and
+A digraph is its adjacency matrix: ``Digraph`` is another name for
+``BoolMatrix``, where bit v-1 of ``rows[u-1]`` is set iff (u, v) is an
+arc.  ``UndirectedGraph`` stores its adjacency matrix in the same layout,
+bit v-1 of ``rows[u-1]`` set iff u ~ v, and every construction checks
+that it is symmetric with a zero diagonal.  The arc and edge sets are
+derived from the rows only when asked for; ``arc_list`` and
 ``edge_list`` read the rows in order, which yields them sorted.
 
 ``m_step_competition`` joins u and v iff some vertex is reachable from both
@@ -42,7 +39,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from ._record import frozen
-from .bmat import BoolMatrix, ParseError, _decimal, bool_pow, gamma, parse_matrix
+from .bmat import BoolMatrix, ParseError, _bit_indices, _decimal, bool_pow, gamma, parse_matrix
 
 __all__ = [
     "Digraph",
@@ -52,8 +49,6 @@ __all__ = [
     "SelfLoopError",
     "NotLinearlyConnectedError",
     "InternalCheckError",
-    "from_matrix",
-    "to_matrix",
     "component_chain",
     "imprimitivity",
     "m_step_competition",
@@ -89,43 +84,7 @@ class InternalCheckError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
 
 
-@frozen
-class Digraph:
-    """Finite digraph on vertices 1..n stored as bitset rows, the layout of
-    ``BoolMatrix``: bit v-1 of ``rows[u-1]`` is set iff (u, v) is an arc.
-
-    Every construction checks n, the row count and the bit range through
-    ``BoolMatrix``.  ``arcs`` is derived from the rows only when asked for.
-    """
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        BoolMatrix(self.n, self.rows)
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
-        rows = [0] * n
-        for u, v in arcs:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"arc ({u},{v}) outside 1..{n}")
-            rows[u - 1] |= 1 << (v - 1)
-        return cls(n, tuple(rows))
-
-    def arc_list(self) -> list[tuple[int, int]]:
-        """Every arc (u, v), in sorted order."""
-        return [(u + 1, v + 1) for u, r in enumerate(self.rows) for v in _bit_indices(r)]
-
-    @cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.arc_list())
-
-    @cached_property
-    def self_loops(self) -> tuple[int, ...]:
-        return tuple(u + 1 for u, r in enumerate(self.rows) if (r >> u) & 1)
+Digraph = BoolMatrix
 
 
 @frozen
@@ -170,9 +129,6 @@ class UndirectedGraph:
         nonzero diagonal or an asymmetric entry."""
         return cls(a.n, a.rows)
 
-    def to_adjacency_matrix(self) -> BoolMatrix:
-        return BoolMatrix(self.n, self.rows)
-
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self.rows[u - 1] >> (v - 1)) & 1)
 
@@ -194,30 +150,6 @@ class UndirectedGraph:
 
 # maps the ASCII digits "0" and "1" to the bytes 0 and 1, for itertools.compress
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _bit_indices(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _vertex_set(mask: int) -> frozenset[int]:
-    """The 1-based vertices whose bits are set in mask."""
-    return frozenset(v + 1 for v in _bit_indices(mask))
-
-
-def from_matrix(a: BoolMatrix) -> Digraph:
-    """Digraph with arc (i+1, j+1) iff entry (i, j) of a is 1; shares a's rows."""
-    return Digraph(a.n, a.rows)
-
-
-def to_matrix(d: Digraph) -> BoolMatrix:
-    """Adjacency matrix: entry (u-1, v-1) = 1 iff (u, v) is an arc; shares
-    d's rows."""
-    return BoolMatrix(d.n, d.rows)
 
 
 def _strong_components(d: Digraph) -> list[int]:
@@ -276,8 +208,7 @@ class ComponentChain:
     """Strong components D_1..D_eta of a linearly connected digraph, in
     chain order: masks[p-1] is the vertex mask of D_p.
 
-    The vertex sets and trivial flags are derived from the masks only when
-    asked for.
+    The trivial flags are derived from the masks only when asked for.
     """
 
     masks: tuple[int, ...]
@@ -285,13 +216,6 @@ class ComponentChain:
     @property
     def eta(self) -> int:
         return len(self.masks)
-
-    @cached_property
-    def components(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(_vertex_set, self.masks))
-
-    def component(self, p: int) -> frozenset[int]:
-        return self.components[p - 1]
 
     @cached_property
     def trivial_flags(self) -> tuple[bool, ...]:
@@ -362,8 +286,7 @@ class ImprimitivityData:
     kappas[p-1] is the gcd of directed cycle lengths of D_p (1 for a
     trivial component); class_masks[p-1][j-1] is the vertex mask of the
     class U_j of D_p.  Every intra-component arc goes from U_j to U_(j+1),
-    indices cyclic.  The vertex sets are derived from the masks only when
-    asked for.
+    indices cyclic.
     """
 
     kappas: tuple[int, ...]
@@ -382,14 +305,6 @@ class ImprimitivityData:
 
     def kappa(self, p: int) -> int:
         return self.kappas[p - 1]
-
-    @cached_property
-    def classes(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        """classes[p-1][j-1] is the vertex set U_j of D_p."""
-        return tuple(tuple(map(_vertex_set, cls)) for cls in self.class_masks)
-
-    def class_set(self, p: int, j: int) -> frozenset[int]:
-        return self.classes[p - 1][j - 1]
 
 
 def _bfs_levels(root: int, comp: int, rows: tuple[int, ...]) -> list[int]:
@@ -487,7 +402,7 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
     """
     if m < 1:
         raise ValueError(f"step count must be >= 1, got {m}")
-    via_matrix = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(to_matrix(d), m)))
+    via_matrix = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(d, m)))
     reach = _m_step_reach(d, m)
     rows = [0] * d.n
     for u in range(d.n):
@@ -530,7 +445,10 @@ def parse_edge_list(text: str) -> Digraph:
         raise ParseError(
             len(lines) + 1, f"expected {m} arcs, input ends after arc {len(lines) - 1}"
         )
-    rows = [0] * n
+    try:
+        rows = [0] * n
+    except (OverflowError, MemoryError):
+        raise ParseError(1, f"vertex count {n} is too large") from None
     for i in range(m):
         lineno = i + 2
         toks = lines[i + 1].split()
@@ -581,9 +499,9 @@ def parse_digraph(text: str) -> Digraph:
     Self-loops are rejected in both."""
     if detect_format(text) == "edge-list":
         return parse_edge_list(text)
-    a = parse_matrix(text)
-    for i in range(a.n):
-        if a.entry(i, i):
-            raise ParseError(i + 2, f"self-loop on vertex {i + 1}")
-    return from_matrix(a)
+    d = parse_matrix(text)
+    if d.self_loops:
+        v = d.self_loops[0]
+        raise ParseError(v + 1, f"self-loop on vertex {v}")
+    return d
 

@@ -39,7 +39,6 @@ from .graphs import (
     UndirectedGraph,
     component_chain,
     imprimitivity,
-    to_matrix,
 )
 
 __all__ = [
@@ -175,7 +174,7 @@ def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
     except (NotLinearlyConnectedError, SelfLoopError) as e:
         return [CheckResult(name, True, f"not applicable: {e}") for name in names]
     imp = imprimitivity(d, chain)
-    sim = simulate_limit(to_matrix(d))
+    sim = simulate_limit(d)
     results = []
     for name in names:
         try:

@@ -7,11 +7,12 @@ these computations are tested against.
 
 Conventions used throughout:
 
-* Vertex sets are masks in the layout of a ``Digraph`` row, bit v-1 for
-  vertex v: D_p is ``chain.masks[p-1]`` and U_j of D_p is
-  ``imp.class_masks[p-1][j-1]``.  Which classes an interface or the
-  trailing vertex touches is found by ANDing rows, or ORs of rows, with
-  these masks; no layer keeps a vertex -> class map.
+* A digraph is its adjacency matrix, a ``BoolMatrix``.  Vertex sets are
+  masks in the layout of one of its rows, bit v-1 for vertex v: D_p is
+  ``chain.masks[p-1]`` and U_j of D_p is ``imp.class_masks[p-1][j-1]``.
+  Which classes an interface or the trailing vertex touches is found by
+  ANDing rows, or ORs of rows, with these masks; no layer keeps a
+  vertex -> class map.
 * Class labels are 1-based: the classes of a component with index kappa
   are U_1 .. U_kappa, and label j is residue j - 1 of Z_kappa =
   {0 .. kappa-1} everywhere.  A residue set is an int mask over Z_kappa,

@@ -151,6 +151,11 @@ def random_digraph(
     return Digraph.from_arcs(n, arcs)
 
 
+def vertices(mask: int) -> frozenset[int]:
+    """The 1-based vertices whose bits are set in a vertex mask."""
+    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def simple_cycle_lengths(d: Digraph, vertices: frozenset[int]) -> set[int]:
     """Lengths of all simple directed cycles inside the given vertex set,
     by exhaustive DFS (small instances only)."""

@@ -18,7 +18,6 @@ from compseq import (
     b_graph,
     component_chain,
     converges,
-    from_matrix,
     gamma,
     imprimitivity,
     interface_pairs,
@@ -28,10 +27,16 @@ from compseq import (
     random_instance,
     shifted_union,
     simulate_limit,
-    to_matrix,
     union_of_cliques,
 )
-from conftest import naive_mul, numpy_mul, period3_matrix, random_matrix, reference_powers
+from conftest import (
+    naive_mul,
+    numpy_mul,
+    period3_matrix,
+    random_matrix,
+    reference_powers,
+    vertices,
+)
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -94,7 +99,7 @@ def test_criterion_3_verdict_equivalence():
     divergent = trailing = 0
     for _ in range(500):
         d = _draw_bounded(master, max_n=16, allow_trivial=master.random() < 0.6)
-        sim = simulate_limit(to_matrix(d))
+        sim = simulate_limit(d)
         verdict = converges(d)
         assert verdict.converged == sim.converged, format(d.arcs)
         divergent += not sim.converged
@@ -128,7 +133,7 @@ def test_criterion_4_limit_equivalence():
     for d in _nontrivial_corpus(500):
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        sim = simulate_limit(to_matrix(d))
+        sim = simulate_limit(d)
         assert sim.converged
         analytic = limit_graph(d, chain, imp)
         assert analytic == sim.limit, format(d.arcs)
@@ -147,7 +152,7 @@ def test_criterion_5_jbd_equivalence():
     for d in _nontrivial_corpus(500):
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        sim = simulate_limit(to_matrix(d))
+        sim = simulate_limit(d)
         analytic = jbd_condition(d, chain, imp).holds
         assert analytic == union_of_cliques(sim.limit), format(d.arcs)
         holds_count += analytic
@@ -166,10 +171,9 @@ def test_criterion_6_dual_route_identity():
     for _ in range(200):
         n = rng.randint(1, 8)
         a = random_matrix(rng, n, rng.uniform(0.1, 0.5))
-        d = from_matrix(a)
         for m in range(1, 21):
             # both routes run inside and raise InternalCheckError on any split
-            edge_total += len(m_step_competition(d, m).edges)
+            edge_total += len(m_step_competition(a, m).edges)
     elapsed = time.perf_counter() - start
     _criterion(
         6,
@@ -193,11 +197,11 @@ def test_criterion_7_irreducible_case():
         )
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        sim = simulate_limit(to_matrix(d))
+        sim = simulate_limit(d)
         assert sim.converged
         class_cliques = frozenset(
             (u, v)
-            for cls in imp.classes[0]
+            for cls in map(vertices, imp.class_masks[0])
             for u in cls
             for v in cls
             if u < v
@@ -231,15 +235,15 @@ def test_criterion_8_skeleton_soundness():
         k1, k2 = imp.kappa(1), imp.kappa(2)
         iset = interface_pairs(d, chain, imp, 1)
         skeleton = b_graph(k1, k2, iset)
-        stride = bool_pow(to_matrix(d), 2 * k1 * k2)
+        stride = bool_pow(d, 2 * k1 * k2)
         _, _, powers = reference_powers(stride)  # all distinct A^(2s*k1*k2), s >= 1
         for i in range(1, k1 + 1):
             for j in range(1, k2 + 1):
                 walk_exists = any(
                     m.entry(u - 1, v - 1)
                     for m in powers
-                    for u in imp.class_set(1, i)
-                    for v in imp.class_set(2, j)
+                    for u in vertices(imp.class_masks[0][i - 1])
+                    for v in vertices(imp.class_masks[1][j - 1])
                 )
                 assert ((i, j) in skeleton) == walk_exists, (d.arcs, i, j)
                 edges_confirmed += walk_exists

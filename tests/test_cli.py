@@ -3,6 +3,7 @@ campaign lines.  Everything runs in-process through main(argv)."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from compseq import (
     Digraph,
     GeneratorSpec,
+    UndirectedGraph,
     component_chain,
     converges,
     format_edge_list,
@@ -19,7 +21,7 @@ from compseq import (
     limit_graph,
     random_instance,
 )
-from compseq import graphs, oracle
+from compseq import graphs, oracle, theory
 from compseq.cli import main
 from conftest import (
     cycle4_feeders,
@@ -124,6 +126,24 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 1 and out == ""
         assert err == "error: line 3: not UTF-8 text: byte 0xff at offset 8\n"
+
+    # allocating the rows raises OverflowError at 10**19; CPython refuses
+    # 2**62 list slots with MemoryError before it allocates anything
+    @pytest.mark.parametrize("n", [10**19, 2**62])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze"],
+            ["export", "--what", "cs-graph"],
+            ["export", "--what", "limit"],
+            ["export", "--what", "competition", "2"],
+        ],
+    )
+    def test_oversized_vertex_count_refused(self, write, capsys, n, command):
+        path = write("huge.el", f"{n} 0\n")
+        code, out, err = run(capsys, command[0], path, *command[1:])
+        assert code == 1 and out == ""
+        assert err == f"error: line 1: vertex count {n} is too large\n"
 
     def test_self_loop_matrix(self, write, capsys):
         code, _, err = run(capsys, "analyze", write("loop.mat", "2\n11\n10\n"))
@@ -235,6 +255,28 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "eta 2," in out
+
+    def test_failure_prints_shrunken_counterexample(self, capsys, monkeypatch):
+        real = theory.limit_graph
+
+        def toggled(d, chain, imp):
+            rows = list(real(d, chain, imp).rows)
+            rows[0] ^= 0b10
+            rows[1] ^= 0b01
+            return UndirectedGraph(d.n, tuple(rows))
+
+        monkeypatch.setattr(theory, "limit_graph", toggled)
+        code, out, _ = run(capsys, "verify", "--count", "3", "--eta", "2", "--sizes", "2..3")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "FAIL instance 1 of 3 (seed 0):"
+        assert lines[1].startswith("  check 'limit':")
+        match = re.fullmatch(r"  shrunken counterexample \((\d+) vertices, (\d+) arcs\):", lines[2])
+        assert match
+        n, k = map(int, match.groups())
+        assert lines[3] == f"    {n} {k}"
+        assert len(lines) == 4 + k
+        assert all(re.fullmatch(r"    \d+ \d+", line) for line in lines[4:])
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--eta", "5..2")

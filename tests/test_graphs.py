@@ -22,14 +22,12 @@ from compseq import (
     bool_pow,
     component_chain,
     format_edge_list,
-    from_matrix,
     imprimitivity,
     m_step_competition,
     parse_digraph,
     parse_edge_list,
     random_instance,
     simulate_limit,
-    to_matrix,
 )
 from compseq import graphs
 from compseq.graphs import _strong_components
@@ -41,6 +39,7 @@ from conftest import (
     period3_matrix,
     simple_cycle_lengths,
     two_chain,
+    vertices,
 )
 
 
@@ -48,7 +47,7 @@ def naive_sccs(d: Digraph) -> set[frozenset[int]]:
     """Partition by mutual reachability, computed from the reflexive
     transitive closure (A + I)^n."""
     closure = bool_pow(
-        BoolMatrix(d.n, tuple(r | (1 << i) for i, r in enumerate(to_matrix(d).rows))),
+        BoolMatrix(d.n, tuple(r | (1 << i) for i, r in enumerate(d.rows))),
         d.n,
     )
     comps = set()
@@ -83,7 +82,7 @@ class TestDigraph:
     def test_out_in_sets(self):
         d = two_chain()
         assert d.rows[1] == 0b0101  # out-neighbours of 2: {1, 3}
-        assert to_matrix(d).columns()[2] == 0b1010  # in-neighbours of 3: {2, 4}
+        assert d.columns()[2] == 0b1010  # in-neighbours of 3: {2, 4}
         assert d.rows[3] == 0b0100  # out-neighbours of 4: {3}
         assert d.arc_list() == [(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)]
         assert d.arcs == set(d.arc_list())
@@ -92,8 +91,6 @@ class TestDigraph:
     def test_arcs_round_trip(self, d):
         assert Digraph.from_arcs(d.n, d.arcs) == d
         assert d.arc_list() == sorted(d.arcs)
-        assert from_matrix(to_matrix(d)) == d
-        assert to_matrix(d).rows is d.rows
 
     def test_self_loops_listed_sorted(self):
         d = Digraph.from_arcs(3, [(3, 3), (1, 1), (1, 2)])
@@ -145,10 +142,6 @@ class TestUndirectedGraph:
         with pytest.raises(ValueError, match="loop"):
             UndirectedGraph.from_edges(2, [(1, 1)])
 
-    def test_adjacency_matrix_round_trip(self):
-        g = UndirectedGraph.from_edges(4, [(1, 3), (2, 4)])
-        assert UndirectedGraph.from_adjacency_matrix(g.to_adjacency_matrix()) == g
-
     def test_from_adjacency_matrix_validates(self):
         with pytest.raises(ValueError, match="diagonal"):
             UndirectedGraph.from_adjacency_matrix(BoolMatrix.identity(2))
@@ -167,7 +160,7 @@ class TestUndirectedGraph:
         assert g.edges == {
             (i + 1, j + 1) for i in range(a.n) for j in range(i + 1, a.n) if s.entry(i, j)
         }
-        assert g.to_adjacency_matrix() == s
+        assert g.rows == s.rows
 
     @given(bool_matrices())
     def test_from_adjacency_matrix_rejects_like_entry_scan(self, a):
@@ -182,7 +175,7 @@ class TestUndirectedGraph:
                 expected = f"adjacency matrix not symmetric at ({i},{bad[0]})"
                 break
         if expected is None:
-            assert UndirectedGraph.from_adjacency_matrix(a).to_adjacency_matrix() == a
+            assert UndirectedGraph.from_adjacency_matrix(a).rows == a.rows
         else:
             with pytest.raises(ValueError) as exc:
                 UndirectedGraph.from_adjacency_matrix(a)
@@ -197,12 +190,7 @@ class TestUndirectedGraph:
 
 class TestMatrixConversion:
     def test_worked_example(self):
-        assert from_matrix(period3_matrix()) == period3_digraph()
-        assert to_matrix(period3_digraph()) == period3_matrix()
-
-    @given(digraphs())
-    def test_round_trip(self, d):
-        assert from_matrix(to_matrix(d)) == d
+        assert period3_digraph() == period3_matrix()
 
 
 class TestStrongComponents:
@@ -226,7 +214,6 @@ class TestComponentChain:
         chain = component_chain(period3_digraph())
         assert chain.eta == 1
         assert chain.masks == (0b1111,)
-        assert chain.components == (frozenset({1, 2, 3, 4}),)
         assert chain.trivial_flags == (False,)
         assert chain.last_nontrivial == 1
         assert not chain.all_trivial
@@ -234,8 +221,6 @@ class TestComponentChain:
     def test_two_component_chain(self):
         chain = component_chain(two_chain())
         assert chain.masks == (0b0011, 0b1100)
-        assert chain.components == (frozenset({1, 2}), frozenset({3, 4}))
-        assert chain.component(2) == {3, 4}
 
     def test_trailing_trivial(self):
         chain = component_chain(cycle4_feeders(2))
@@ -302,7 +287,7 @@ class TestComponentChain:
     def test_accepted_chains_have_consecutive_arcs(self, seed):
         d = random_instance(GeneratorSpec(eta=3, sizes=(1, 4), seed=seed))
         chain = component_chain(d)
-        idx = {v: p for p, comp in enumerate(chain.components, start=1) for v in comp}
+        idx = {v: p for p, mask in enumerate(chain.masks, start=1) for v in vertices(mask)}
         # every arc stays or steps one component up, and every interface has one
         steps = {(idx[u], idx[v]) for u, v in d.arcs if idx[u] != idx[v]}
         assert steps == {(p, p + 1) for p in range(1, chain.eta)}
@@ -314,26 +299,20 @@ class TestImprimitivity:
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
         assert imp.kappas == (3,)
-        assert imp.classes[0] == (
-            frozenset({1}),
-            frozenset({2, 4}),
-            frozenset({3}),
-        )
         assert imp.kappa(1) == 3
-        assert imp.class_set(1, 2) == {2, 4}
         assert imp.class_masks == ((0b0001, 0b1010, 0b0100),)
 
     def test_chord_halves_the_index(self):
         d = Digraph.from_arcs(4, [(1, 2), (2, 3), (3, 4), (4, 1), (2, 1)])
         imp = imprimitivity(d, component_chain(d))
         assert imp.kappas == (2,)
-        assert imp.classes[0] == (frozenset({1, 3}), frozenset({2, 4}))
+        assert imp.class_masks[0] == (0b0101, 0b1010)
 
     def test_trivial_component_has_index_one(self):
         d = cycle4_feeders(2)
         imp = imprimitivity(d, component_chain(d))
         assert imp.kappas == (4, 1)
-        assert imp.classes[1] == (frozenset({5}),)
+        assert imp.class_masks[1] == (0b10000,)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="disagree"):
@@ -351,8 +330,8 @@ class TestImprimitivity:
         d = random_instance(GeneratorSpec(eta=eta, sizes=(1, 5), seed=seed))
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        for p, comp in enumerate(chain.components, start=1):
-            lengths = simple_cycle_lengths(d, comp)
+        for p, mask in enumerate(chain.masks, start=1):
+            lengths = simple_cycle_lengths(d, vertices(mask))
             if chain.trivial_flags[p - 1]:
                 assert imp.kappa(p) == 1
                 assert not lengths
@@ -365,8 +344,9 @@ class TestImprimitivity:
         d = random_instance(GeneratorSpec(eta=eta, sizes=(1, 5), seed=seed))
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        for p, comp in enumerate(chain.components, start=1):
-            cls = imp.classes[p - 1]
+        for p, mask in enumerate(chain.masks, start=1):
+            comp = vertices(mask)
+            cls = [vertices(c) for c in imp.class_masks[p - 1]]
             assert frozenset().union(*cls) == comp
             assert sum(len(c) for c in cls) == len(comp)
             assert min(comp) in cls[0]  # anchoring: smallest id in U_1
@@ -418,7 +398,7 @@ class TestMStepCompetition:
         divergent = 0
         for seed in range(40):
             d = random_instance(GeneratorSpec(eta=1 + seed % 4, sizes=(1, 4), seed=seed))
-            sim = simulate_limit(to_matrix(d))
+            sim = simulate_limit(d)
             start = sim.index_mu + sim.period_pi * 10 * d.n
             cycle = []
             for m in range(start, start + sim.period_pi):
@@ -442,7 +422,7 @@ class TestMStepCompetition:
     @given(digraphs(max_n=6), st.integers(1, 6))
     def test_matches_walk_counting(self, d, m):
         counts = np.linalg.matrix_power(
-            np.array(to_matrix(d).to_entries(), dtype=np.int64), m
+            np.array(d.to_entries(), dtype=np.int64), m
         )
         expected = set()
         for u in range(d.n):

@@ -24,7 +24,6 @@ from compseq import (
     imprimitivity,
     random_instance,
     simulate_limit,
-    to_matrix,
     verify,
 )
 from compseq import oracle, theory
@@ -37,6 +36,7 @@ from conftest import (
     reference_powers,
     three_chain_complete,
     two_chain,
+    vertices,
 )
 
 COPRIME_CYCLE_CHAINS = [(3, 5, 7, 11), (4, 5, 7, 9), (3, 7, 8, 11), (3, 5, 7, 8)]
@@ -84,7 +84,7 @@ class TestSimulateLimit:
         assert len(sim.gamma_cycle) == 1
 
     def test_divergent_feeder(self):
-        sim = simulate_limit(to_matrix(cycle4_feeders(2)))
+        sim = simulate_limit(cycle4_feeders(2))
         assert (sim.index_mu, sim.period_pi) == (1, 4)
         assert not sim.converged
         assert sim.limit is None
@@ -155,7 +155,7 @@ class TestTailStopRule:
                 allow_trivial=master.random() < 0.8,
                 seed=master.getrandbits(32),
             )
-            a = to_matrix(random_instance(spec))
+            a = random_instance(spec)
             calls.clear()
             products.clear()
             sim = simulate_limit(a)
@@ -178,7 +178,7 @@ class TestTailStopRule:
 
     @pytest.mark.parametrize("lengths", COPRIME_CYCLE_CHAINS)
     def test_matches_full_period_on_coprime_cycle_chains(self, lengths):
-        a = to_matrix(cycle_chain(lengths))
+        a = cycle_chain(lengths)
         sim = simulate_limit(a)
         assert sim == full_period_simulation(a)
         assert sim.converged and sim.period_pi == math.lcm(*lengths)
@@ -264,7 +264,7 @@ class TestVerify:
         d = cycle_chain((2, 3))
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        sim = simulate_limit(to_matrix(d))
+        sim = simulate_limit(d)
         assert oracle._compare("period", d, chain, imp, sim) == CheckResult(
             "period", True, "lcm of kappas 6 vs simulated 6"
         )
@@ -353,7 +353,7 @@ class TestGeneratorSpec:
             d = random_instance(spec)
             chain = component_chain(d)
             assert chain.eta == 3
-            assert all(2 <= len(c) <= 4 for c in chain.components)
+            assert all(2 <= m.bit_count() <= 4 for m in chain.masks)
             assert not any(chain.trivial_flags)
 
     def test_per_component_settings(self):
@@ -362,8 +362,8 @@ class TestGeneratorSpec:
         )
         d = random_instance(spec)
         chain = component_chain(d)
-        assert len(chain.component(1)) == 1
-        assert 2 <= len(chain.component(2)) <= 4
+        assert chain.masks[0].bit_count() == 1
+        assert 2 <= chain.masks[1].bit_count() <= 4
 
     def test_ids_are_scattered(self):
         # component order must not correlate with vertex id order
@@ -371,7 +371,7 @@ class TestGeneratorSpec:
         for seed in range(20):
             d = random_instance(GeneratorSpec(eta=2, sizes=(2, 3), seed=seed))
             chain = component_chain(d)
-            if max(chain.component(1)) > min(chain.component(2)):
+            if max(vertices(chain.masks[0])) > min(vertices(chain.masks[1])):
                 hits += 1
         assert hits > 0
 

@@ -32,7 +32,6 @@ from compseq import (
     random_instance,
     shifted_union,
     simulate_limit,
-    to_matrix,
     union_of_cliques,
 )
 from compseq.theory import _rotate
@@ -45,6 +44,7 @@ from conftest import (
     three_chain_complete,
     three_chain_parallel,
     two_chain,
+    vertices,
 )
 
 
@@ -184,9 +184,11 @@ def all_pairs_verdict(d):
     imp = imprimitivity(d, chain)
     p = chain.last_nontrivial
     kappa = imp.kappa(p)
-    (v,) = chain.component(p + 1)
+    (v,) = vertices(chain.masks[p])
     feeders = {
-        j for j, cls in enumerate(imp.classes[p - 1], start=1) if any((u, v) in d.arcs for u in cls)
+        j
+        for j, cls in enumerate(imp.class_masks[p - 1], start=1)
+        if any((u, v) in d.arcs for u in vertices(cls))
     }
     lsets = {
         j: frozenset((k - j + 1) % kappa for k in feeders) for j in range(1, kappa + 1)
@@ -289,7 +291,7 @@ class TestConverges:
     @given(st.integers(0, 100_000), st.integers(1, 4))
     def test_matches_simulation(self, seed, eta):
         d = random_instance(GeneratorSpec(eta=eta, sizes=(1, 4), seed=seed))
-        assert converges(d).converged == simulate_limit(to_matrix(d)).converged
+        assert converges(d).converged == simulate_limit(d).converged
 
 
 class TestInterfacePairs:
@@ -415,9 +417,9 @@ def class_labels(imp):
     """vertex -> (component p, class label j), both 1-based."""
     return {
         v: (p, j)
-        for p, cls in enumerate(imp.classes, start=1)
+        for p, cls in enumerate(imp.class_masks, start=1)
         for j, members in enumerate(cls, start=1)
-        for v in members
+        for v in vertices(members)
     }
 
 
@@ -509,7 +511,7 @@ class TestLimitGraph:
         )
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        sim = simulate_limit(to_matrix(d))
+        sim = simulate_limit(d)
         assert sim.converged
         assert limit_graph(d, chain, imp) == sim.limit
 
@@ -541,8 +543,8 @@ class TestLimitGraph:
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
         got = limit_graph(d, chain, imp)
-        for cls in imp.classes:
-            for members in cls:
+        for cls in imp.class_masks:
+            for members in map(vertices, cls):
                 for u in members:
                     for v in members:
                         if u < v:
@@ -563,7 +565,7 @@ class TestStepCommonPrey:
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
         sk = cs_graph(d, chain, imp)
-        _, _, powers = reference_powers(to_matrix(d))
+        _, _, powers = reference_powers(d)
         masks = dict(enumerate(chain.masks, start=1))
         reach = {
             (p, i): ascending_reach(sk, p, i)
@@ -642,7 +644,7 @@ class TestJbdCondition:
         )
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        sim = simulate_limit(to_matrix(d))
+        sim = simulate_limit(d)
         assert jbd_condition(d, chain, imp).holds == union_of_cliques(sim.limit)
 
 
