@@ -13,8 +13,19 @@ digraph whose adjacency matrix is A.
 
 A ``BoolMatrix`` is also the digraph on vertices 1..n whose adjacency
 matrix it is: (u, v) is an arc iff bit v-1 of ``rows[u-1]`` is set.
-``from_arcs`` builds one from 1-based arcs, and ``arc_list``, ``arcs`` and
-``self_loops`` read the arcs back.
+``from_arcs`` builds one from 1-based arcs, and ``arc_list``, ``arcs``,
+``self_loops`` and ``successors`` read the arcs back.
+
+``bool_mul`` picks its method from the left factor.  A dense one (n >= 64
+and at least n^2/16 set entries) goes through Four Russians tables
+(Arlazarov, Dinic, Kronrod & Faradzev, 1970): the rows of the right factor
+are cut into groups of 8, the 256 ORs of each group's subsets are
+tabulated, and each row of the product ORs one table entry per nonzero
+byte of the matching left row: at most n^2/8 row ORs, plus 32n for the
+tables, where the set-bit walk takes one per set entry, n^2/2 on a
+half-full matrix.  Any other left factor walks its cached ``successors``
+lists, one row OR per set entry, so repeated products with the same left
+factor, as the oracle's power walk makes, find its set bits once.
 
 ``parse_matrix`` and ``format_matrix`` read and write the matrix text
 format: the dimension on line 1, then one row of 0s and 1s per line.
@@ -59,8 +70,8 @@ class BoolMatrix:
     equal iff they are the same matrix.
 
     Read as a digraph on 1-based vertex ids, (u, v) is an arc iff entry
-    (u-1, v-1) is 1.  ``arcs`` and ``self_loops`` are derived from the
-    rows only when asked for.
+    (u-1, v-1) is 1.  ``arcs``, ``self_loops`` and ``successors`` are
+    derived from the rows only when asked for, once per matrix.
     """
 
     n: int
@@ -146,6 +157,12 @@ class BoolMatrix:
     def self_loops(self) -> tuple[int, ...]:
         return tuple(u + 1 for u, r in enumerate(self.rows) if (r >> u) & 1)
 
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """successors[i] lists the set columns of row i in increasing order:
+        the 0-based heads of the arcs out of vertex i + 1."""
+        return tuple(tuple(_bit_indices(r)) for r in self.rows)
+
     def to_entries(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
 
@@ -169,33 +186,68 @@ def _check_same_dim(a: BoolMatrix, b: BoolMatrix) -> None:
 
 def bool_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     """Boolean product: entry (i,j) of the result is 1 iff some k has
-    a[i,k] = b[k,j] = 1.  Row i of the result is the OR of the rows of b
-    indexed by the set bits of row i of a."""
+    a[i,k] = b[k,j] = 1, so row i of the result is the OR of the rows of b
+    indexed by the set bits of row i of a.
+
+    A dense a (n >= 64 and 16 * set entries >= n^2) takes the Four Russians
+    path of ``_four_russians``; any other a ORs ``brows[k]`` for each k in
+    ``a.successors[i]``, which a caches, so a left factor used again costs
+    no second bit walk."""
     _check_same_dim(a, b)
+    n = a.n
     brows = b.rows
+    if n >= 64 and 16 * sum(map(int.bit_count, a.rows)) >= n * n:
+        return BoolMatrix(n, _four_russians(a.rows, brows, n))
     out = []
-    for r in a.rows:
+    for succ in a.successors:
         acc = 0
-        while r:
-            k = (r & -r).bit_length() - 1
+        for k in succ:
             acc |= brows[k]
-            r &= r - 1
         out.append(acc)
-    return BoolMatrix(a.n, tuple(out))
+    return BoolMatrix(n, tuple(out))
+
+
+def _four_russians(arows: tuple[int, ...], brows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Rows of the product of the n x n matrices with rows arows and brows,
+    one group of 8 rows of b at a time.
+
+    Entry s of a group's table is the OR of the group's rows picked by the
+    set bits of s; it is built by doubling, t[s + 2^k] = t[s] | row k, one
+    OR per entry, and a short last group gets 2^len entries.  Byte g of a
+    row of a picks the entry of group g, and a zero byte is skipped.  Only
+    one table lives at a time, so the extra memory is O(n) ints."""
+    nbytes = (n + 7) // 8
+    # byte g of row i of a is flat[i * nbytes + g], so flat[g::nbytes] is column g
+    flat = b"".join(r.to_bytes(nbytes, "little") for r in arows)
+    out = [0] * n
+    for g in range(nbytes):
+        table = [0]
+        for r in brows[8 * g : 8 * g + 8]:
+            table += [t | r for t in table]
+        out = [acc | table[byte] if byte else acc for acc, byte in zip(out, flat[g::nbytes])]
+    return tuple(out)
 
 
 def bool_pow(a: BoolMatrix, m: int) -> BoolMatrix:
-    """Boolean m-th power by repeated squaring; bool_pow(a, 0) is I."""
+    """Boolean m-th power by repeated squaring; bool_pow(a, 0) is I.
+
+    The result starts as the first power of two that m needs, not as I,
+    and nothing is squared past m's top bit, so m = 1000 takes 14
+    products, not 16.  Records are immutable, so bool_pow(a, 1) may be,
+    and is, a itself."""
     if m < 0:
         raise ValueError(f"exponent must be >= 0, got {m}")
-    result = BoolMatrix.identity(a.n)
+    if m == 0:
+        return BoolMatrix.identity(a.n)
+    result = None
     base = a
-    while m:
+    while True:
         if m & 1:
-            result = bool_mul(result, base)
-        base = bool_mul(base, base)
+            result = base if result is None else bool_mul(result, base)
         m >>= 1
-    return result
+        if not m:
+            return result
+        base = bool_mul(base, base)
 
 
 def gamma(a: BoolMatrix) -> BoolMatrix:

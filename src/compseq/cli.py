@@ -234,20 +234,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dot_lines(name: str, nodes: list[str], edges: list[tuple[str, str]], ranks=None) -> str:
-    lines = [f"graph {name} {{"]
-    if ranks:
-        lines.append("  rankdir=LR;")
-        for group in ranks:
-            inner = " ".join(f'"{v}";' for v in group)
-            lines.append(f"  {{ rank=same; {inner} }}")
-    else:
-        for v in nodes:
-            lines.append(f'  "{v}";')
+def _dot_lines(name: str, edges: list[tuple[str, str]], ranks: list[list[str]]) -> str:
+    lines = [f"graph {name} {{", "  rankdir=LR;"]
+    for group in ranks:
+        inner = " ".join(f'"{v}";' for v in group)
+        lines.append(f"  {{ rank=same; {inner} }}")
     for a, b in edges:
         lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _graph_dot(name: str, g: UndirectedGraph) -> None:
+    """Write g as DOT to stdout: one line per vertex, then the edges (u, v),
+    u < v, in sorted order.  The edges are written one row of g at a time,
+    each row's run joined straight from its neighbours, so no edge tuple
+    and no string per edge is built."""
+    write = sys.stdout.write
+    write(f"graph {name} {{\n")
+    write("".join(f'  "{v}";\n' for v in range(1, g.n + 1)))
+    for u in range(1, g.n + 1):
+        vs = f'";\n  "{u}" -- "'.join(map(str, g.later_neighbours(u)))
+        if vs:
+            write(f'  "{u}" -- "' + vs + '";\n')
+    write("}\n")
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -273,9 +283,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         return _fail(str(e))
 
     if what == "competition":
-        g = m_step_competition(d, m)
-        nodes = [str(v) for v in range(1, g.n + 1)]
-        print(_dot_lines("competition", nodes, g.edge_list()), end="")
+        _graph_dot("competition", m_step_competition(d, m))
         return 0
 
     try:
@@ -294,12 +302,10 @@ def cmd_export(args: argparse.Namespace) -> int:
             (f"{p}_{i}", f"{q}_{j}")
             for (p, i), (q, j) in sorted(sk.edges)
         ]
-        print(_dot_lines("skeleton", [], edges, ranks=ranks), end="")
+        print(_dot_lines("skeleton", edges, ranks), end="")
         return 0
 
-    limit = theory.limit_graph(d, chain, imp)
-    nodes = [str(v) for v in range(1, limit.n + 1)]
-    print(_dot_lines("limit", nodes, limit.edge_list()), end="")
+    _graph_dot("limit", theory.limit_graph(d, chain, imp))
     return 0
 
 

@@ -28,7 +28,13 @@ derived from the rows only when asked for; ``arc_list`` and
 by a directed walk of length exactly m.  It always evaluates two
 independent routes and refuses to answer if they disagree: ``gamma`` of
 the repeated-squaring power A^m, and a DP that extends walks one arc at a
-time on int masks without calling ``bool_mul`` or ``gamma``.
+time on int masks without calling ``bool_mul`` or ``gamma``.  The DP's
+reach sequence is eventually periodic, so it finds the period by Brent's
+cycle detection (Brent, BIT 20, 1980) and jumps over whole periods: any m
+costs O(mu + pi) steps, where mu and pi are the index and period of that
+sequence.  The DP builds its own successor lists and does not read the
+cached ``successors`` that ``bool_mul`` and ``_strong_components`` share,
+so the two routes share no state.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ def _strong_components(d: Digraph) -> list[int]:
     """Tarjan's algorithm, iterative; the vertex masks of the components in
     topological order."""
     n = d.n
-    succ = [list(_bit_indices(r)) for r in d.rows]
+    succ = d.successors
     index_of = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -375,18 +381,37 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
 
 def _m_step_reach(d: Digraph, m: int) -> list[int]:
     """reach[v-1] has bit w-1 set iff a walk of length exactly m runs from
-    v to w."""
-    succ = [list(_bit_indices(r)) for r in d.rows]
-    reach = [1 << v for v in range(d.n)]
-    for _ in range(m):
+    v to w.
+
+    reach_(t+1)(v) is the OR of reach_t(w) over the arcs (v, w), from
+    reach_0(v) = {v}.  The hare takes one step at a time while the tortoise
+    is parked at t = 1, 3, 7, ... (Brent's doubling).  The first t whose
+    reach equals the tortoise's, parked at s, gives the period t - s of the
+    sequence, and reach_m = reach_(t + (m - t) mod (t - s)).  Only the two
+    current reach lists are kept, and no more than m steps are taken."""
+    succ = [list(_bit_indices(r)) for r in d.rows]  # its own, not d.successors
+
+    def step(reach: list[int]) -> list[int]:
         nxt = []
         for out in succ:
             acc = 0
             for w in out:
                 acc |= reach[w]
             nxt.append(acc)
-        reach = nxt
-    return reach
+        return nxt
+
+    hare = tortoise = [1 << v for v in range(d.n)]
+    t = parked = 0
+    while t < m:
+        hare = step(hare)
+        t += 1
+        if hare == tortoise:
+            for _ in range((m - t) % (t - parked)):
+                hare = step(hare)
+            return hare
+        if t == 2 * parked + 1:
+            tortoise, parked = hare, t
+    return hare
 
 
 def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
@@ -395,10 +420,14 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
 
     Evaluated twice: once as ``gamma`` of A^m from ``bool_pow``, once by
     the walk DP reach_(t+1)(v) = OR of reach_t(w) over the arcs (v, w),
-    run m times from reach_0(v) = {v}, with u and v joined iff their reach
-    masks intersect.  The DP shares no kernel with the matrix route (no
-    ``bool_mul``, no ``gamma``), so a fault in either shows as a mismatch,
-    which raises InternalCheckError instead of returning a wrong answer.
+    from reach_0(v) = {v}, with u and v joined iff their reach masks
+    intersect.  The DP stops at the first repeat of its reach sequence and
+    jumps ahead by whole periods (``_m_step_reach``), so its step count is
+    bounded by the index and period of A's powers, not by m.  The DP
+    shares no kernel with the matrix route (no ``bool_mul``, no ``gamma``)
+    and no successor list (it builds its own instead of reading
+    ``d.successors``), so a fault in either shows as a mismatch, which
+    raises InternalCheckError instead of returning a wrong answer.
     """
     if m < 1:
         raise ValueError(f"step count must be >= 1, got {m}")

@@ -20,8 +20,15 @@ from compseq import (
     parse_matrix,
     simulate_limit,
 )
-from compseq import oracle
-from conftest import bool_matrices, naive_mul, numpy_mul, period3_matrix, reference_powers
+from compseq import bmat, oracle
+from conftest import (
+    bool_matrices,
+    naive_mul,
+    numpy_mul,
+    period3_matrix,
+    random_matrix,
+    reference_powers,
+)
 
 
 @st.composite
@@ -133,6 +140,97 @@ class TestBoolMul:
         assert bool_mul(bool_mul(a, sq), a) == bool_mul(a, bool_mul(sq, a))
 
 
+def with_set_bits(rng: random.Random, n: int, count: int) -> BoolMatrix:
+    """An n x n matrix with exactly count set entries, placed at random."""
+    rows = [0] * n
+    for cell in rng.sample(range(n * n), count):
+        rows[cell // n] |= 1 << (cell % n)
+    return BoolMatrix(n, tuple(rows))
+
+
+def dense_threshold(n: int) -> int:
+    """The fewest set entries that send an n x n left factor (n >= 64) down
+    the Four Russians path: 16 * count >= n^2."""
+    return -(-n * n // 16)
+
+
+@pytest.fixture
+def four_russians_calls(monkeypatch):
+    """The dimension of each product that took the Four Russians path, in
+    call order."""
+    calls = []
+    inner = bmat._four_russians
+
+    def counted(*args):
+        calls.append(args[2])
+        return inner(*args)
+
+    monkeypatch.setattr(bmat, "_four_russians", counted)
+    return calls
+
+
+class TestBoolMulPaths:
+    """The set-bit walk and the Four Russians tables, around the switch
+    between them, against the triple loop and the numpy product."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_both_paths_match_triple_loop_at_the_word_edge(self, n, four_russians_calls):
+        rng = random.Random(n)
+        for density in (0.02, 0.3, 0.5):
+            a = random_matrix(rng, n, density)
+            b = random_matrix(rng, n, 0.4)
+            assert bool_mul(a, b) == naive_mul(a, b)
+        assert four_russians_calls == ([] if n < 64 else [n, n])
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 100, 131, 200])
+    def test_at_and_just_below_the_density_switch(self, n, four_russians_calls):
+        rng = random.Random(1000 + n)
+        b = random_matrix(rng, n, 0.3)
+        for count in (dense_threshold(n), dense_threshold(n) - 1):
+            a = with_set_bits(rng, n, count)
+            assert bool_mul(a, b) == numpy_mul(a, b)
+        # n < 64 never takes the tables; otherwise only the first a does
+        assert four_russians_calls == ([] if n < 64 else [n])
+
+    @pytest.mark.parametrize("n", [64, 77, 130])
+    def test_rows_mixing_empty_sparse_and_full(self, n, four_russians_calls):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        kinds = [0, full, 1 << (n - 1), 1, rng.getrandbits(n), 1 << rng.randrange(n)]
+        a = BoolMatrix(n, tuple(kinds[i % len(kinds)] for i in range(n)))
+        b = random_matrix(rng, n, 0.2)
+        assert bool_mul(a, b) == numpy_mul(a, b)
+        assert bool_mul(b, a) == numpy_mul(b, a)
+        assert four_russians_calls[0] == n  # a is dense: a sixth of its rows are full
+
+    @pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 136])
+    def test_zero_and_identity_on_either_side(self, n):
+        rng = random.Random(n)
+        zero, eye = BoolMatrix.zeros(n), BoolMatrix.identity(n)
+        for a in (random_matrix(rng, n, 0.5), BoolMatrix(n, ((1 << n) - 1,) * n)):
+            assert bool_mul(a, zero) == zero
+            assert bool_mul(zero, a) == zero
+            assert bool_mul(a, eye) == a
+            assert bool_mul(eye, a) == a
+
+
+class TestSuccessors:
+    @given(bool_matrices())
+    def test_arcs_grouped_by_row(self, a):
+        expected = [[] for _ in range(a.n)]
+        for u, v in a.arc_list():
+            expected[u - 1].append(v - 1)
+        assert a.successors == tuple(map(tuple, expected))
+
+    def test_computed_once_per_matrix(self):
+        a = period3_matrix()
+        assert a.successors is a.successors
+        # an equal matrix is another record with its own lists
+        twin = BoolMatrix(a.n, a.rows)
+        assert twin.successors == a.successors
+        assert twin.successors is not a.successors
+
+
 class TestBoolPow:
     def test_zeroth_power_is_identity(self):
         assert bool_pow(period3_matrix(), 0) == BoolMatrix.identity(4)
@@ -140,6 +238,19 @@ class TestBoolPow:
     def test_first_power_is_matrix(self):
         a = period3_matrix()
         assert bool_pow(a, 1) == a
+        assert bool_pow(a, 1) is a  # records are immutable: no copy is made
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 1000, 1023, 1024])
+    def test_product_count(self, m, monkeypatch):
+        # one squaring per bit below the top, one product per set bit past
+        # the first: m = 1000 takes 9 + 5 = 14
+        a = period3_matrix()
+        expected = bool_pow(a, m % 3 or 3)  # A^4 = A
+        calls = []
+        inner = bmat.bool_mul
+        monkeypatch.setattr(bmat, "bool_mul", lambda x, y: calls.append(1) or inner(x, y))
+        assert bool_pow(a, m) == expected
+        assert len(calls) == (m.bit_length() - 1) + (m.bit_count() - 1)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):

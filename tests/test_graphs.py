@@ -34,9 +34,11 @@ from compseq.graphs import _strong_components
 from conftest import (
     bool_matrices,
     cycle4_feeders,
+    cycle_chain,
     digraphs,
     period3_digraph,
     period3_matrix,
+    random_digraph,
     simple_cycle_lengths,
     two_chain,
     vertices,
@@ -430,6 +432,63 @@ class TestMStepCompetition:
                 if any(counts[u][k] and counts[v][k] for k in range(d.n)):
                     expected.add((u + 1, v + 1))
         assert m_step_competition(d, m).edges == frozenset(expected)
+
+
+def stepped_reach(d: Digraph, m: int) -> list[int]:
+    """The walk DP stepped m times with no period jump: reach_(t+1)(v) is
+    the OR of reach_t(w) over the arcs (v, w), from reach_0(v) = {v}.
+    This is the loop ``_m_step_reach`` replaced, kept as its reference."""
+    succ = [[w for w in range(d.n) if (r >> w) & 1] for r in d.rows]
+    reach = [1 << v for v in range(d.n)]
+    for _ in range(m):
+        nxt = []
+        for out in succ:
+            acc = 0
+            for w in out:
+                acc |= reach[w]
+            nxt.append(acc)
+        reach = nxt
+    return reach
+
+
+def seeded_digraphs():
+    """Chains with and without trivial components, a cycle chain of
+    period 60, and random digraphs, loops allowed, that need not be
+    chains."""
+    rng = random.Random(2024)
+    out = [two_chain(), cycle4_feeders(2), cycle_chain((3, 4, 5))]
+    for k in range(8):
+        spec = GeneratorSpec(eta=1 + k % 4, sizes=(1, 5), allow_trivial=k % 2 == 1, seed=k)
+        out.append(random_instance(spec))
+    for _ in range(10):
+        out.append(random_digraph(rng, rng.randint(1, 7), rng.choice((0.15, 0.3, 0.5))))
+    return out
+
+
+class TestPeriodJump:
+    """``_m_step_reach`` jumps whole periods of its reach sequence; the
+    plain m-step loop is the reference."""
+
+    def test_matches_stepped_loop(self):
+        far = 10**5
+        for d in seeded_digraphs():
+            sim = simulate_limit(d)
+            mu, pi = sim.index_mu, sim.period_pi
+            for m in {1, 2, 3, mu - 1, mu, mu + pi, mu + pi + 1}:
+                assert graphs._m_step_reach(d, m) == stepped_reach(d, m), (d, m)
+            assert graphs._m_step_reach(d, far) == stepped_reach(d, far), d
+
+    def test_reads_no_cached_successors(self):
+        d = Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])
+        graphs._m_step_reach(d, 100)
+        assert "successors" not in vars(d)
+
+    def test_huge_step_count_is_one_period_past_the_index(self):
+        far = 10**12
+        for d in seeded_digraphs():
+            sim = simulate_limit(d)
+            mu, pi = sim.index_mu, sim.period_pi
+            assert m_step_competition(d, far) == m_step_competition(d, mu + (far - mu) % pi), d
 
 
 class TestEdgeListText:
