@@ -5,7 +5,8 @@ text, auto-detected) and emits a JSON report of the chain, the verdict,
 and any limits; ``verify`` runs a seeded differential campaign of random
 instances through the analytic-vs-simulation harness; ``export`` renders
 the class skeleton, the limit graph, or one m-step competition graph as
-DOT.
+DOT.  Output is written in pieces, edges one graph row at a time, after
+all of it is computed: a refusal never leaves part of it on stdout.
 
 Exit codes: analyze returns 0 when the sequence converges, 2 when it
 diverges, 1 on any input error; verify returns 0 when every instance
@@ -27,6 +28,8 @@ import json
 import os
 import random
 import sys
+from collections.abc import Callable, Iterator
+from itertools import compress
 
 from . import oracle, theory
 from .bmat import ParseError, _decimal
@@ -35,6 +38,7 @@ from .graphs import (
     NotLinearlyConnectedError,
     SelfLoopError,
     UndirectedGraph,
+    _DIGIT_FLAGS,
     _bit_indices,
     component_chain,
     detect_format,
@@ -114,7 +118,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "jbd": None,
     }
 
-    # (source, graph) of the limit, spliced into the report text at the end
+    # (source, graph) of the limit, written into the report text at the end
     limit = None
     all_nontrivial = not any(chain.trivial_flags)
     if all_nontrivial:
@@ -142,28 +146,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "detail": None,
         }
 
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if limit is not None:
         # '\n  "' starts a top-level key: strings in the report escape their
         # newlines and quotes, and deeper keys are indented further
-        text = text.replace('\n  "limit": null', '\n  "limit": ' + _limit_json(*limit), 1)
-    print(text)
+        source, g = limit
+        before, text = text.split('\n  "limit": null', 1)
+        head = "      [\n        {},\n        ".format
+        runs = _edge_runs(g, head, lambda u: "\n      ],\n" + head(u), "\n      ]")
+        first = next(runs, None)
+        edges = "[]" if first is None else "[\n" + first
+        sys.stdout.write(before + '\n  "limit": {\n    "edges": ' + edges)
+        for run in runs:
+            sys.stdout.write(",\n" + run)
+        text = ("" if first is None else "\n    ]") + f',\n    "source": "{source}"\n  }}' + text
+    sys.stdout.write(text)
     return 0 if verdict.converged else 2
 
 
-def _limit_json(source: str, g: UndirectedGraph) -> str:
-    """The report's "limit" object, {"edges": g's sorted edges as [u, v]
-    lists, "source": source}, exactly as json.dumps(indent=2,
-    sort_keys=True) writes it as a top-level value.  The edge list, most
-    of the report, is written straight from g's rows."""
-    runs = []
-    for u in range(1, g.n + 1):
-        head = f"      [\n        {u},\n        "
-        vs = ("\n      ],\n" + head).join(map(str, g.later_neighbours(u)))
-        if vs:
-            runs.append(head + vs + "\n      ]")
-    edges = "[\n" + ",\n".join(runs) + "\n    ]" if runs else "[]"
-    return f'{{\n    "edges": {edges},\n    "source": "{source}"\n  }}'
+def _edge_runs(g: UndirectedGraph, head: Callable, sep: Callable, close: str) -> Iterator[str]:
+    """For each row u of g with a neighbour v > u, the text head(u) +
+    sep(u).join(those v, ascending) + close, with u and v as decimal
+    labels.  The report's edge list and the DOT exports are written from
+    these runs, so no edge tuple and no string per edge is built."""
+    labels = [str(v) for v in range(1, g.n + 1)]
+    for u, row in enumerate(g.rows):
+        later = row >> (u + 1)
+        if later:
+            # digit k of the reversed binary string is bit u + 1 + k of the row
+            flags = format(later, "b")[::-1].encode().translate(_DIGIT_FLAGS)
+            yield head(labels[u]) + sep(labels[u]).join(compress(labels[u + 1 :], flags)) + close
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -234,29 +246,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dot_lines(name: str, edges: list[tuple[str, str]], ranks: list[list[str]]) -> str:
-    lines = [f"graph {name} {{", "  rankdir=LR;"]
-    for group in ranks:
-        inner = " ".join(f'"{v}";' for v in group)
-        lines.append(f"  {{ rank=same; {inner} }}")
-    for a, b in edges:
-        lines.append(f'  "{a}" -- "{b}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def _graph_dot(name: str, g: UndirectedGraph) -> None:
     """Write g as DOT to stdout: one line per vertex, then the edges (u, v),
-    u < v, in sorted order.  The edges are written one row of g at a time,
-    each row's run joined straight from its neighbours, so no edge tuple
-    and no string per edge is built."""
+    u < v, in sorted order, one row of g at a time."""
     write = sys.stdout.write
     write(f"graph {name} {{\n")
     write("".join(f'  "{v}";\n' for v in range(1, g.n + 1)))
-    for u in range(1, g.n + 1):
-        vs = f'";\n  "{u}" -- "'.join(map(str, g.later_neighbours(u)))
-        if vs:
-            write(f'  "{u}" -- "' + vs + '";\n')
+    for run in _edge_runs(g, '  "{}" -- "'.format, '";\n  "{}" -- "'.format, '";\n'):
+        write(run)
     write("}\n")
 
 
@@ -289,23 +286,25 @@ def cmd_export(args: argparse.Namespace) -> int:
     try:
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        sk = theory.cs_graph(d, chain, imp)
+        # limit_graph builds the class skeleton itself, refusing a trivial
+        # component with cs_graph's message
+        if what == "limit":
+            limit = theory.limit_graph(d, chain, imp)
+        else:
+            sk = theory.cs_graph(d, chain, imp)
     except (SelfLoopError, NotLinearlyConnectedError, theory.TrivialComponentError) as e:
         return _fail(str(e))
 
-    if what == "cs-graph":
-        ranks = [
-            [f"{p}_{j}" for j in range(1, sk.class_counts[p - 1] + 1)]
-            for p in range(1, sk.eta + 1)
-        ]
-        edges = [
-            (f"{p}_{i}", f"{q}_{j}")
-            for (p, i), (q, j) in sorted(sk.edges)
-        ]
-        print(_dot_lines("skeleton", edges, ranks), end="")
+    if what == "limit":
+        _graph_dot("limit", limit)
         return 0
-
-    _graph_dot("limit", theory.limit_graph(d, chain, imp))
+    write = sys.stdout.write
+    write("graph skeleton {\n  rankdir=LR;\n")
+    for p, count in enumerate(sk.class_counts, start=1):
+        inner = " ".join(f'"{p}_{j}";' for j in range(1, count + 1))
+        write(f"  {{ rank=same; {inner} }}\n")
+    write("".join(f'  "{p}_{i}" -- "{q}_{j}";\n' for (p, i), (q, j) in sorted(sk.edges)))
+    write("}\n")
     return 0
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,12 +20,14 @@ from compseq import (
     format_matrix,
     imprimitivity,
     limit_graph,
+    m_step_competition,
     random_instance,
 )
 from compseq import graphs, oracle, theory
 from compseq.cli import main
 from conftest import (
     cycle4_feeders,
+    cycle_chain,
     period3_matrix,
     three_chain_parallel,
     two_chain,
@@ -45,6 +48,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _ByteCounter:
+    """A stdout that counts the bytes written to it and keeps none."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 class TestAnalyze:
@@ -213,11 +230,45 @@ class TestReportText:
         }
         assert len(report["limit"]["edges"]) > 10
 
+    def test_large_analytic_limit(self, write, capsys):
+        d = random_instance(GeneratorSpec(eta=3, sizes=(100, 140), allow_trivial=False, seed=1))
+        assert d.n >= 300
+        report = self.report(capsys, write("r.el", format_edge_list(d)))
+        chain = component_chain(d)
+        limit = limit_graph(d, chain, imprimitivity(d, chain))
+        assert report["limit"]["edges"] == [list(e) for e in limit.edge_list()]
+
     def test_simulated_limit(self, write, capsys):
         path = write("c.el", format_edge_list(cycle4_feeders(4)))
         report = self.report(capsys, path, "--simulate-fallback")
         assert report["limit"]["source"] == "simulated"
         assert len(report["limit"]["edges"]) == 6
+
+    def test_simulated_limit_of_cycle_chain(self, write, capsys):
+        d = cycle_chain((3, 4))
+        report = self.report(capsys, write("c.el", format_edge_list(d)), "--simulate-fallback")
+        assert report["limit"] == {
+            "source": "simulated",
+            "edges": [list(e) for e in oracle.simulate_limit(d).limit.edge_list()],
+        }
+
+    def test_limit_is_streamed(self, write, monkeypatch):
+        # a dense limit (n = 447, kappas (150, 1, 1)) with a small skeleton,
+        # so the edge list is nearly all of the 4 MB report; writing it row
+        # by row holds a few rows of text at a time, where building the
+        # report as one string holds several copies of it
+        d = random_instance(GeneratorSpec(eta=3, sizes=(120, 150), allow_trivial=False, seed=2))
+        path = write("dense.el", format_edge_list(d))
+        sink = _ByteCounter()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["analyze", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.bytes > 3_000_000
+        assert peak < sink.bytes / 4
 
     def test_empty_limit(self, write, capsys):
         path = write("cycle.el", format_edge_list(Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])))
@@ -422,8 +473,66 @@ class TestExport:
     def test_trivial_component_refused(self, write, capsys):
         path = write("f.el", format_edge_list(cycle4_feeders(2)))
         for what in ("cs-graph", "limit"):
-            code, _, err = run(capsys, "export", path, "--what", what)
-            assert code == 1 and "component 2 is trivial" in err
+            code, out, err = run(capsys, "export", path, "--what", what)
+            assert code == 1 and out == ""
+            assert err == (
+                "error: component 2 is trivial; "
+                "the class skeleton needs every component nontrivial\n"
+            )
+
+    def test_limit_builds_the_skeleton_once(self, write, capsys, monkeypatch):
+        calls = []
+        cs_graph = theory.cs_graph
+        monkeypatch.setattr(theory, "cs_graph", lambda *a: calls.append(a) or cs_graph(*a))
+        path = write("t.el", format_edge_list(two_chain()))
+        code, out, _ = run(capsys, "export", path, "--what", "limit")
+        assert code == 0 and '"2" -- "4";' in out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make, whats",
+        [
+            # a 3-cycle: no edge in the limit or the competition graph
+            (lambda: Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)]), ["limit", "1", "2"]),
+            # one 5-cycle of classes whose last class is {5..9}: the only
+            # edges, the clique on that class, sit in the last rows
+            (
+                lambda: Digraph.from_arcs(
+                    9, [(1, 2), (2, 3), (3, 4)] + [(4, v) for v in range(5, 10)]
+                    + [(v, 1) for v in range(5, 10)]
+                ),
+                ["limit", "1", "3"],
+            ),
+            (lambda: Digraph.from_arcs(1, []), ["1", "2"]),
+            # the size of the benchmark's n = 474 chain
+            (
+                lambda: random_instance(
+                    GeneratorSpec(eta=4, sizes=(100, 200), allow_trivial=False, seed=2)
+                ),
+                ["limit", "1", "5"],
+            ),
+        ],
+        ids=["edgeless", "last-rows", "n=1", "n=474"],
+    )
+    def test_dot_edges_match_edge_list(self, write, capsys, make, whats):
+        d = make()
+        path = write("g.el", format_edge_list(d))
+        for what in whats:
+            if what == "limit":
+                chain = component_chain(d)
+                g = limit_graph(d, chain, imprimitivity(d, chain))
+                argv = ["limit"]
+            else:
+                g = m_step_competition(d, int(what))
+                argv = ["competition", what]
+            code, out, err = run(capsys, "export", path, "--what", *argv)
+            assert code == 0 and err == ""
+            assert out == (
+                f"graph {argv[0]} {{\n"
+                + "".join(f'  "{v}";\n' for v in range(1, d.n + 1))
+                + "".join(f'  "{u}" -- "{v}";\n' for u, v in g.edge_list())
+                + "}\n"
+            )
 
     def test_deterministic_output(self, write, capsys):
         path = write("p.el", format_edge_list(three_chain_parallel()))
