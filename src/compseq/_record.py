@@ -6,7 +6,9 @@ immutable record that behaves as ``@dataclass(frozen=True)`` does:
 * ``__init__`` takes the fields positionally or by keyword, in annotation
   order; a field with a class-level value defaults to it.  A missing,
   unexpected or doubly given field raises TypeError.  ``__post_init__``,
-  when the class defines one, runs after every construction.
+  when the class defines one, runs after every construction.  A call with
+  every field once by keyword and nothing else skips the general binder:
+  the values are picked in field order.
 * assigning or deleting an attribute raises AttributeError;
   ``functools.cached_property`` still works, as it writes the instance
   ``__dict__`` directly.
@@ -27,7 +29,7 @@ closures, built once per class.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 _setattr = object.__setattr__
 
@@ -40,10 +42,16 @@ def frozen(cls):
     post_init = getattr(cls, "__post_init__", None)
     get = attrgetter(*names)  # a TypeError when cls annotates no field
     values = get if count > 1 else lambda self: (get(self),)
+    fields = frozenset(names)
+    pick = itemgetter(*names)
+    keyed = pick if count > 1 else lambda kwargs: (pick(kwargs),)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != count:
-            args = _bind(cls.__name__, names, defaults, args, kwargs)
+            if not args and kwargs.keys() == fields:
+                args = keyed(kwargs)  # every field once by keyword, in field order
+            else:
+                args = _bind(cls.__name__, names, defaults, args, kwargs)
         # one attribute store per field, as a plain class's __init__ makes:
         # writing through self.__dict__ would cost every later attribute read
         for name, value in zip(names, args):

@@ -25,7 +25,8 @@ byte of the matching left row: at most n^2/8 row ORs, plus 32n for the
 tables, where the set-bit walk takes one per set entry, n^2/2 on a
 half-full matrix.  Any other left factor walks its cached ``successors``
 lists, one row OR per set entry, so repeated products with the same left
-factor, as the oracle's power walk makes, find its set bits once.
+factor find its set bits once.  The oracle's power walk reads the same
+lists for its own row steps.
 
 ``parse_matrix`` and ``format_matrix`` read and write the matrix text
 format: the dimension on line 1, then one row of 0s and 1s per line.

@@ -29,7 +29,8 @@ import os
 import random
 import sys
 from collections.abc import Callable, Iterator
-from itertools import compress
+from itertools import compress, groupby
+from operator import itemgetter
 
 from . import oracle, theory
 from .bmat import ParseError, _decimal
@@ -118,15 +119,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "jbd": None,
     }
 
-    # (source, graph) of the limit, written into the report text at the end
-    limit = None
+    # the limit as (source, graph) and the skeleton, whose edge lists are
+    # written into the report text at the end
+    limit = sk = None
     all_nontrivial = not any(chain.trivial_flags)
     if all_nontrivial:
         sk = theory.cs_graph(d, chain, imp)
-        report["skeleton"] = {
-            "class_counts": list(sk.class_counts),
-            "edges": sorted([p, i, q, j] for (p, i), (q, j) in sk.edges),
-        }
+        report["skeleton"] = {"class_counts": list(sk.class_counts), "edges": None}
         limit = ("analytic", theory.limit_graph(d, chain, imp))
         jbd = theory.jbd_condition(d, chain, imp)
         report["jbd"] = {
@@ -147,21 +146,46 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
 
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    write = sys.stdout.write
+    # '\n  "' starts a top-level key and '\n    "' a key one level down:
+    # strings in the report escape their newlines and quotes.  The limit
+    # comes before the skeleton in key order, and after it no other key of
+    # that depth is "edges".
     if limit is not None:
-        # '\n  "' starts a top-level key: strings in the report escape their
-        # newlines and quotes, and deeper keys are indented further
         source, g = limit
         before, text = text.split('\n  "limit": null', 1)
+        write(before + '\n  "limit": {\n    "edges": ')
         head = "      [\n        {},\n        ".format
-        runs = _edge_runs(g, head, lambda u: "\n      ],\n" + head(u), "\n      ]")
-        first = next(runs, None)
-        edges = "[]" if first is None else "[\n" + first
-        sys.stdout.write(before + '\n  "limit": {\n    "edges": ' + edges)
-        for run in runs:
-            sys.stdout.write(",\n" + run)
-        text = ("" if first is None else "\n    ]") + f',\n    "source": "{source}"\n  }}' + text
-    sys.stdout.write(text)
+        _write_items(write, _edge_runs(g, head, lambda u: "\n      ],\n" + head(u), "\n      ]"))
+        text = f',\n    "source": "{source}"\n  }}' + text
+    if sk is not None:
+        before, text = text.split('\n    "edges": null', 1)
+        write(before + '\n    "edges": ')
+        _write_items(write, _skeleton_runs(sk))
+    write(text)
     return 0 if verdict.converged else 2
+
+
+def _write_items(write: Callable, runs: Iterator[str]) -> None:
+    """Write the JSON list, as json.dumps(indent=2) lays out a list two
+    levels down, whose items are those of runs; each run is one or more
+    items, already joined by ",\\n"."""
+    first = next(runs, None)
+    if first is None:
+        write("[]")
+        return
+    write("[\n" + first)
+    for run in runs:
+        write(",\n" + run)
+    write("\n    ]")
+
+
+def _skeleton_runs(sk: theory.SkeletonGraph) -> Iterator[str]:
+    """The skeleton's edges as report items [p, i, q, j], in sorted order,
+    one run per source class (p, i)."""
+    item = "      [\n        {},\n        {},\n        {},\n        {}\n      ]".format
+    for (p, i), edges in groupby(sorted(sk.edges), itemgetter(0)):
+        yield ",\n".join([item(p, i, q, j) for _, (q, j) in edges])
 
 
 def _edge_runs(g: UndirectedGraph, head: Callable, sep: Callable, close: str) -> Iterator[str]:

@@ -4,7 +4,8 @@
 strong components, listed in topological order D_1, ..., D_eta, must form a
 directed path in the condensation, every arc either staying inside one
 component or going from some D_p straight to D_(p+1), with at least one arc
-across every consecutive interface.
+across every consecutive interface.  A digraph's chain is found once:
+``component_chain`` keeps it on the digraph for later calls.
 
 ``imprimitivity`` splits each strong component into its cyclic classes
 U_1, ..., U_kappa (kappa = gcd of the component's directed cycle lengths;
@@ -33,8 +34,8 @@ reach sequence is eventually periodic, so it finds the period by Brent's
 cycle detection (Brent, BIT 20, 1980) and jumps over whole periods: any m
 costs O(mu + pi) steps, where mu and pi are the index and period of that
 sequence.  The DP builds its own successor lists and does not read the
-cached ``successors`` that ``bool_mul`` and ``_strong_components`` share,
-so the two routes share no state.
+cached ``successors`` that ``bool_mul``, ``_strong_components`` and the
+oracle's power walk share, so the two routes share no state.
 """
 
 from __future__ import annotations
@@ -107,8 +108,10 @@ class UndirectedGraph:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        # BoolMatrix checks n >= 1, the row count and the bit range
-        cols = BoolMatrix(self.n, self.rows).columns()
+        # BoolMatrix's own checks on these fields: n >= 1, the row count
+        # and the bit range
+        BoolMatrix.__post_init__(self)
+        cols = BoolMatrix.columns(self)
         for i, (r, c) in enumerate(zip(self.rows, cols)):
             if (r >> i) & 1:
                 raise ValueError(f"adjacency matrix has nonzero diagonal at {i}")
@@ -247,7 +250,14 @@ def component_chain(d: Digraph) -> ComponentChain:
     outside the loopless class every result here is stated for.  A chain
     on n vertices needs at least n - 1 arcs, so fewer are rejected before
     any per-component work.
+
+    A chain found is kept in d's instance dict, as ``cached_property``
+    keeps ``successors`` there, and returned by every later call on d; a
+    refusal is not kept, so it raises again on every call.
     """
+    chain = d.__dict__.get("_component_chain")
+    if chain is not None:
+        return chain
     if d.self_loops:
         raise SelfLoopError(d.self_loops[0])
     arc_count = sum(map(int.bit_count, d.rows))
@@ -282,7 +292,8 @@ def component_chain(d: Digraph) -> ComponentChain:
             raise NotLinearlyConnectedError(
                 f"no arcs from component {p + 1} to component {p + 2}"
             )
-    return ComponentChain(tuple(comps))
+    chain = d.__dict__["_component_chain"] = ComponentChain(tuple(comps))
+    return chain
 
 
 @frozen

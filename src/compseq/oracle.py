@@ -4,16 +4,22 @@
 sequence of a Boolean matrix repeats after finitely many steps, so the
 whole infinite sequence of competition graphs is read off its periodic
 tail.  One walk to the first repeated power gives the index mu and the
-period pi exactly; the tail pass then stops at the first power past A^mu
-whose competition graph equals that of A^mu, because from there the
-graphs repeat (the argument is in ``simulate_limit``).  No theory enters; this is the oracle
-the analytic route is tested against.
+period pi exactly.  It steps on bare row tuples, each row of the next
+power an OR of rows of the last one picked by A's cached successor
+lists, and builds no matrix record per power.  The tail pass then stops
+at the first power past A^mu whose competition graph equals that of
+A^mu, because from there the graphs repeat (the argument is in
+``simulate_limit``).  No theory enters; this is the oracle the analytic
+route is tested against.
 
 ``verify`` runs both routes once on one digraph and compares verdicts,
 limits, clique structure and the period (pi = lcm of the components'
 imprimitivity indices); an exception raised by the analytic route counts
 as a failed check.  On a failure it greedily deletes arcs (keeping
 the digraph linearly connected) to return a minimal counterexample.
+``component_chain`` keeps its result on the digraph, so the chain that
+``random_instance`` checks is the one ``verify`` reads, and each shrink
+candidate finds its chain once.
 
 ``random_instance`` draws a linearly connected digraph deterministically
 from a seed: a Hamiltonian cycle plus random chords per nontrivial
@@ -28,7 +34,7 @@ from itertools import islice
 
 from . import theory
 from ._record import frozen
-from .bmat import BoolMatrix, bool_mul, gamma
+from .bmat import BoolMatrix, gamma
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -98,10 +104,12 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     Power walk: every distinct power's rows are stored (the full matrix,
     not a hash, so a repeat is a true repeat) until A^(mu+pi) = A^mu, after
     mu+pi-1 products.  A dict keeps insertion order, so its keys are
-    A^1 .. A^(mu+pi-1) in order and the tail is read off them.  A^(m+1) is
-    A * A^m: powers of one matrix commute, and ``bool_mul`` walks the set
-    bits of its left factor, so the sparse A goes on the left and a product
-    costs about one row OR per arc.
+    A^1 .. A^(mu+pi-1) in order and the tail is read off them.  A power is
+    only its tuple of rows; no matrix record is built for it.  A^(m+1) is
+    A * A^m (``_times``), not A^m * A: powers of one matrix commute, and
+    with A on the left, row i of the product ORs the rows of A^m picked by
+    ``a.successors[i]``, one row OR per arc of the sparse A, where A^m on
+    the left would cost one per set entry of the filling power.
 
     Stop rule: the pass ends at the first m > mu with
     gamma(A^m) = gamma(A^mu).  Let G_m = A^m (A^m)^T.  Then
@@ -115,27 +123,28 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     """
     if a.n > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"matrix dimension {a.n} exceeds size cap {DEFAULT_SIZE_CAP}")
-    seen = {a.rows: 1}
-    power = a
+    succ = a.successors
+    rows = a.rows
+    seen = {rows: 1}
     while True:
-        power = bool_mul(a, power)
-        mu = seen.get(power.rows)
+        rows = _times(succ, rows)
+        mu = seen.get(rows)
         if mu is not None:
             break
         if len(seen) >= DEFAULT_MEMORY_CAP:
             raise SizeCapError(
                 f"power sequence exceeded memory cap of {DEFAULT_MEMORY_CAP} distinct powers"
             )
-        seen[power.rows] = len(seen) + 1
+        seen[rows] = len(seen) + 1
     pi = len(seen) + 1 - mu
-    # distinct gammas of the tail, keyed by their rows, in order of first appearance
-    distinct: dict[tuple[int, ...], BoolMatrix] = {}
+    # the rows of the tail's distinct gammas, in order of first appearance
+    distinct: dict[tuple[int, ...], None] = {}
     for rows in islice(seen, mu - 1, None):
-        g = gamma(BoolMatrix(a.n, rows))
-        if distinct and g.rows == next(iter(distinct)):
+        g = gamma(BoolMatrix(a.n, rows)).rows
+        if distinct and g == next(iter(distinct)):
             break  # back at gamma(A^mu): the rest of the period repeats what is here
-        distinct.setdefault(g.rows, g)
-    graphs = tuple(UndirectedGraph.from_adjacency_matrix(g) for g in distinct.values())
+        distinct[g] = None
+    graphs = tuple(UndirectedGraph(a.n, g) for g in distinct)
     converged = len(graphs) == 1
     return SimulationResult(
         index_mu=mu,
@@ -144,6 +153,19 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
         limit=graphs[0] if converged else None,
         gamma_cycle=graphs,
     )
+
+
+def _times(succ: tuple[tuple[int, ...], ...], rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of A * X, where succ is ``A.successors`` and rows are the
+    rows of X: row i ORs the rows of X that succ[i] picks, as the sparse
+    path of ``bool_mul`` does."""
+    out = []
+    for picks in succ:
+        acc = 0
+        for k in picks:
+            acc |= rows[k]
+        out.append(acc)
+    return tuple(out)
 
 
 @frozen

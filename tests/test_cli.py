@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -269,6 +270,33 @@ class TestReportText:
             tracemalloc.stop()
         assert code == 0 and sink.bytes > 3_000_000
         assert peak < sink.bytes / 4
+
+    def test_large_skeleton_is_written_in_pieces(self, write, monkeypatch):
+        # a 40-cycle and a 41-cycle joined by one arc: the gcd of the kappas
+        # is 1, so every class of one meets every class of the other, and
+        # the skeleton has kappa_1 * kappa_2 = 1640 edges
+        arcs = [(v, v % 40 + 1) for v in range(1, 41)]
+        arcs += [(40 + v, 40 + v % 41 + 1) for v in range(1, 42)] + [(1, 41)]
+        d = Digraph.from_arcs(81, arcs)
+        chunks = []
+        sink = SimpleNamespace(write=lambda text: chunks.append(text) or len(text), flush=lambda: None)
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main(["analyze", write("cycles.el", format_edge_list(d))]) == 0
+        out = "".join(chunks)
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        chain = component_chain(d)
+        sk = theory.cs_graph(d, chain, imprimitivity(d, chain))
+        assert report["skeleton"] == {
+            "class_counts": [40, 41],
+            "edges": [[p, i, q, j] for (p, i), (q, j) in sorted(sk.edges)],
+        }
+        assert len(sk.edges) == 40 * 41
+        # one run per source class: no write holds more than one class's 41
+        # skeleton items, and no item is split between two writes
+        item = re.compile(r"\[\n {8}\d+,\n {8}\d+,\n {8}\d+,\n {8}\d+\n {6}\]")
+        per_write = [len(item.findall(chunk)) for chunk in chunks]
+        assert max(per_write) == 41 and sum(per_write) == 40 * 41
 
     def test_empty_limit(self, write, capsys):
         path = write("cycle.el", format_edge_list(Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])))

@@ -284,6 +284,32 @@ class TestComponentChain:
         with pytest.raises(NotLinearlyConnectedError):
             component_chain(d)
 
+    def test_chain_is_found_once_per_digraph(self, monkeypatch):
+        d = two_chain()
+        chain = component_chain(d)
+        assert component_chain(d) is chain
+
+        def no_tarjan(d):
+            raise AssertionError("strong components computed again")
+
+        monkeypatch.setattr(graphs, "_strong_components", no_tarjan)
+        assert component_chain(d) is chain
+        assert d == two_chain()  # the kept chain is not a field
+
+    def test_refusal_raises_on_every_call(self, monkeypatch):
+        calls = []
+        tarjan = graphs._strong_components
+        monkeypatch.setattr(graphs, "_strong_components", lambda d: calls.append(d) or tarjan(d))
+        d = Digraph.from_arcs(3, [(1, 2), (2, 3), (1, 3)])
+        for attempt in range(1, 4):
+            with pytest.raises(NotLinearlyConnectedError, match=r"arc \(1,3\) jumps"):
+                component_chain(d)
+            assert len(calls) == attempt  # nothing was kept
+        loop = Digraph.from_arcs(2, [(1, 2), (2, 2)])
+        for _ in range(2):
+            with pytest.raises(SelfLoopError):
+                component_chain(loop)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000))
     def test_accepted_chains_have_consecutive_arcs(self, seed):

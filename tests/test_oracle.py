@@ -26,7 +26,7 @@ from compseq import (
     simulate_limit,
     verify,
 )
-from compseq import oracle, theory
+from compseq import bmat, oracle, theory
 from conftest import (
     bool_matrices,
     cycle4_feeders,
@@ -139,12 +139,14 @@ class TestTailStopRule:
             calls.append(x)
             return gamma(x)
 
-        def counted_mul(x, y):
-            products.append(x)
-            return bool_mul(x, y)
+        times = oracle._times
+
+        def counted_times(succ, rows):
+            products.append(rows)
+            return times(succ, rows)
 
         monkeypatch.setattr(oracle, "gamma", counted_gamma)
-        monkeypatch.setattr(oracle, "bool_mul", counted_mul)
+        monkeypatch.setattr(oracle, "_times", counted_times)
         master = random.Random(20261018)
         cycle_lengths = set()
         divergent_early_stops = 0
@@ -182,6 +184,33 @@ class TestTailStopRule:
         sim = simulate_limit(a)
         assert sim == full_period_simulation(a)
         assert sim.converged and sim.period_pi == math.lcm(*lengths)
+
+    def test_matches_the_reference_walk_at_both_ends_of_the_size_range(self, monkeypatch):
+        # the reference steps A^m * A with bool_mul; at n = 64 and half the
+        # entries set that product goes through the Four Russians tables,
+        # while the oracle's walk ORs rows picked by A's successor lists
+        tables = []
+        inner = bmat._four_russians
+        monkeypatch.setattr(bmat, "_four_russians", lambda *args: tables.append(1) or inner(*args))
+        rng = random.Random(64)
+        dense = [random_matrix(rng, DEFAULT_SIZE_CAP, 0.5) for _ in range(3)]
+        # 8 classes of 8 vertices, each vertex with arcs to half of the next
+        # class: 16 * 256 set entries = 64^2, and the powers fill their rows
+        # over several steps before they cycle with period 8
+        cyclic = BoolMatrix(64, tuple(
+            sum(1 << (8 * ((v // 8 + 1) % 8) + w) for w in rng.sample(range(8), 4))
+            for v in range(64)
+        ))
+        ones = BoolMatrix(64, ((1 << 64) - 1,) * 64)
+        singles = [BoolMatrix(1, (0,)), BoolMatrix(1, (1,))]
+        for a in singles + dense + [cyclic, ones]:
+            assert simulate_limit(a) == full_period_simulation(a)
+        assert len(tables) > 0
+        assert simulate_limit(cyclic).period_pi == 8
+        assert simulate_limit(ones).limit.edges == {
+            (u, v) for u in range(1, 65) for v in range(u + 1, 65)
+        }
+        assert [simulate_limit(a).limit for a in singles] == [UndirectedGraph(1, (0,))] * 2
 
     @settings(max_examples=200, deadline=None)
     @given(matrix_pairs())
@@ -259,6 +288,25 @@ class TestVerify:
         ce = report.counterexample
         assert len(ce.arcs) == 8 and ce.arcs < three_chain_complete().arcs
         assert not any(component_chain(ce).trivial_flags)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_kept_chain_gives_the_fresh_report(self, seed):
+        # random_instance has found the chain of d and kept it; a copy
+        # made from the rows alone has none
+        d = random_instance(GeneratorSpec(eta=3, sizes=(1, 5), seed=seed))
+        assert component_chain(d) is component_chain(d)
+        assert verify(d) == verify(Digraph(d.n, d.rows))
+
+    def test_kept_chain_gives_the_fresh_shrunken_failure(self, monkeypatch):
+        def broken_limit(d, chain, imp):
+            raise InternalCheckError("injected")
+
+        monkeypatch.setattr(theory, "limit_graph", broken_limit)
+        d = three_chain_complete()
+        component_chain(d)
+        report = verify(d)
+        assert not report.passed
+        assert report == verify(three_chain_complete())
 
     def test_period_check_compares_lcm_of_kappas(self):
         d = cycle_chain((2, 3))

@@ -143,6 +143,20 @@ class TestRecord:
                 cls(*values[:-1])
 
 
+def test_misspelt_keyword_takes_the_general_binder(record):
+    # every field by keyword with one name misspelt: the same TypeError as
+    # any other bad call, never a call that goes through
+    cls, fields = record
+    *rest, last = fields
+    misspelt = {**{name: fields[name] for name in rest}, last + "_": fields[last]}
+    if cls is GeneratorSpec:  # its last field has a default
+        message = f"got an unexpected keyword argument '{last}_'"
+    else:
+        message = f"missing required argument '{last}'"
+    with pytest.raises(TypeError, match=f"^{cls.__name__}\\(\\) {message}$"):
+        cls(**misspelt)
+
+
 def test_boolmatrix_repr():
     assert repr(BoolMatrix(2, (0b10, 0b01))) == "BoolMatrix(2, [01,10])"
 
