@@ -54,9 +54,9 @@ def walk_through(name: str, d: Digraph) -> None:
         print(f"  interface {p}->{p + 1}: class pairs {pairs}")
 
     sk = cs_graph(d, chain, imp)
-    print("  skeleton edges:", sorted(sk.edges))
+    print("  skeleton edges:", sk.edge_list())
 
-    limit = limit_graph(d, chain, imp)
+    limit = limit_graph(sk, imp)
     sim = simulate_limit(d)
     print("  limit edges:", sorted(limit.edges))
     print("  matches simulation:", limit == sim.limit)

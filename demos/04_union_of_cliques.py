@@ -16,6 +16,7 @@ fails.
 from compseq import (
     Digraph,
     component_chain,
+    cs_graph,
     imprimitivity,
     jbd_condition,
     limit_graph,
@@ -38,7 +39,7 @@ def report(name: str, d: Digraph) -> None:
         print(f"  {line}")
     print(f"  union of cliques: {verdict.holds}")
 
-    limit = limit_graph(d, chain, imp)
+    limit = limit_graph(cs_graph(d, chain, imp), imp)
     sim = simulate_limit(d)
     print(f"  limit edges {sorted(limit.edges)}")
     print(f"  shape check against simulation: "

@@ -199,13 +199,19 @@ def bool_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     brows = b.rows
     if n >= 64 and 16 * sum(map(int.bit_count, a.rows)) >= n * n:
         return BoolMatrix(n, _four_russians(a.rows, brows, n))
+    return BoolMatrix(n, _times(a.successors, brows))
+
+
+def _times(succ: tuple[tuple[int, ...], ...], rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows of A * X, where succ is ``A.successors`` and rows are the
+    rows of X: row i ORs the rows of X that succ[i] picks."""
     out = []
-    for succ in a.successors:
+    for picks in succ:
         acc = 0
-        for k in succ:
-            acc |= brows[k]
+        for k in picks:
+            acc |= rows[k]
         out.append(acc)
-    return BoolMatrix(n, tuple(out))
+    return tuple(out)
 
 
 def _four_russians(arows: tuple[int, ...], brows: tuple[int, ...], n: int) -> tuple[int, ...]:

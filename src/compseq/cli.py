@@ -29,8 +29,7 @@ import os
 import random
 import sys
 from collections.abc import Callable, Iterator
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import compress
 
 from . import oracle, theory
 from .bmat import ParseError, _decimal
@@ -126,7 +125,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if all_nontrivial:
         sk = theory.cs_graph(d, chain, imp)
         report["skeleton"] = {"class_counts": list(sk.class_counts), "edges": None}
-        limit = ("analytic", theory.limit_graph(d, chain, imp))
+        limit = ("analytic", theory.limit_graph(sk, imp))
         jbd = theory.jbd_condition(d, chain, imp)
         report["jbd"] = {
             "source": "analytic",
@@ -184,8 +183,10 @@ def _skeleton_runs(sk: theory.SkeletonGraph) -> Iterator[str]:
     """The skeleton's edges as report items [p, i, q, j], in sorted order,
     one run per source class (p, i)."""
     item = "      [\n        {},\n        {},\n        {},\n        {}\n      ]".format
-    for (p, i), edges in groupby(sorted(sk.edges), itemgetter(0)):
-        yield ",\n".join([item(p, i, q, j) for _, (q, j) in edges])
+    edges = sk.edge_list()
+    starts = [k for k, e in enumerate(edges) if k == 0 or e[0] != edges[k - 1][0]]
+    for a, b in zip(starts, starts[1:] + [len(edges)]):
+        yield ",\n".join([item(p, i, q, j) for (p, i), (q, j) in edges[a:b]])
 
 
 def _edge_runs(g: UndirectedGraph, head: Callable, sep: Callable, close: str) -> Iterator[str]:
@@ -310,24 +311,19 @@ def cmd_export(args: argparse.Namespace) -> int:
     try:
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        # limit_graph builds the class skeleton itself, refusing a trivial
-        # component with cs_graph's message
-        if what == "limit":
-            limit = theory.limit_graph(d, chain, imp)
-        else:
-            sk = theory.cs_graph(d, chain, imp)
+        sk = theory.cs_graph(d, chain, imp)
     except (SelfLoopError, NotLinearlyConnectedError, theory.TrivialComponentError) as e:
         return _fail(str(e))
 
     if what == "limit":
-        _graph_dot("limit", limit)
+        _graph_dot("limit", theory.limit_graph(sk, imp))
         return 0
     write = sys.stdout.write
     write("graph skeleton {\n  rankdir=LR;\n")
     for p, count in enumerate(sk.class_counts, start=1):
         inner = " ".join(f'"{p}_{j}";' for j in range(1, count + 1))
         write(f"  {{ rank=same; {inner} }}\n")
-    write("".join(f'  "{p}_{i}" -- "{q}_{j}";\n' for (p, i), (q, j) in sorted(sk.edges)))
+    write("".join(f'  "{p}_{i}" -- "{q}_{j}";\n' for (p, i), (q, j) in sk.edge_list()))
     write("}\n")
     return 0
 

@@ -34,7 +34,7 @@ from itertools import islice
 
 from . import theory
 from ._record import frozen
-from .bmat import BoolMatrix, gamma
+from .bmat import BoolMatrix, _times, gamma
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -155,19 +155,6 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     )
 
 
-def _times(succ: tuple[tuple[int, ...], ...], rows: tuple[int, ...]) -> tuple[int, ...]:
-    """The rows of A * X, where succ is ``A.successors`` and rows are the
-    rows of X: row i ORs the rows of X that succ[i] picks, as the sparse
-    path of ``bool_mul`` does."""
-    out = []
-    for picks in succ:
-        acc = 0
-        for k in picks:
-            acc |= rows[k]
-        out.append(acc)
-    return tuple(out)
-
-
 @frozen
 class CheckResult:
     name: str
@@ -232,7 +219,7 @@ def _compare(
         return None
     assert sim.limit is not None
     if name == "limit":
-        analytic = theory.limit_graph(d, chain, imp)
+        analytic = theory.limit_graph(theory.cs_graph(d, chain, imp), imp)
         if analytic == sim.limit:
             return CheckResult("limit", True, "graphs equal")
         extra = sorted(analytic.edges - sim.limit.edges)

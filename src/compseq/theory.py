@@ -20,6 +20,9 @@ Conventions used throughout:
   bits.  ``lambda_set`` sets bit j - 1 for label j, and ``b_graph`` turns
   residue r back into label r + 1.  Walk-length residues live in Z_kappa
   with no label mapping.
+* The class skeleton is label masks too: ``SkeletonGraph.joins[p-1][i-1]``
+  is the mask of the labels j of level p + 1 joined to (p, i), bit j - 1
+  for label j; ``b_graph`` builds one level of it.
 * Skeleton paths are ascending: one partite level per step.  Under that
   reading the three limit adjacency clauses (same class, same component,
   cross component) collapse to one rule between classes: x in U_i of D_p
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 
 from ._record import frozen
 from .graphs import (
@@ -84,24 +87,36 @@ class SkeletonGraph:
     """The class skeleton: an eta-partite graph whose level-p part is the
     label set {1 .. kappa_p}, with edges only between consecutive levels.
 
-    A vertex is a (level, label) pair; an edge joins ((p, i), (p+1, j)).
+    A vertex is a (level, label) pair.  joins[p-1][i-1] is the mask of the
+    labels j of level p + 1 joined to (p, i), bit j - 1 for label j.
     """
 
     class_counts: tuple[int, ...]
-    edges: frozenset[tuple[tuple[int, int], tuple[int, int]]]
+    joins: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for (p, i), (q, j) in self.edges:
-            if q != p + 1:
-                raise ValueError(f"skeleton edge ({p},{i})-({q},{j}) not consecutive")
-            if not (1 <= p <= len(self.class_counts) - 1):
-                raise ValueError(f"skeleton edge at level {p} outside 1..{len(self.class_counts) - 1}")
-            if not (1 <= i <= self.class_counts[p - 1] and 1 <= j <= self.class_counts[q - 1]):
-                raise ValueError(f"skeleton edge ({p},{i})-({q},{j}) has label out of range")
+        counts = self.class_counts
+        if len(self.joins) != len(counts) - 1:
+            raise ValueError(f"skeleton has {len(self.joins)} join levels for {len(counts)} levels")
+        for p, level in enumerate(self.joins, start=1):
+            if len(level) != counts[p - 1]:
+                raise ValueError(f"skeleton level {p} has {len(level)} classes, not {counts[p-1]}")
+            for i, mask in enumerate(level, start=1):
+                if mask < 0 or mask >> counts[p]:
+                    raise ValueError(f"skeleton joins of ({p},{i}) have a label out of range")
 
     @property
     def eta(self) -> int:
         return len(self.class_counts)
+
+    def edge_list(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """Every edge ((p, i), (p + 1, j)), in sorted order."""
+        return [
+            ((p, i), (p + 1, j + 1))
+            for p, level in enumerate(self.joins, start=1)
+            for i, mask in enumerate(level, start=1)
+            for j in _bit_indices(mask)
+        ]
 
 @frozen
 class DivergenceWitness:
@@ -280,19 +295,19 @@ def converges(
     return ConvergenceVerdict(True, RULE_TRAILING_CONDITION, None)
 
 
-def b_graph(
-    kappa1: int, kappa2: int, pairs: frozenset[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
+def b_graph(kappa1: int, kappa2: int, pairs: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     """Bipartite skeleton between the classes of two consecutive nontrivial
-    components: labels (i, j) are joined iff for some interface pair (k, l)
-    and some t in 0..lcm(kappa1,kappa2)-1, i = k + 1 + t (mod kappa1) and
+    components, as the joins of one skeleton level: entry i - 1 is the
+    mask of the labels j joined to label i, bit j - 1 for label j.  Labels
+    (i, j) are joined iff for some interface pair (k, l) and some t in
+    0..lcm(kappa1,kappa2)-1, i = k + 1 + t (mod kappa1) and
     j = l + t (mod kappa2).
 
-    Along the walk of (k, l), i - j = k - l + 1 (mod gcd(kappa1, kappa2)),
-    and by the Chinese remainder theorem the walk reaches every (i, j)
-    with that difference.  Pairs with the same (k - l) mod gcd therefore
-    give the same edges, and one pair per residue is walked: at most
-    gcd * lcm = kappa1 * kappa2 steps, however many pairs there are.
+    Along the walk of (k, l), i - j = k - l + 1 (mod g), g = gcd(kappa1,
+    kappa2), and by the Chinese remainder theorem the walk reaches every
+    (i, j) with that difference.  So the j - 1 joined to i are, mod g, the
+    residues l - k - 1 of the pairs rotated by i - 1, and the mask of i
+    repeats that g-bit pattern in every block of g labels.
     """
     if kappa1 < 1 or kappa2 < 1:
         raise ValueError(f"class counts must be >= 1, got {kappa1}, {kappa2}")
@@ -301,15 +316,10 @@ def b_graph(
             raise ValueError(
                 f"interface pair ({k},{l}) inconsistent with moduli ({kappa1},{kappa2})"
             )
-    edges = set()
-    period = lcm(kappa1, kappa2)
-    modulus = gcd(kappa1, kappa2)
-    for k, l in {(k - l) % modulus: (k, l) for k, l in pairs}.values():
-        for t in range(period):
-            i = (k + t) % kappa1 + 1
-            j = (l - 1 + t) % kappa2 + 1
-            edges.add((i, j))
-    return frozenset(edges)
+    g = gcd(kappa1, kappa2)
+    comb = ((1 << kappa2) - 1) // ((1 << g) - 1)  # bits 0, g, 2g, ... below kappa2
+    pattern = sum({1 << (l - k - 1) % g for k, l in pairs})
+    return tuple(comb * _rotate(pattern, i, g) for i in range(kappa1))
 
 
 def cs_graph(
@@ -317,25 +327,27 @@ def cs_graph(
 ) -> SkeletonGraph:
     """The class skeleton of the whole chain: the union of the consecutive
     bipartite skeletons.  Defined only when every component is nontrivial."""
+    _require_nontrivial(chain, "the class skeleton")
+    joins = (
+        b_graph(imp.kappa(p), imp.kappa(p + 1), interface_pairs(d, chain, imp, p))
+        for p in range(1, chain.eta)
+    )
+    return SkeletonGraph(class_counts=imp.kappas, joins=tuple(joins))
+
+
+def _require_nontrivial(chain: ComponentChain, needs: str) -> None:
+    """Raise TrivialComponentError naming the first trivial component, if any."""
     for p, trivial in enumerate(chain.trivial_flags, start=1):
         if trivial:
             raise TrivialComponentError(
-                f"component {p} is trivial; the class skeleton needs every component nontrivial"
+                f"component {p} is trivial; {needs} needs every component nontrivial"
             )
-    edges = set()
-    for p in range(1, chain.eta):
-        pairs = interface_pairs(d, chain, imp, p)
-        for i, j in b_graph(imp.kappa(p), imp.kappa(p + 1), pairs):
-            edges.add(((p, i), (p + 1, j)))
-    return SkeletonGraph(class_counts=imp.kappas, edges=frozenset(edges))
 
 
-def limit_graph(
-    d: Digraph, chain: ComponentChain, imp: ImprimitivityData
-) -> UndirectedGraph:
+def limit_graph(sk: SkeletonGraph, imp: ImprimitivityData) -> UndirectedGraph:
     """The limit of the m-step competition graph sequence, built from the
-    class skeleton.  Defined only when every component is nontrivial (the
-    sequence then converges unconditionally).
+    class skeleton sk = cs_graph(d, chain, imp).  Defined, as sk is, only
+    when every component is nontrivial (the sequence then converges unconditionally).
 
     x in U_i of D_p and y in U_j of D_q are adjacent iff R_(p,i) & R_(q,j)
     != 0, where R_c is the ascending reach of class c as a mask over all
@@ -348,15 +360,17 @@ def limit_graph(
     decided once per class pair, and each vertex takes the OR of the
     member masks of the classes that meet its own, minus its own bit.
     """
-    sk = cs_graph(d, chain, imp)
     # class (p, i) has index offset[p-1] + i - 1, ascending with the level
     offset = list(accumulate(sk.class_counts, initial=0))
     reach = [1 << c for c in range(offset[-1])]
-    # level p's edges after level p+1's, so every child's reach is final
-    for (p, i), (q, j) in sorted(sk.edges, reverse=True):
-        reach[offset[p - 1] + i - 1] |= reach[offset[q - 1] + j - 1]
+    # top level down, so the reaches of level p + 1 are final before level p
+    for p in range(sk.eta - 1, 0, -1):
+        for c, mask in enumerate(sk.joins[p - 1], start=offset[p - 1]):
+            for j in _bit_indices(mask):
+                reach[c] |= reach[offset[p] + j]
     members = [m for level in imp.class_masks for m in level]
-    rows = [0] * d.n
+    # the classes of an all-nontrivial chain partition the vertices 1..n
+    rows = [0] * sum(map(int.bit_count, members))
     for ma, ra in zip(members, reach):
         row = 0
         for rb, mb in zip(reach, members):
@@ -364,7 +378,7 @@ def limit_graph(
                 row |= mb
         for v in _bit_indices(ma):
             rows[v] = row & ~(1 << v)
-    return UndirectedGraph(d.n, tuple(rows))
+    return UndirectedGraph(len(rows), tuple(rows))
 
 
 def jbd_condition(
@@ -377,11 +391,7 @@ def jbd_condition(
 
     Defined only when every component is nontrivial.
     """
-    for p, trivial in enumerate(chain.trivial_flags, start=1):
-        if trivial:
-            raise TrivialComponentError(
-                f"component {p} is trivial; the clique criterion needs every component nontrivial"
-            )
+    _require_nontrivial(chain, "the clique criterion")
     eta = chain.eta
     kappa_last = imp.kappa(eta)
     lines = []

@@ -17,6 +17,7 @@ from compseq import (
     UndirectedGraph,
     component_chain,
     converges,
+    cs_graph,
     format_edge_list,
     format_matrix,
     imprimitivity,
@@ -224,7 +225,8 @@ class TestReportText:
         d = random_instance(GeneratorSpec(eta=3, sizes=(3, 7), allow_trivial=False, seed=5))
         report = self.report(capsys, write("r.el", format_edge_list(d)))
         chain = component_chain(d)
-        limit = limit_graph(d, chain, imprimitivity(d, chain))
+        imp = imprimitivity(d, chain)
+        limit = limit_graph(cs_graph(d, chain, imp), imp)
         assert report["limit"] == {
             "source": "analytic",
             "edges": [list(e) for e in sorted(limit.edges)],
@@ -236,7 +238,8 @@ class TestReportText:
         assert d.n >= 300
         report = self.report(capsys, write("r.el", format_edge_list(d)))
         chain = component_chain(d)
-        limit = limit_graph(d, chain, imprimitivity(d, chain))
+        imp = imprimitivity(d, chain)
+        limit = limit_graph(cs_graph(d, chain, imp), imp)
         assert report["limit"]["edges"] == [list(e) for e in limit.edge_list()]
 
     def test_simulated_limit(self, write, capsys):
@@ -289,9 +292,9 @@ class TestReportText:
         sk = theory.cs_graph(d, chain, imprimitivity(d, chain))
         assert report["skeleton"] == {
             "class_counts": [40, 41],
-            "edges": [[p, i, q, j] for (p, i), (q, j) in sorted(sk.edges)],
+            "edges": [[p, i, q, j] for (p, i), (q, j) in sk.edge_list()],
         }
-        assert len(sk.edges) == 40 * 41
+        assert len(sk.edge_list()) == 40 * 41
         # one run per source class: no write holds more than one class's 41
         # skeleton items, and no item is split between two writes
         item = re.compile(r"\[\n {8}\d+,\n {8}\d+,\n {8}\d+,\n {8}\d+\n {6}\]")
@@ -338,11 +341,12 @@ class TestVerifyCommand:
     def test_failure_prints_shrunken_counterexample(self, capsys, monkeypatch):
         real = theory.limit_graph
 
-        def toggled(d, chain, imp):
-            rows = list(real(d, chain, imp).rows)
+        def toggled(sk, imp):
+            g = real(sk, imp)
+            rows = list(g.rows)
             rows[0] ^= 0b10
             rows[1] ^= 0b01
-            return UndirectedGraph(d.n, tuple(rows))
+            return UndirectedGraph(g.n, tuple(rows))
 
         monkeypatch.setattr(theory, "limit_graph", toggled)
         code, out, _ = run(capsys, "verify", "--count", "3", "--eta", "2", "--sizes", "2..3")
@@ -508,13 +512,18 @@ class TestExport:
                 "the class skeleton needs every component nontrivial\n"
             )
 
-    def test_limit_builds_the_skeleton_once(self, write, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, limit_text",
+        [(["analyze"], '"source": "analytic"'), (["export", "--what", "limit"], '"2" -- "4";')],
+        ids=["analyze", "export"],
+    )
+    def test_limit_builds_the_skeleton_once(self, write, capsys, monkeypatch, argv, limit_text):
         calls = []
-        cs_graph = theory.cs_graph
-        monkeypatch.setattr(theory, "cs_graph", lambda *a: calls.append(a) or cs_graph(*a))
+        real = theory.cs_graph
+        monkeypatch.setattr(theory, "cs_graph", lambda *a: calls.append(a) or real(*a))
         path = write("t.el", format_edge_list(two_chain()))
-        code, out, _ = run(capsys, "export", path, "--what", "limit")
-        assert code == 0 and '"2" -- "4";' in out
+        code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0 and limit_text in out
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -548,7 +557,8 @@ class TestExport:
         for what in whats:
             if what == "limit":
                 chain = component_chain(d)
-                g = limit_graph(d, chain, imprimitivity(d, chain))
+                imp = imprimitivity(d, chain)
+                g = limit_graph(cs_graph(d, chain, imp), imp)
                 argv = ["limit"]
             else:
                 g = m_step_competition(d, int(what))

@@ -273,7 +273,7 @@ class TestVerify:
         component_chain(report.counterexample)  # still linearly connected
 
     def test_analytic_exception_is_a_shrunken_failed_check(self, monkeypatch):
-        def broken_limit(d, chain, imp):
+        def broken_limit(sk, imp):
             raise InternalCheckError("injected")
 
         monkeypatch.setattr(theory, "limit_graph", broken_limit)
@@ -298,7 +298,7 @@ class TestVerify:
         assert verify(d) == verify(Digraph(d.n, d.rows))
 
     def test_kept_chain_gives_the_fresh_shrunken_failure(self, monkeypatch):
-        def broken_limit(d, chain, imp):
+        def broken_limit(sk, imp):
             raise InternalCheckError("injected")
 
         monkeypatch.setattr(theory, "limit_graph", broken_limit)

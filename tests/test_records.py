@@ -36,7 +36,7 @@ SAMPLES = {
     UndirectedGraph: {"n": 3, "rows": (0b010, 0b101, 0b010)},
     ComponentChain: {"masks": (0b01, 0b10)},
     ImprimitivityData: {"kappas": (2,), "class_masks": ((0b01, 0b10),)},
-    SkeletonGraph: {"class_counts": (2, 2), "edges": frozenset({((1, 1), (2, 2))})},
+    SkeletonGraph: {"class_counts": (2, 2), "joins": ((0b10, 0),)},
     DivergenceWitness: {"j1": 1, "j2": 2, "excluded_residue": 0},
     ConvergenceVerdict: {"converged": True, "rule": "NontrivialTail", "witness": None},
     JbdVerdict: {"holds": False, "failing_level": 1, "detail": "split", "levels": ("a", "b")},
@@ -64,7 +64,7 @@ INVALID = [
     (BoolMatrix, (2, (0,)), "expected 2 rows"),
     (UndirectedGraph, (2, (0b10, 0)), "not symmetric"),
     (ImprimitivityData, ((2,), ((0b1,),)), "expected 2 classes"),
-    (SkeletonGraph, ((2, 2), frozenset({((1, 1), (1, 2))})), "not consecutive"),
+    (SkeletonGraph, ((2, 2), ((0b100, 0),)), "label out of range"),
     (ConvergenceVerdict, (True, "NontrivialTail", DivergenceWitness(1, 2, 0)), "witness"),
     (GeneratorSpec, (0,), "at least one component"),
 ]

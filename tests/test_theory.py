@@ -319,14 +319,18 @@ def per_pair_b_graph(kappa1, kappa2, pairs):
     return frozenset(edges)
 
 
+def joined(masks):
+    """The label pairs (i, j) of b_graph's joins masks."""
+    return {(i, j) for i, mask in enumerate(masks, start=1) for j in vertices(mask)}
+
+
 class TestBGraph:
     def test_single_pair_two_by_two(self):
-        got = b_graph(2, 2, frozenset({(2, 1)}))
-        assert got == {(1, 1), (2, 2)}
+        # (1, 1) and (2, 2)
+        assert b_graph(2, 2, frozenset({(2, 1)})) == (0b01, 0b10)
 
     def test_coprime_moduli_fill_completely(self):
-        got = b_graph(2, 3, frozenset({(1, 1)}))
-        assert got == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
+        assert b_graph(2, 3, frozenset({(1, 1)})) == (0b111, 0b111)
 
     def test_matches_congruence_definition(self):
         # every interface set of up to two pairs with kappa1, kappa2 <= 5
@@ -344,20 +348,24 @@ class TestBGraph:
                         if (i - k - 1 - t) % k1 == 0 and (j - l - t) % k2 == 0
                     }
                     got = b_graph(k1, k2, frozenset(iset))
-                    assert got == expected, (k1, k2, iset)
+                    assert joined(got) == expected, (k1, k2, iset)
 
     def test_matches_per_pair_loop(self):
-        # pair sets large enough that many pairs share (k - l) mod gcd
+        # pair sets large enough that many pairs share (k - l) mod gcd, then
+        # the kappas of the benchmark's nt278 chain, a coprime pair with a
+        # 19 044-edge skeleton, and a gcd-6 pair
         rng = random.Random(808)
+        shapes = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(300)]
+        shapes += [(96, 114), (138, 137), (12, 18)] * 3
         repeated = 0
-        for _ in range(300):
-            k1, k2 = rng.randint(1, 12), rng.randint(1, 12)
+        for k1, k2 in shapes:
             g = math.gcd(k1, k2)
             pairs = frozenset(
                 (rng.randint(1, k1), rng.randint(1, k2)) for _ in range(rng.randint(1, 10))
             )
             repeated += len({(k - l) % g for k, l in pairs}) < len(pairs)
-            assert b_graph(k1, k2, pairs) == per_pair_b_graph(k1, k2, pairs), (k1, k2, pairs)
+            expected = per_pair_b_graph(k1, k2, pairs)
+            assert joined(b_graph(k1, k2, pairs)) == expected, (k1, k2, pairs)
         assert repeated >= 100
 
     def test_validation(self):
@@ -374,20 +382,30 @@ class TestSkeleton:
         sk = cs_graph(d, chain, imprimitivity(d, chain))
         assert sk.class_counts == (2, 2, 2)
         assert sk.eta == 3
-        assert sk.edges == {
+        assert sk.joins == ((0b01, 0b10), (0b01, 0b10))
+        assert sk.edge_list() == [
             ((1, 1), (2, 1)),
             ((1, 2), (2, 2)),
             ((2, 1), (3, 1)),
             ((2, 2), (3, 2)),
-        }
+        ]
 
     def test_complete_chain(self):
         d = three_chain_complete()
         chain = component_chain(d)
         sk = cs_graph(d, chain, imprimitivity(d, chain))
-        assert sk.edges == {
+        assert sk.edge_list() == [
             ((p, i), (p + 1, j)) for p in (1, 2) for i in (1, 2) for j in (1, 2)
-        }
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edge_list_is_sorted(self, seed):
+        d = random_instance(GeneratorSpec(eta=4, sizes=(2, 12), allow_trivial=False, seed=seed))
+        chain = component_chain(d)
+        sk = cs_graph(d, chain, imprimitivity(d, chain))
+        edges = sk.edge_list()
+        assert edges == sorted(set(edges))
+        assert len(edges) == sum(map(int.bit_count, itertools.chain(*sk.joins)))
 
     def test_trivial_component_rejected(self):
         d = cycle4_feeders(2)
@@ -397,10 +415,20 @@ class TestSkeleton:
             cs_graph(d, chain, imp)
 
     def test_skeleton_validation(self):
-        with pytest.raises(ValueError, match="not consecutive"):
-            SkeletonGraph((2, 2), frozenset({((1, 1), (1, 2))}))
+        SkeletonGraph((2, 3), ((0b111, 0b001),))
+        # a bit at or above kappa_(p+1), or a negative mask
+        with pytest.raises(ValueError, match=r"joins of \(1,2\) have a label out of range"):
+            SkeletonGraph((2, 3), ((0b111, 0b1000),))
         with pytest.raises(ValueError, match="out of range"):
-            SkeletonGraph((2, 2), frozenset({((1, 3), (2, 1))}))
+            SkeletonGraph((2, 2, 1), ((0b11, 0b01), (0b1, 0b10)))
+        with pytest.raises(ValueError, match="out of range"):
+            SkeletonGraph((2, 2), ((-1, 0),))
+        with pytest.raises(ValueError, match="has 2 join levels for 2 levels"):
+            SkeletonGraph((2, 2), ((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="has 0 join levels for 2 levels"):
+            SkeletonGraph((2, 2), ())
+        with pytest.raises(ValueError, match="level 2 has 1 classes, not 2"):
+            SkeletonGraph((1, 2, 1), ((0b11,), (0b1,)))
 
 
 def ascending_reach(sk, p, i):
@@ -409,7 +437,9 @@ def ascending_reach(sk, p, i):
     maps to {i})."""
     reach = {p: frozenset((i,))}
     for r in range(p, sk.eta):
-        reach[r + 1] = frozenset(j for (q, k), (_, j) in sk.edges if q == r and k in reach[r])
+        reach[r + 1] = frozenset(
+            j for (q, k), (_, j) in sk.edge_list() if q == r and k in reach[r]
+        )
     return reach
 
 
@@ -469,7 +499,8 @@ def pairwise_limit_graph(d, chain, imp):
 class TestLimitGraph:
     def limit(self, d):
         chain = component_chain(d)
-        return limit_graph(d, chain, imprimitivity(d, chain))
+        imp = imprimitivity(d, chain)
+        return limit_graph(cs_graph(d, chain, imp), imp)
 
     def test_two_chain(self):
         assert self.limit(two_chain()).edges == {(1, 3), (2, 4)}
@@ -493,15 +524,16 @@ class TestLimitGraph:
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
         with pytest.raises(TrivialComponentError):
-            limit_graph(d, chain, imp)
+            limit_graph(cs_graph(d, chain, imp), imp)
 
     def test_ignores_class_anchoring(self):
         d = three_chain_parallel()
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        base = limit_graph(d, chain, imp)
+        base = limit_graph(cs_graph(d, chain, imp), imp)
         for shifts in itertools.product(range(2), repeat=3):
-            assert limit_graph(d, chain, rotate_classes(imp, shifts)) == base
+            rotated = rotate_classes(imp, shifts)
+            assert limit_graph(cs_graph(d, chain, rotated), rotated) == base
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 100_000), st.integers(1, 4))
@@ -513,7 +545,7 @@ class TestLimitGraph:
         imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
         assert sim.converged
-        assert limit_graph(d, chain, imp) == sim.limit
+        assert limit_graph(cs_graph(d, chain, imp), imp) == sim.limit
 
     def test_matches_pairwise_rule(self):
         rng = random.Random(3)
@@ -529,7 +561,7 @@ class TestLimitGraph:
             )
             chain = component_chain(d)
             imp = imprimitivity(d, chain)
-            assert limit_graph(d, chain, imp) == pairwise_limit_graph(d, chain, imp)
+            assert limit_graph(cs_graph(d, chain, imp), imp) == pairwise_limit_graph(d, chain, imp)
             seen_kappa |= max(imp.kappas) > 1
             seen_jbd_fail |= not jbd_condition(d, chain, imp).holds
         assert seen_kappa and seen_jbd_fail
@@ -542,7 +574,7 @@ class TestLimitGraph:
         )
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
-        got = limit_graph(d, chain, imp)
+        got = limit_graph(cs_graph(d, chain, imp), imp)
         for cls in imp.class_masks:
             for members in map(vertices, cls):
                 for u in members:
@@ -633,7 +665,7 @@ class TestJbdCondition:
             chain = component_chain(d)
             imp = imprimitivity(d, chain)
             assert jbd_condition(d, chain, imp).holds == union_of_cliques(
-                limit_graph(d, chain, imp)
+                limit_graph(cs_graph(d, chain, imp), imp)
             )
 
     @settings(max_examples=50, deadline=None)
