@@ -5,8 +5,9 @@ text, auto-detected) and emits a JSON report of the chain, the verdict,
 and any limits; ``verify`` runs a seeded differential campaign of random
 instances through the analytic-vs-simulation harness; ``export`` renders
 the class skeleton, the limit graph, or one m-step competition graph as
-DOT.  Output is written in pieces, edges one graph row at a time, after
-all of it is computed: a refusal never leaves part of it on stdout.
+DOT.  Output is written in pieces, edges one graph row or skeleton class
+at a time, after all of it is computed: a refusal never leaves part of it
+on stdout.
 
 Exit codes: analyze returns 0 when the sequence converges, 2 when it
 diverges, 1 on any input error; verify returns 0 when every instance
@@ -29,16 +30,14 @@ import os
 import random
 import sys
 from collections.abc import Callable, Iterator
-from itertools import compress
 
 from . import oracle, theory
-from .bmat import ParseError, _decimal
+from .bmat import ParseError, _bit_select, _decimal
 from .graphs import (
     InternalCheckError,
     NotLinearlyConnectedError,
     SelfLoopError,
     UndirectedGraph,
-    _DIGIT_FLAGS,
     _bit_indices,
     component_chain,
     detect_format,
@@ -121,8 +120,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # the limit as (source, graph) and the skeleton, whose edge lists are
     # written into the report text at the end
     limit = sk = None
-    all_nontrivial = not any(chain.trivial_flags)
-    if all_nontrivial:
+    if not any(chain.trivial_flags):
         sk = theory.cs_graph(d, chain, imp)
         report["skeleton"] = {"class_counts": list(sk.class_counts), "edges": None}
         limit = ("analytic", theory.limit_graph(sk, imp))
@@ -160,7 +158,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if sk is not None:
         before, text = text.split('\n    "edges": null', 1)
         write(before + '\n    "edges": ')
-        _write_items(write, _skeleton_runs(sk))
+        head = "      [\n        {},\n        {},\n        {},\n        ".format
+        _write_items(write, _join_runs(sk, head, lambda *c: "\n      ],\n" + head(*c), "\n      ]"))
     write(text)
     return 0 if verdict.converged else 2
 
@@ -179,14 +178,17 @@ def _write_items(write: Callable, runs: Iterator[str]) -> None:
     write("\n    ]")
 
 
-def _skeleton_runs(sk: theory.SkeletonGraph) -> Iterator[str]:
-    """The skeleton's edges as report items [p, i, q, j], in sorted order,
-    one run per source class (p, i)."""
-    item = "      [\n        {},\n        {},\n        {},\n        {}\n      ]".format
-    edges = sk.edge_list()
-    starts = [k for k, e in enumerate(edges) if k == 0 or e[0] != edges[k - 1][0]]
-    for a, b in zip(starts, starts[1:] + [len(edges)]):
-        yield ",\n".join([item(p, i, q, j) for (p, i), (q, j) in edges[a:b]])
+def _join_runs(
+    sk: theory.SkeletonGraph, head: Callable, sep: Callable, close: str
+) -> Iterator[str]:
+    """For each class (p, i) of sk joined to labels j of level q = p + 1,
+    head(p, i, q) + sep(p, i, q).join(those j, ascending) + close: the
+    skeleton's edges in sorted order, as ``_edge_runs`` writes a graph's."""
+    labels = [str(j) for j in range(1, max(sk.class_counts) + 1)]
+    for p, level in enumerate(sk.joins, start=1):
+        for i, joined in enumerate(level, start=1):
+            if joined:
+                yield head(p, i, p + 1) + sep(p, i, p + 1).join(_bit_select(labels, joined)) + close
 
 
 def _edge_runs(g: UndirectedGraph, head: Callable, sep: Callable, close: str) -> Iterator[str]:
@@ -198,9 +200,7 @@ def _edge_runs(g: UndirectedGraph, head: Callable, sep: Callable, close: str) ->
     for u, row in enumerate(g.rows):
         later = row >> (u + 1)
         if later:
-            # digit k of the reversed binary string is bit u + 1 + k of the row
-            flags = format(later, "b")[::-1].encode().translate(_DIGIT_FLAGS)
-            yield head(labels[u]) + sep(labels[u]).join(compress(labels[u + 1 :], flags)) + close
+            yield head(labels[u]) + sep(labels[u]).join(_bit_select(labels[u + 1 :], later)) + close
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
@@ -259,7 +259,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"  check {failing.name!r}: {failing.detail}")
             assert report.counterexample is not None
             ce = report.counterexample
-            print(f"  shrunken counterexample ({ce.n} vertices, {len(ce.arcs)} arcs):")
+            arcs = sum(map(int.bit_count, ce.rows))
+            print(f"  shrunken counterexample ({ce.n} vertices, {arcs} arcs):")
             for line in format_edge_list(ce).splitlines():
                 print(f"    {line}")
             return 2
@@ -323,7 +324,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     for p, count in enumerate(sk.class_counts, start=1):
         inner = " ".join(f'"{p}_{j}";' for j in range(1, count + 1))
         write(f"  {{ rank=same; {inner} }}\n")
-    write("".join(f'  "{p}_{i}" -- "{q}_{j}";\n' for (p, i), (q, j) in sk.edge_list()))
+    for run in _join_runs(sk, '  "{}_{}" -- "{}_'.format, '";\n  "{}_{}" -- "{}_'.format, '";\n'):
+        write(run)
     write("}\n")
     return 0
 

@@ -41,12 +41,12 @@ oracle's power walk share, so the two routes share no state.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ._record import frozen
-from .bmat import BoolMatrix, ParseError, _bit_indices, _decimal, bool_pow, gamma, parse_matrix
+from .bmat import BoolMatrix, ParseError, _bit_indices, _bit_select, _decimal
+from .bmat import bool_pow, gamma, parse_matrix
 
 __all__ = [
     "Digraph",
@@ -141,24 +141,15 @@ class UndirectedGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self.rows[u - 1] >> (v - 1)) & 1)
 
-    def later_neighbours(self, u: int) -> Iterator[int]:
-        """The neighbours v > u of u, in increasing order."""
-        # digit k of the reversed binary string is bit u + k of the row
-        digits = format(self.rows[u - 1] >> u, f"0{self.n - u}b")[::-1]
-        return compress(range(u + 1, self.n + 1), digits.encode().translate(_DIGIT_FLAGS))
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Every edge (u, v) with u < v, in sorted order."""
-        return [(u, v) for u in range(1, self.n + 1) for v in self.later_neighbours(u)]
+        ids = range(1, self.n + 1)
+        return [(u, v) for u, r in zip(ids, self.rows) for v in _bit_select(ids[u:], r >> u)]
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as (u, v) pairs with u < v."""
         return frozenset(self.edge_list())
-
-
-# maps the ASCII digits "0" and "1" to the bytes 0 and 1, for itertools.compress
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _strong_components(d: Digraph) -> list[int]:
@@ -455,9 +446,9 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
                 rows[v] |= 1 << u
     via_walks = UndirectedGraph(d.n, tuple(rows))
     if via_matrix != via_walks:
-        diff = sorted(via_matrix.edges ^ via_walks.edges)
+        diff = UndirectedGraph(d.n, tuple(a ^ b for a, b in zip(via_matrix.rows, via_walks.rows)))
         raise InternalCheckError(
-            f"m-step competition routes disagree at m={m}, first difference {diff[0]}"
+            f"m-step competition routes disagree at m={m}, first difference {diff.edge_list()[0]}"
         )
     return via_walks
 

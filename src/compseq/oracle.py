@@ -222,8 +222,9 @@ def _compare(
         analytic = theory.limit_graph(theory.cs_graph(d, chain, imp), imp)
         if analytic == sim.limit:
             return CheckResult("limit", True, "graphs equal")
-        extra = sorted(analytic.edges - sim.limit.edges)
-        missing = sorted(sim.limit.edges - analytic.edges)
+        pairs = list(zip(analytic.rows, sim.limit.rows))
+        extra = UndirectedGraph(d.n, tuple(a & ~b for a, b in pairs)).edge_list()
+        missing = UndirectedGraph(d.n, tuple(b & ~a for a, b in pairs)).edge_list()
         return CheckResult("limit", False, f"extra {extra[:3]} missing {missing[:3]}")
     jbd = theory.jbd_condition(d, chain, imp)
     actual = theory.union_of_cliques(sim.limit)

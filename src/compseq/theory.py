@@ -27,17 +27,15 @@ Conventions used throughout:
   reading the three limit adjacency clauses (same class, same component,
   cross component) collapse to one rule between classes: x in U_i of D_p
   and y in U_j of D_q with p <= q are adjacent iff the ascending reach
-  sets of (p, i) and (q, j) meet at some level r >= q.  ``limit_graph``
-  keeps each class's reach as one int mask R over all skeleton classes.
-  The reach of (q, j) has no class below level q, so the bound r >= q
-  holds by itself and the rule is just R_(p,i) & R_(q,j) != 0.  Every
-  vertex of a class then gets that class's row of the limit.
+  sets of (p, i) and (q, j) meet at some level r >= q.  The reach of
+  (q, j) has no class below level q, so the bound r >= q holds by itself
+  and the rule is just that the reaches meet.  ``limit_graph`` applies it
+  with two passes of vertex-mask ORs along the skeleton joins.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
 from math import gcd
 
 from ._record import frozen
@@ -349,35 +347,32 @@ def limit_graph(sk: SkeletonGraph, imp: ImprimitivityData) -> UndirectedGraph:
     class skeleton sk = cs_graph(d, chain, imp).  Defined, as sk is, only
     when every component is nontrivial (the sequence then converges unconditionally).
 
-    x in U_i of D_p and y in U_j of D_q are adjacent iff R_(p,i) & R_(q,j)
-    != 0, where R_c is the ascending reach of class c as a mask over all
-    skeleton classes, c itself included.  This is the rule "the reaches
-    meet at some level r >= q" for p <= q: R_(q,j) has no class below
-    level q, so the level bound holds by itself.  It says at once: same
-    class always adjacent; same component, different classes adjacent iff
-    their reaches meet strictly above; cross component adjacent iff j is
-    reachable from (p, i) or the reaches meet above q.  So adjacency is
-    decided once per class pair, and each vertex takes the OR of the
-    member masks of the classes that meet its own, minus its own bit.
+    x in class a and y in class b are adjacent iff R_a and R_b meet, R_c
+    being the ascending reach of class c, c included.  Each class's vertex
+    mask starts as its members.  Bottom-up, every join (p, i) -> (p + 1, j)
+    ORs mask (p, i) into mask (p + 1, j), so mask c becomes D_c, the
+    vertices whose class reaches c.  Top-down, every join ORs the finished
+    mask (p + 1, j) into mask (p, i).  R_a is {a} and the R_a' of the
+    classes a' that a joins, so mask a becomes the union of D_c over c in
+    R_a: the vertices whose class's reach meets R_a.  Each vertex takes its
+    class's mask minus its own bit.
     """
-    # class (p, i) has index offset[p-1] + i - 1, ascending with the level
-    offset = list(accumulate(sk.class_counts, initial=0))
-    reach = [1 << c for c in range(offset[-1])]
-    # top level down, so the reaches of level p + 1 are final before level p
-    for p in range(sk.eta - 1, 0, -1):
-        for c, mask in enumerate(sk.joins[p - 1], start=offset[p - 1]):
-            for j in _bit_indices(mask):
-                reach[c] |= reach[offset[p] + j]
-    members = [m for level in imp.class_masks for m in level]
+    masks = [list(level) for level in imp.class_masks]
+    steps = list(zip(masks, masks[1:], sk.joins))
+    for below, above, level in steps:
+        for i, joined in enumerate(level):
+            for j in _bit_indices(joined):
+                above[j] |= below[i]
+    for below, above, level in reversed(steps):
+        for i, joined in enumerate(level):
+            for j in _bit_indices(joined):
+                below[i] |= above[j]
     # the classes of an all-nontrivial chain partition the vertices 1..n
-    rows = [0] * sum(map(int.bit_count, members))
-    for ma, ra in zip(members, reach):
-        row = 0
-        for rb, mb in zip(reach, members):
-            if ra & rb:
-                row |= mb
-        for v in _bit_indices(ma):
-            rows[v] = row & ~(1 << v)
+    rows = [0] * sum(m.bit_count() for level in imp.class_masks for m in level)
+    for level, finished in zip(imp.class_masks, masks):
+        for members, row in zip(level, finished):
+            for v in _bit_indices(members):
+                rows[v] = row & ~(1 << v)
     return UndirectedGraph(len(rows), tuple(rows))
 
 

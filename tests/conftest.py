@@ -75,6 +75,31 @@ def mixed_residue_chain() -> Digraph:
     return Digraph.from_arcs(4, [(1, 2), (2, 1), (3, 4), (4, 3), (1, 3), (2, 3)])
 
 
+def gcd2_merge_chain() -> Digraph:
+    """A 2-cycle into a 4-cycle into a 2-cycle, kappas (2, 4, 2), by arcs
+    1->3 and 3->7: each class of the first level joins two classes of the
+    second, and those two lanes merge again in one class of the third."""
+    return Digraph.from_arcs(
+        8, [(1, 2), (2, 1), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8), (8, 7), (1, 3), (3, 7)]
+    )
+
+
+def aperiodic_middle_chain() -> Digraph:
+    """A 2-cycle into {3, 4, 5} (cycles of lengths 2 and 3, so kappa 1)
+    into a 3-cycle, kappas (2, 1, 3): both lanes of the first level merge
+    in the middle one, which joins every class of the last."""
+    return Digraph.from_arcs(
+        8, [(1, 2), (2, 1), (3, 4), (4, 3), (4, 5), (5, 3), (6, 7), (7, 8), (8, 6), (1, 3), (5, 6)]
+    )
+
+
+def chorded_six_cycle() -> Digraph:
+    """One component: the 6-cycle 1..6 and the chord 1->5, which closes a
+    3-cycle, so kappa is 3 and the limit is three disjoint edges."""
+    arcs = [(v, v % 6 + 1) for v in range(1, 7)] + [(1, 5)]
+    return Digraph.from_arcs(6, arcs)
+
+
 def cycle_chain(lengths: tuple[int, ...]) -> Digraph:
     """Directed cycles of the given lengths, each joined to the next by an
     arc between their first vertices, plus an arc from the last cycle's

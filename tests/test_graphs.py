@@ -417,7 +417,10 @@ class TestMStepCompetition:
         monkeypatch.setattr(
             graphs, "_m_step_reach", lambda d, m: [(1 << d.n) - 1] * d.n
         )
-        with pytest.raises(InternalCheckError, match="disagree at m=1"):
+        # gamma of A is the one edge (2, 4), so (1, 2) is the first pair the
+        # routes disagree on
+        message = r"disagree at m=1, first difference \(1, 2\)$"
+        with pytest.raises(InternalCheckError, match=message):
             m_step_competition(two_chain(), 1)
 
     def test_far_tail_matches_simulated_gamma_cycle(self):

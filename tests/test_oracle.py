@@ -289,6 +289,22 @@ class TestVerify:
         assert len(ce.arcs) == 8 and ce.arcs < three_chain_complete().arcs
         assert not any(component_chain(ce).trivial_flags)
 
+    def test_limit_mismatch_names_extra_and_missing_edges(self, monkeypatch):
+        # the limit of two_chain is {(1, 3), (2, 4)}: drop (2, 4), add (1, 2)
+        true_limit = theory.limit_graph
+
+        def skewed_limit(sk, imp):
+            g = true_limit(sk, imp)
+            return UndirectedGraph.from_edges(g.n, g.edges - {(2, 4)} | {(1, 2)})
+
+        monkeypatch.setattr(theory, "limit_graph", skewed_limit)
+        d = two_chain()
+        chain = component_chain(d)
+        imp = imprimitivity(d, chain)
+        assert oracle._compare("limit", d, chain, imp, simulate_limit(d)) == CheckResult(
+            "limit", False, "extra [(1, 2)] missing [(2, 4)]"
+        )
+
     @pytest.mark.parametrize("seed", range(30))
     def test_kept_chain_gives_the_fresh_report(self, seed):
         # random_instance has found the chain of d and kept it; a copy

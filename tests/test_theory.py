@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compseq import (
     RULE_ALL_TRIVIAL,
@@ -36,7 +36,10 @@ from compseq import (
 )
 from compseq.theory import _rotate
 from conftest import (
+    aperiodic_middle_chain,
+    chorded_six_cycle,
     cycle4_feeders,
+    gcd2_merge_chain,
     mixed_residue_chain,
     period3_digraph,
     reference_powers,
@@ -475,6 +478,11 @@ class TestAscendingReach:
         assert ascending_reach(sk, 1, 1)[3] == frozenset({1, 2})
 
 
+# hand-built chains where skeleton lanes merge (kappas (2, 4, 2) and
+# (2, 1, 3)), and a lone component with kappa 3
+LANE_MERGES = (gcd2_merge_chain(), aperiodic_middle_chain(), chorded_six_cycle())
+
+
 def pairwise_limit_graph(d, chain, imp):
     """The limit by the vertex-pair rule: x in U_i of D_p and y in U_j of
     D_q with p <= q are adjacent iff the ascending reach sets of (p, i) and
@@ -536,11 +544,19 @@ class TestLimitGraph:
             assert limit_graph(cs_graph(d, chain, rotated), rotated) == base
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 100_000), st.integers(1, 4))
-    def test_matches_simulation(self, seed, eta):
-        d = random_instance(
-            GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
+    @given(
+        st.builds(
+            lambda seed, eta: random_instance(
+                GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
+            ),
+            st.integers(0, 100_000),
+            st.integers(1, 4),
         )
+    )
+    @example(LANE_MERGES[0])
+    @example(LANE_MERGES[1])
+    @example(LANE_MERGES[2])
+    def test_matches_simulation(self, d):
         chain = component_chain(d)
         imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
@@ -550,8 +566,8 @@ class TestLimitGraph:
     def test_matches_pairwise_rule(self):
         rng = random.Random(3)
         seen_kappa, seen_jbd_fail = False, False
-        for _ in range(60):
-            d = random_instance(
+        randoms = (
+            random_instance(
                 GeneratorSpec(
                     eta=rng.randint(1, 4),
                     sizes=(2, 15),
@@ -559,6 +575,9 @@ class TestLimitGraph:
                     seed=rng.getrandbits(32),
                 )
             )
+            for _ in range(60)
+        )
+        for d in itertools.chain(LANE_MERGES, randoms):
             chain = component_chain(d)
             imp = imprimitivity(d, chain)
             assert limit_graph(cs_graph(d, chain, imp), imp) == pairwise_limit_graph(d, chain, imp)
