@@ -32,7 +32,7 @@ A = BoolMatrix.from_entries(
 
 
 def edge_set(a: BoolMatrix) -> list[tuple[int, int]]:
-    return sorted(UndirectedGraph.from_adjacency_matrix(gamma(a)).edges)
+    return UndirectedGraph.from_adjacency_matrix(gamma(a)).edge_list()
 
 
 def main() -> None:

@@ -85,7 +85,7 @@ def main() -> None:
     print(f"simulation: power cycle index {sim.index_mu}, period {sim.period_pi}; "
           f"{len(sim.gamma_cycle)} distinct competition graphs rotate:")
     for k, g in enumerate(sim.gamma_cycle):
-        print(f"  m = {sim.index_mu + k} (mod {sim.period_pi}): {sorted(g.edges)}")
+        print(f"  m = {sim.index_mu + k} (mod {sim.period_pi}): {g.edge_list()}")
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ def walk_through(name: str, d: Digraph) -> None:
 
     limit = limit_graph(sk, imp)
     sim = simulate_limit(d)
-    print("  limit edges:", sorted(limit.edges))
+    print("  limit edges:", limit.edge_list())
     print("  matches simulation:", limit == sim.limit)
     print()
 

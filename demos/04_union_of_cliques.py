@@ -41,7 +41,7 @@ def report(name: str, d: Digraph) -> None:
 
     limit = limit_graph(cs_graph(d, chain, imp), imp)
     sim = simulate_limit(d)
-    print(f"  limit edges {sorted(limit.edges)}")
+    print(f"  limit edges {limit.edge_list()}")
     print(f"  shape check against simulation: "
           f"{union_of_cliques(sim.limit) == verdict.holds}")
     print()

@@ -104,10 +104,6 @@ class BoolMatrix:
         return cls(n, tuple(rows))
 
     @classmethod
-    def zeros(cls, n: int) -> "BoolMatrix":
-        return cls(n, (0,) * n)
-
-    @classmethod
     def identity(cls, n: int) -> "BoolMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
 
@@ -164,9 +160,6 @@ class BoolMatrix:
         """successors[i] lists the set columns of row i in increasing order:
         the 0-based heads of the arcs out of vertex i + 1."""
         return tuple(tuple(_bit_indices(r)) for r in self.rows)
-
-    def to_entries(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
 
     def __repr__(self):
         body = ",".join(format(r, "b").zfill(self.n)[::-1] for r in self.rows)

@@ -9,15 +9,14 @@ DOT.  Output is written in pieces, edges one graph row or skeleton class
 at a time, after all of it is computed: a refusal never leaves part of it
 on stdout.
 
-Exit codes: analyze returns 0 when the sequence converges, 2 when it
-diverges, 1 on any input error; verify returns 0 when every instance
-passes, 2 when a counterexample is found, and 1 before drawing anything
-when its ranges allow an instance above the simulation's size cap;
-export returns 0 on success.
-Every subcommand returns 1 with an ``error:`` line on stderr when two
-independent routes disagree (InternalCheckError), the simulation refuses
-an input over one of its caps (SizeCapError), or the reader closes
-stdout early (BrokenPipeError).
+Exit codes: analyze returns 0 when the sequence converges and 2 when it
+diverges; verify returns 0 when every instance passes and 2 when a
+counterexample is found; export returns 0 on success.  Every failure
+returns 1: the commands raise, and ``main`` alone turns an OSError
+(BrokenPipeError included, when the reader closes stdout early), a
+ValueError (a usage error, a refused input or a cap, every refusal of
+this package) or an InternalCheckError (two independent routes disagree)
+into one ``error:`` line on stderr.
 Numeric flags are decimal integers, as numbers in the input formats are.
 All output is byte-deterministic for identical inputs and flags.
 """
@@ -35,8 +34,6 @@ from . import oracle, theory
 from .bmat import ParseError, _bit_select, _decimal
 from .graphs import (
     InternalCheckError,
-    NotLinearlyConnectedError,
-    SelfLoopError,
     UndirectedGraph,
     _bit_indices,
     component_chain,
@@ -53,6 +50,15 @@ __all__ = ["main", "cmd_analyze", "cmd_verify", "cmd_export"]
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so that main
+    reports them as it reports every other failure; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
 
 
 def _read_input(path: str) -> str:
@@ -83,12 +89,9 @@ def _chain_report(chain, imp) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        text = _read_input(args.input)
-        d = parse_digraph(text)
-        chain = component_chain(d)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    text = _read_input(args.input)
+    d = parse_digraph(text)
+    chain = component_chain(d)
     imp = imprimitivity(d, chain)
     verdict = theory.converges(d, chain=chain, imp=imp)
 
@@ -228,18 +231,15 @@ def _int_flag(token: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        eta_lo, eta_hi = _parse_range(args.eta, "--eta")
-        size_lo, size_hi = _parse_range(args.sizes, "--sizes")
-    except ValueError as e:
-        return _fail(str(e))
+    eta_lo, eta_hi = _parse_range(args.eta, "--eta")
+    size_lo, size_hi = _parse_range(args.sizes, "--sizes")
     if args.count < 0:
-        return _fail(f"--count must be >= 0, got {args.count}")
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     if not args.allow_trivial and size_hi < 2:
-        return _fail(f"--sizes {args.sizes} cannot fit nontrivial components; pass --allow-trivial")
+        raise ValueError(f"--sizes {args.sizes} cannot fit nontrivial components; pass --allow-trivial")
     most = eta_hi * size_hi
     if most > oracle.DEFAULT_SIZE_CAP:
-        return _fail(
+        raise ValueError(
             f"--eta {args.eta} --sizes {args.sizes} can draw {most} vertices, "
             f"above the simulation size cap of {oracle.DEFAULT_SIZE_CAP}"
         )
@@ -283,38 +283,36 @@ def _graph_dot(name: str, g: UndirectedGraph) -> None:
     write("}\n")
 
 
+def _step_count(token: str) -> int:
+    """The M of ``--what competition M``: a decimal integer, at least 1."""
+    try:
+        m = _decimal(token)
+    except ValueError:
+        raise ValueError(f"step count must be an integer, got {token!r}") from None
+    if m < 1:
+        raise ValueError(f"step count must be >= 1, got {m}")
+    return m
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     what = args.what[0]
     if what not in ("cs-graph", "limit", "competition"):
-        return _fail(f"--what expects cs-graph, limit, or competition M, got {what!r}")
+        raise ValueError(f"--what expects cs-graph, limit, or competition M, got {what!r}")
     if what == "competition":
         if len(args.what) != 2:
-            return _fail("--what competition needs a step count M")
-        try:
-            m = _decimal(args.what[1])
-        except ValueError:
-            return _fail(f"step count must be an integer, got {args.what[1]!r}")
-        if m < 1:
-            return _fail(f"step count must be >= 1, got {m}")
+            raise ValueError("--what competition needs a step count M")
+        m = _step_count(args.what[1])
     elif len(args.what) != 1:
-        return _fail(f"--what {what} takes no extra argument")
+        raise ValueError(f"--what {what} takes no extra argument")
 
-    try:
-        text = _read_input(args.input)
-        d = parse_digraph(text)
-    except (OSError, ParseError) as e:
-        return _fail(str(e))
-
+    d = parse_digraph(_read_input(args.input))
     if what == "competition":
         _graph_dot("competition", m_step_competition(d, m))
         return 0
 
-    try:
-        chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        sk = theory.cs_graph(d, chain, imp)
-    except (SelfLoopError, NotLinearlyConnectedError, theory.TrivialComponentError) as e:
-        return _fail(str(e))
+    chain = component_chain(d)
+    imp = imprimitivity(d, chain)
+    sk = theory.cs_graph(d, chain, imp)
 
     if what == "limit":
         _graph_dot("limit", theory.limit_graph(sk, imp))
@@ -331,7 +329,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="compseq",
         description="Convergence and limits of m-step competition graph sequences.",
     )
@@ -373,18 +371,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_export.set_defaults(func=cmd_export)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except (InternalCheckError, oracle.SizeCapError) as e:
-        return _fail(str(e))
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught before the clause below
         # the reader closed stdout; point it at devnull so that the
         # interpreter's final flush of what is still buffered cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail("stdout was closed before the output was written")
+    except (OSError, ValueError, InternalCheckError) as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

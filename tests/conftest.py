@@ -121,6 +121,16 @@ def cycle_chain(lengths: tuple[int, ...]) -> Digraph:
 # ------------------------------------------------------------ naive oracles
 
 
+def zeros(n: int) -> BoolMatrix:
+    """The n x n zero matrix."""
+    return BoolMatrix(n, (0,) * n)
+
+
+def to_entries(a: BoolMatrix) -> list[list[int]]:
+    """a as n lists of n entries 0/1, the inverse of BoolMatrix.from_entries."""
+    return [[(r >> j) & 1 for j in range(a.n)] for r in a.rows]
+
+
 def reference_powers(a: BoolMatrix) -> tuple[int, int, list[BoolMatrix]]:
     """(mu, pi, [A^1, ..., A^(mu+pi-1)]): every distinct power of a, stepped
     as A^m * A (the other factor order from the oracle's) until the first
@@ -139,7 +149,7 @@ def reference_powers(a: BoolMatrix) -> tuple[int, int, list[BoolMatrix]]:
 
 def naive_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     """Literal triple-loop Boolean product."""
-    ea, eb = a.to_entries(), b.to_entries()
+    ea, eb = to_entries(a), to_entries(b)
     n = a.n
     out = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -153,8 +163,8 @@ def naive_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
 
 def numpy_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     """Dense boolean product via numpy (OR-AND semiring on bool dtype)."""
-    na = np.array(a.to_entries(), dtype=bool)
-    nb = np.array(b.to_entries(), dtype=bool)
+    na = np.array(to_entries(a), dtype=bool)
+    nb = np.array(to_entries(b), dtype=bool)
     return BoolMatrix.from_entries(np.dot(na, nb).astype(int).tolist())
 
 

@@ -14,6 +14,7 @@ import pytest
 from compseq import (
     Digraph,
     GeneratorSpec,
+    InternalCheckError,
     UndirectedGraph,
     component_chain,
     converges,
@@ -25,7 +26,7 @@ from compseq import (
     m_step_competition,
     random_instance,
 )
-from compseq import graphs, oracle, theory
+from compseq import cli, graphs, oracle, theory
 from compseq.cli import main
 from conftest import (
     cycle4_feeders,
@@ -64,6 +65,37 @@ class _ByteCounter:
 
     def flush(self):
         pass
+
+
+def _raising(error: type[Exception]):
+    def fault(*args):
+        raise error("injected")
+
+    return fault
+
+
+# (command and flags, patched owner and name, replacement, error message):
+# each fault is raised inside the work, after the input has been read
+_FAULTS = [
+    pytest.param(
+        ["analyze"],
+        graphs,
+        "_bfs_levels",
+        # a BFS that stops at its root makes imprimitivity's own check fail
+        lambda root, comp, rows: [1 << (root - 1)],
+        "component containing 1 not strongly connected",
+        id="analyze-bfs",
+    )
+] + [
+    pytest.param(argv, owner, name, _raising(error), "injected", id=f"{site}-{error.__name__}")
+    for site, argv, owner, name in [
+        ("analyze", ["analyze"], theory, "limit_graph"),
+        ("limit", ["export", "--what", "limit"], theory, "limit_graph"),
+        ("cs-graph", ["export", "--what", "cs-graph"], theory, "cs_graph"),
+        ("competition", ["export", "--what", "competition", "3"], cli, "m_step_competition"),
+    ]
+    for error in (InternalCheckError, ValueError)
+]
 
 
 class TestAnalyze:
@@ -175,13 +207,15 @@ class TestAnalyze:
         assert code == 1
         assert "no arcs from component 1 to component 2" in err
 
-    def test_internal_check_error_reported(self, write, capsys, monkeypatch):
-        # a BFS that stops at its root makes imprimitivity's own check fail
-        monkeypatch.setattr(graphs, "_bfs_levels", lambda root, comp, rows: [1 << (root - 1)])
+    @pytest.mark.parametrize("argv, owner, name, fault, message", _FAULTS)
+    def test_internal_check_error_reported(
+        self, write, capsys, monkeypatch, argv, owner, name, fault, message
+    ):
+        monkeypatch.setattr(owner, name, fault)
         path = write("t.el", format_edge_list(two_chain()))
-        code, out, err = run(capsys, "analyze", path)
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "not strongly connected" in err
+        assert err == f"error: {message}\n"
 
     def test_power_cycle_memory_error_reported(self, write, capsys, monkeypatch):
         # the period-4 tail needs more than two stored powers
@@ -372,14 +406,26 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert err == f"error: {flag} expects N or LO..HI, got {bad!r}\n"
 
-    @pytest.mark.parametrize("flag", ["--count", "--seed"])
-    @pytest.mark.parametrize("bad", ["+1", "2_0", "\u0663", "abc"])
-    def test_int_flag_takes_decimal_digits_only(self, capsys, flag, bad):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", flag, bad])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert f"argument {flag}: invalid int value: {bad!r}" in captured.err
+    # usage errors return 1 as every other failure does: 2 means "diverges"
+    # to analyze and "counterexample found" to verify
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["verify", flag, bad], f"argument {flag}: invalid int value: {bad!r}", id=f"{bad}-{flag}"
+            )
+            for flag in ("--count", "--seed")
+            for bad in ("+1", "2_0", "\u0663", "abc")
+        ]
+        + [
+            pytest.param([], "the following arguments are required: command", id="no-command"),
+            pytest.param(["analyze"], "the following arguments are required: input", id="no-input"),
+        ],
+    )
+    def test_int_flag_takes_decimal_digits_only(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: compseq") and err.endswith(f"\nerror: {message}\n")
 
     def test_negative_count(self, capsys):
         code, _, err = run(capsys, "verify", "--count", "-1")
@@ -580,6 +626,14 @@ class TestExport:
 
 
 class TestEntryPoint:
+    def test_help_exits_zero(self, capsys):
+        for argv in (["-h"], ["verify", "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert exc.value.code == 0 and captured.err == ""
+            assert captured.out.startswith("usage: compseq")
+
     def test_module_invocation(self, write):
         path = write("a.mat", format_matrix(period3_matrix()))
         proc = subprocess.run(

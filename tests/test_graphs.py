@@ -40,6 +40,7 @@ from conftest import (
     period3_matrix,
     random_digraph,
     simple_cycle_lengths,
+    to_entries,
     two_chain,
     vertices,
 )
@@ -453,7 +454,7 @@ class TestMStepCompetition:
     @given(digraphs(max_n=6), st.integers(1, 6))
     def test_matches_walk_counting(self, d, m):
         counts = np.linalg.matrix_power(
-            np.array(d.to_entries(), dtype=np.int64), m
+            np.array(to_entries(d), dtype=np.int64), m
         )
         expected = set()
         for u in range(d.n):

@@ -37,6 +37,7 @@ from conftest import (
     three_chain_complete,
     two_chain,
     vertices,
+    zeros,
 )
 
 COPRIME_CYCLE_CHAINS = [(3, 5, 7, 11), (4, 5, 7, 9), (3, 7, 8, 11), (3, 5, 7, 8)]
@@ -98,13 +99,13 @@ class TestSimulateLimit:
 
     def test_size_cap(self, monkeypatch):
         assert DEFAULT_SIZE_CAP == 64
-        simulate_limit(BoolMatrix.zeros(64))
+        simulate_limit(zeros(64))
         with pytest.raises(SizeCapError, match="size cap 64"):
-            simulate_limit(BoolMatrix.zeros(65))
+            simulate_limit(zeros(65))
         # the cap is read when called
         monkeypatch.setattr(oracle, "DEFAULT_SIZE_CAP", 9)
         with pytest.raises(SizeCapError, match="size cap 9"):
-            simulate_limit(BoolMatrix.zeros(10))
+            simulate_limit(zeros(10))
 
     @settings(max_examples=50, deadline=None)
     @given(bool_matrices(max_n=5))
