@@ -21,7 +21,6 @@ from compseq import (
     Digraph,
     component_chain,
     converges,
-    imprimitivity,
     l_set,
     lambda_set,
     shifted_union,
@@ -63,10 +62,9 @@ def main() -> None:
 
     d = feeder(2)
     chain = component_chain(d)
-    imp = imprimitivity(d, chain)
     p = chain.last_nontrivial
-    kappa = imp.kappa(p)
-    lam = lambda_set(d, chain, imp)  # bit j-1 set iff class j feeds
+    kappa = chain.kappa(p)
+    lam = lambda_set(d, chain)  # bit j-1 set iff class j feeds
     print(f"anatomy of the divergent case: kappa = {kappa}, "
           f"feeding classes {tuple(r + 1 for r in residues(lam, kappa))}")
     lsets = {j: l_set(lam, j, kappa) for j in range(1, kappa + 1)}

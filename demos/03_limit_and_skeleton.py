@@ -22,7 +22,6 @@ from compseq import (
     Digraph,
     component_chain,
     cs_graph,
-    imprimitivity,
     interface_pairs,
     limit_graph,
     simulate_limit,
@@ -44,19 +43,18 @@ def vertices(mask: int) -> list[int]:
 
 def walk_through(name: str, d: Digraph) -> None:
     chain = component_chain(d)
-    imp = imprimitivity(d, chain)
     print(f"=== {name} ===")
     for p, mask in enumerate(chain.masks, start=1):
-        classes = [vertices(c) for c in imp.class_masks[p - 1]]
-        print(f"  D_{p}: vertices {vertices(mask)}, kappa {imp.kappa(p)}, classes {classes}")
+        classes = [vertices(c) for c in chain.class_masks[p - 1]]
+        print(f"  D_{p}: vertices {vertices(mask)}, kappa {chain.kappa(p)}, classes {classes}")
     for p in range(1, chain.eta):
-        pairs = sorted(interface_pairs(d, chain, imp, p))
+        pairs = sorted(interface_pairs(d, chain, p))
         print(f"  interface {p}->{p + 1}: class pairs {pairs}")
 
-    sk = cs_graph(d, chain, imp)
+    sk = cs_graph(d, chain)
     print("  skeleton edges:", sk.edge_list())
 
-    limit = limit_graph(sk, imp)
+    limit = limit_graph(sk, chain)
     sim = simulate_limit(d)
     print("  limit edges:", limit.edge_list())
     print("  matches simulation:", limit == sim.limit)

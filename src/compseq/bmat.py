@@ -107,12 +107,6 @@ class BoolMatrix:
     def identity(cls, n: int) -> "BoolMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry (i, j), 0-based."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"entry ({i},{j}) out of range for n={self.n}")
-        return (self.rows[i] >> j) & 1
-
     def columns(self) -> list[int]:
         """Column masks: bit i of ``columns()[j]`` is entry (i, j)."""
         n = self.n

@@ -39,7 +39,6 @@ from .graphs import (
     component_chain,
     detect_format,
     format_edge_list,
-    imprimitivity,
     m_step_competition,
     parse_digraph,
 )
@@ -74,15 +73,15 @@ def _read_input(path: str) -> str:
         raise ParseError(line, message) from None
 
 
-def _chain_report(chain, imp) -> dict:
+def _chain_report(chain) -> dict:
     components = []
-    for p, mask in enumerate(chain.masks, start=1):
+    for mask, trivial, classes in zip(chain.masks, chain.trivial_flags, chain.class_masks):
         components.append(
             {
                 "vertices": [v + 1 for v in _bit_indices(mask)],
-                "trivial": chain.trivial_flags[p - 1],
-                "kappa": imp.kappa(p),
-                "classes": [[v + 1 for v in _bit_indices(c)] for c in imp.class_masks[p - 1]],
+                "trivial": trivial,
+                "kappa": len(classes),
+                "classes": [[v + 1 for v in _bit_indices(c)] for c in classes],
             }
         )
     return {"eta": chain.eta, "components": components}
@@ -92,8 +91,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     text = _read_input(args.input)
     d = parse_digraph(text)
     chain = component_chain(d)
-    imp = imprimitivity(d, chain)
-    verdict = theory.converges(d, chain=chain, imp=imp)
+    verdict = theory.converges(d, chain=chain)
 
     report: dict = {
         "schema": 1,
@@ -103,7 +101,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "n": d.n,
             "arcs": [list(a) for a in d.arc_list()],
         },
-        "chain": _chain_report(chain, imp),
+        "chain": _chain_report(chain),
         "verdict": {
             "converged": verdict.converged,
             "rule": verdict.rule,
@@ -124,10 +122,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # written into the report text at the end
     limit = sk = None
     if not any(chain.trivial_flags):
-        sk = theory.cs_graph(d, chain, imp)
+        sk = theory.cs_graph(d, chain)
         report["skeleton"] = {"class_counts": list(sk.class_counts), "edges": None}
-        limit = ("analytic", theory.limit_graph(sk, imp))
-        jbd = theory.jbd_condition(d, chain, imp)
+        limit = ("analytic", theory.limit_graph(sk, chain))
+        jbd = theory.jbd_condition(d, chain)
         report["jbd"] = {
             "source": "analytic",
             "holds": jbd.holds,
@@ -311,11 +309,10 @@ def cmd_export(args: argparse.Namespace) -> int:
         return 0
 
     chain = component_chain(d)
-    imp = imprimitivity(d, chain)
-    sk = theory.cs_graph(d, chain, imp)
+    sk = theory.cs_graph(d, chain)
 
     if what == "limit":
-        _graph_dot("limit", theory.limit_graph(sk, imp))
+        _graph_dot("limit", theory.limit_graph(sk, chain))
         return 0
     write = sys.stdout.write
     write("graph skeleton {\n  rankdir=LR;\n")

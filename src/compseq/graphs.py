@@ -12,10 +12,11 @@ U_1, ..., U_kappa (kappa = gcd of the component's directed cycle lengths;
 every arc advances the class index by one, cyclically).  Classes are
 anchored so the smallest vertex id of a nontrivial component lands in U_1;
 any other rotation of the labels is equally consistent and yields the same
-downstream answers.
+downstream answers.  The chain is those classes: U_j of D_p is
+``chain.class_masks[p-1][j-1]``, and D_p is the union of its classes.
 
-Each component and each class is stored as one vertex mask, in the layout
-of a matrix row: bit v-1 is set iff vertex v belongs to it.
+Each class, and each component derived from them, is one vertex mask, in
+the layout of a matrix row: bit v-1 is set iff vertex v belongs to it.
 
 A digraph is its adjacency matrix: ``Digraph`` is another name for
 ``BoolMatrix``, where bit v-1 of ``rows[u-1]`` is set iff (u, v) is an
@@ -40,8 +41,9 @@ oracle's power walk share, so the two routes share no state.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
+from operator import or_
 from typing import Iterable
 
 from ._record import frozen
@@ -52,7 +54,6 @@ __all__ = [
     "Digraph",
     "UndirectedGraph",
     "ComponentChain",
-    "ImprimitivityData",
     "SelfLoopError",
     "NotLinearlyConnectedError",
     "InternalCheckError",
@@ -138,9 +139,6 @@ class UndirectedGraph:
         nonzero diagonal or an asymmetric entry."""
         return cls(a.n, a.rows)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool((self.rows[u - 1] >> (v - 1)) & 1)
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Every edge (u, v) with u < v, in sorted order."""
         ids = range(1, self.n + 1)
@@ -206,16 +204,38 @@ def _strong_components(d: Digraph) -> list[int]:
 @frozen
 class ComponentChain:
     """Strong components D_1..D_eta of a linearly connected digraph, in
-    chain order: masks[p-1] is the vertex mask of D_p.
+    chain order, as their cyclic classes: class_masks[p-1][j-1] is the
+    vertex mask of U_j of D_p.  kappa_p, the gcd of D_p's directed cycle
+    lengths (1 for a trivial D_p), is its class count.  Every arc inside
+    D_p goes from some U_j to U_(j+1), indices cyclic.
 
-    The trivial flags are derived from the masks only when asked for.
+    masks[p-1], the vertex mask of D_p, and the trivial flags are derived
+    from the classes only when asked for.
     """
 
-    masks: tuple[int, ...]
+    class_masks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for p, classes in enumerate(self.class_masks, start=1):
+            if not classes:
+                raise ValueError(f"component {p} has no class")
+            if not all(classes):
+                raise ValueError(f"component {p}: empty imprimitivity class")
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(reduce(or_, classes) for classes in self.class_masks)
+
+    @property
+    def kappas(self) -> tuple[int, ...]:
+        return tuple(map(len, self.class_masks))
+
+    def kappa(self, p: int) -> int:
+        return len(self.class_masks[p - 1])
 
     @property
     def eta(self) -> int:
-        return len(self.masks)
+        return len(self.class_masks)
 
     @cached_property
     def trivial_flags(self) -> tuple[bool, ...]:
@@ -235,7 +255,8 @@ class ComponentChain:
 
 
 def component_chain(d: Digraph) -> ComponentChain:
-    """Strong-component chain of d, or NotLinearlyConnectedError.
+    """Strong-component chain of d with the cyclic classes of every
+    component, or NotLinearlyConnectedError.
 
     Rejects self-loops outright: a loop is a cycle of length one and falls
     outside the loopless class every result here is stated for.  A chain
@@ -283,36 +304,8 @@ def component_chain(d: Digraph) -> ComponentChain:
             raise NotLinearlyConnectedError(
                 f"no arcs from component {p + 1} to component {p + 2}"
             )
-    chain = d.__dict__["_component_chain"] = ComponentChain(tuple(comps))
+    chain = d.__dict__["_component_chain"] = ComponentChain(imprimitivity(d, comps))
     return chain
-
-
-@frozen
-class ImprimitivityData:
-    """Cyclic class structure of every component of a chain.
-
-    kappas[p-1] is the gcd of directed cycle lengths of D_p (1 for a
-    trivial component); class_masks[p-1][j-1] is the vertex mask of the
-    class U_j of D_p.  Every intra-component arc goes from U_j to U_(j+1),
-    indices cyclic.
-    """
-
-    kappas: tuple[int, ...]
-    class_masks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.kappas) != len(self.class_masks):
-            raise ValueError("kappas and classes disagree on component count")
-        for p, (k, cls) in enumerate(zip(self.kappas, self.class_masks), start=1):
-            if k < 1:
-                raise ValueError(f"component {p}: kappa must be >= 1, got {k}")
-            if len(cls) != k:
-                raise ValueError(f"component {p}: expected {k} classes, got {len(cls)}")
-            if not all(cls):
-                raise ValueError(f"component {p}: empty imprimitivity class")
-
-    def kappa(self, p: int) -> int:
-        return self.kappas[p - 1]
 
 
 def _bfs_levels(root: int, comp: int, rows: tuple[int, ...]) -> list[int]:
@@ -330,21 +323,21 @@ def _bfs_levels(root: int, comp: int, rows: tuple[int, ...]) -> list[int]:
     return levels
 
 
-def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
-    """Cyclic classes of every component of d.
+def imprimitivity(d: Digraph, masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The class masks U_1..U_kappa of each strong component of d, given
+    as the vertex masks in masks, in that order.
 
-    For a nontrivial component, BFS from its smallest vertex gives levels;
-    kappa is the gcd of level(u) + 1 - level(v) over intra-component arcs
-    (each term is a cycle-length discrepancy, so their gcd is the gcd of
-    all directed cycle lengths), and U_j collects the vertices with
-    level = j - 1 (mod kappa), putting the BFS root in U_1.
+    A single vertex is one class.  For a larger component, BFS from its
+    smallest vertex gives levels; kappa is the gcd of level(u) + 1 -
+    level(v) over intra-component arcs (each term is a cycle-length
+    discrepancy, so their gcd is the gcd of all directed cycle lengths),
+    and U_j collects the vertices with level = j - 1 (mod kappa), putting
+    the BFS root in U_1.
     """
     rows = d.rows
-    kappas = []
     all_classes = []
-    for cm, trivial in zip(chain.masks, chain.trivial_flags):
-        if trivial:
-            kappas.append(1)
+    for cm in masks:
+        if cm.bit_count() == 1:
             all_classes.append((cm,))
             continue
         root = (cm & -cm).bit_length()
@@ -366,19 +359,18 @@ def imprimitivity(d: Digraph, chain: ComponentChain) -> ImprimitivityData:
             raise InternalCheckError(
                 f"component containing {root} has no cycle discrepancy"
             )
-        masks = [0] * kappa
+        classes = [0] * kappa
         for t, members in enumerate(levels):
-            masks[t % kappa] |= members
+            classes[t % kappa] |= members
         for u, t in level.items():
-            stray = rows[u] & cm & ~masks[(t + 1) % kappa]
+            stray = rows[u] & cm & ~classes[(t + 1) % kappa]
             if stray:
                 w = (stray & -stray).bit_length()
                 raise InternalCheckError(
                     f"arc ({u + 1},{w}) does not advance its class by one"
                 )
-        kappas.append(kappa)
-        all_classes.append(tuple(masks))
-    return ImprimitivityData(kappas=tuple(kappas), class_masks=tuple(all_classes))
+        all_classes.append(tuple(classes))
+    return tuple(all_classes)
 
 
 def _m_step_reach(d: Digraph, m: int) -> list[int]:

@@ -38,13 +38,11 @@ from .bmat import BoolMatrix, _times, gamma
 from .graphs import (
     ComponentChain,
     Digraph,
-    ImprimitivityData,
     InternalCheckError,
     NotLinearlyConnectedError,
     SelfLoopError,
     UndirectedGraph,
     component_chain,
-    imprimitivity,
 )
 
 __all__ = [
@@ -172,9 +170,9 @@ class VerificationReport:
 
 def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
     """The named comparisons between the analytic and simulated routes, in
-    the order given, all read off one chain, imprimitivity and simulation
-    of d.  A check whose precondition does not hold for d is left out; one
-    whose analytic side raises fails, with the exception as its detail."""
+    the order given, all read off one chain and one simulation of d.  A
+    check whose precondition does not hold for d is left out; one whose
+    analytic side raises fails, with the exception as its detail."""
     for name in names:
         if name not in CHECK_NAMES:
             raise ValueError(f"unknown check {name!r}")
@@ -182,12 +180,11 @@ def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
         chain = component_chain(d)
     except (NotLinearlyConnectedError, SelfLoopError) as e:
         return [CheckResult(name, True, f"not applicable: {e}") for name in names]
-    imp = imprimitivity(d, chain)
     sim = simulate_limit(d)
     results = []
     for name in names:
         try:
-            result = _compare(name, d, chain, imp, sim)
+            result = _compare(name, d, chain, sim)
         except Exception as e:
             result = CheckResult(name, False, f"raised {type(e).__name__}: {e}")
         if result is not None:
@@ -196,11 +193,11 @@ def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
 
 
 def _compare(
-    name: str, d: Digraph, chain: ComponentChain, imp: ImprimitivityData, sim: SimulationResult
+    name: str, d: Digraph, chain: ComponentChain, sim: SimulationResult
 ) -> CheckResult | None:
     """One named comparison, or None when its precondition does not hold."""
     if name == "verdict":
-        verdict = theory.converges(d, chain=chain, imp=imp)
+        verdict = theory.converges(d, chain=chain)
         return CheckResult(
             "verdict",
             verdict.converged == sim.converged,
@@ -209,7 +206,7 @@ def _compare(
     if name == "period":
         # the period of a reducible Boolean matrix is the lcm of its
         # components' periods; a trivial component has kappa 1
-        expected = math.lcm(*imp.kappas)
+        expected = math.lcm(*chain.kappas)
         return CheckResult(
             "period",
             sim.period_pi == expected,
@@ -219,14 +216,14 @@ def _compare(
         return None
     assert sim.limit is not None
     if name == "limit":
-        analytic = theory.limit_graph(theory.cs_graph(d, chain, imp), imp)
+        analytic = theory.limit_graph(theory.cs_graph(d, chain), chain)
         if analytic == sim.limit:
             return CheckResult("limit", True, "graphs equal")
         pairs = list(zip(analytic.rows, sim.limit.rows))
         extra = UndirectedGraph(d.n, tuple(a & ~b for a, b in pairs)).edge_list()
         missing = UndirectedGraph(d.n, tuple(b & ~a for a, b in pairs)).edge_list()
         return CheckResult("limit", False, f"extra {extra[:3]} missing {missing[:3]}")
-    jbd = theory.jbd_condition(d, chain, imp)
+    jbd = theory.jbd_condition(d, chain)
     actual = theory.union_of_cliques(sim.limit)
     return CheckResult(
         "jbd",

@@ -8,8 +8,8 @@ these computations are tested against.
 Conventions used throughout:
 
 * A digraph is its adjacency matrix, a ``BoolMatrix``.  Vertex sets are
-  masks in the layout of one of its rows, bit v-1 for vertex v: D_p is
-  ``chain.masks[p-1]`` and U_j of D_p is ``imp.class_masks[p-1][j-1]``.
+  masks in the layout of one of its rows, bit v-1 for vertex v: U_j of
+  D_p is ``chain.class_masks[p-1][j-1]`` and D_p is ``chain.masks[p-1]``.
   Which classes an interface or the trailing vertex touches is found by
   ANDing rows, or ORs of rows, with these masks; no layer keeps a
   vertex -> class map.
@@ -42,12 +42,10 @@ from ._record import frozen
 from .graphs import (
     ComponentChain,
     Digraph,
-    ImprimitivityData,
     InternalCheckError,
     UndirectedGraph,
     _bit_indices,
     component_chain,
-    imprimitivity,
 )
 
 __all__ = [
@@ -128,13 +126,15 @@ class DivergenceWitness:
 
 @frozen
 class ConvergenceVerdict:
-    converged: bool
+    """The rule that decided, and the witness of a divergence; the
+    sequence converges iff there is none."""
+
     rule: str
     witness: DivergenceWitness | None
 
-    def __post_init__(self):
-        if (self.witness is not None) == self.converged:
-            raise ValueError("witness must be present iff the verdict is divergence")
+    @property
+    def converged(self) -> bool:
+        return self.witness is None
 
 
 @frozen
@@ -151,9 +151,7 @@ class JbdVerdict:
         return self.holds
 
 
-def interface_pairs(
-    d: Digraph, chain: ComponentChain, imp: ImprimitivityData, p: int
-) -> frozenset[tuple[int, int]]:
+def interface_pairs(d: Digraph, chain: ComponentChain, p: int) -> frozenset[tuple[int, int]]:
     """Class-index pairs (k, l) with an arc from U_k of D_p to U_l of D_(p+1).
 
     The rows of U_k are ORed into one out-neighbour mask; when it reaches
@@ -163,21 +161,21 @@ def interface_pairs(
         raise ValueError(f"interface index {p} outside 1..{chain.eta - 1}")
     rows = d.rows
     pairs = set()
-    for k, members in enumerate(imp.class_masks[p - 1], start=1):
+    for k, members in enumerate(chain.class_masks[p - 1], start=1):
         out = 0
         for u in _bit_indices(members):
             out |= rows[u]
         if out & chain.masks[p]:
-            for l, target in enumerate(imp.class_masks[p], start=1):
+            for l, target in enumerate(chain.class_masks[p], start=1):
                 if out & target:
                     pairs.add((k, l))
     return frozenset(pairs)
 
 
-def lambda_set(d: Digraph, chain: ComponentChain, imp: ImprimitivityData) -> int:
+def lambda_set(d: Digraph, chain: ComponentChain) -> int:
     """Classes of the last nontrivial component D_p that feed the next
     (trivial) component's vertex, as a mask over Z_kappa with
-    kappa = imp.kappa(p): class label j is bit j - 1.
+    kappa = chain.kappa(p): class label j is bit j - 1.
 
     Requires a trailing trivial part: some component after the last
     nontrivial one.
@@ -197,7 +195,7 @@ def lambda_set(d: Digraph, chain: ComponentChain, imp: ImprimitivityData) -> int
         u = (stray & -stray).bit_length()
         raise InternalCheckError(f"in-neighbor {u} of {col.bit_length()} not in component {p}")
     mask = 0
-    for k, members in enumerate(imp.class_masks[p - 1]):
+    for k, members in enumerate(chain.class_masks[p - 1]):
         if feeders & members:
             mask |= 1 << k
     return mask
@@ -239,12 +237,7 @@ def shifted_union(l1: int, l2: int, shifts: int, kappa: int) -> int:
     return union
 
 
-def converges(
-    d: Digraph,
-    *,
-    chain: ComponentChain | None = None,
-    imp: ImprimitivityData | None = None,
-) -> ConvergenceVerdict:
+def converges(d: Digraph, *, chain: ComponentChain | None = None) -> ConvergenceVerdict:
     """Decide whether the m-step competition graph sequence of d becomes
     constant for large m.
 
@@ -267,17 +260,15 @@ def converges(
     """
     if chain is None:
         chain = component_chain(d)
-    if imp is None:
-        imp = imprimitivity(d, chain)
     if chain.all_trivial:
-        return ConvergenceVerdict(True, RULE_ALL_TRIVIAL, None)
+        return ConvergenceVerdict(RULE_ALL_TRIVIAL, None)
     if not chain.trivial_flags[-1]:
-        return ConvergenceVerdict(True, RULE_NONTRIVIAL_TAIL, None)
+        return ConvergenceVerdict(RULE_NONTRIVIAL_TAIL, None)
     p = chain.last_nontrivial
     assert p is not None
-    kappa = imp.kappa(p)
+    kappa = chain.kappa(p)
     shifts = chain.eta - p
-    lam = lambda_set(d, chain, imp)
+    lam = lambda_set(d, chain)
     l1 = l_set(lam, 1, kappa)
     full = (1 << kappa) - 1
     for j2 in range(2, kappa + 1):
@@ -286,11 +277,10 @@ def converges(
             # union + 1 carries into the lowest residue missing from union
             excluded = (~union & (union + 1)).bit_length() - 1
             return ConvergenceVerdict(
-                False,
                 RULE_TRAILING_CONDITION,
                 DivergenceWitness(j1=1, j2=j2, excluded_residue=excluded),
             )
-    return ConvergenceVerdict(True, RULE_TRAILING_CONDITION, None)
+    return ConvergenceVerdict(RULE_TRAILING_CONDITION, None)
 
 
 def b_graph(kappa1: int, kappa2: int, pairs: frozenset[tuple[int, int]]) -> tuple[int, ...]:
@@ -320,17 +310,15 @@ def b_graph(kappa1: int, kappa2: int, pairs: frozenset[tuple[int, int]]) -> tupl
     return tuple(comb * _rotate(pattern, i, g) for i in range(kappa1))
 
 
-def cs_graph(
-    d: Digraph, chain: ComponentChain, imp: ImprimitivityData
-) -> SkeletonGraph:
+def cs_graph(d: Digraph, chain: ComponentChain) -> SkeletonGraph:
     """The class skeleton of the whole chain: the union of the consecutive
     bipartite skeletons.  Defined only when every component is nontrivial."""
     _require_nontrivial(chain, "the class skeleton")
     joins = (
-        b_graph(imp.kappa(p), imp.kappa(p + 1), interface_pairs(d, chain, imp, p))
+        b_graph(chain.kappa(p), chain.kappa(p + 1), interface_pairs(d, chain, p))
         for p in range(1, chain.eta)
     )
-    return SkeletonGraph(class_counts=imp.kappas, joins=tuple(joins))
+    return SkeletonGraph(class_counts=chain.kappas, joins=tuple(joins))
 
 
 def _require_nontrivial(chain: ComponentChain, needs: str) -> None:
@@ -342,9 +330,9 @@ def _require_nontrivial(chain: ComponentChain, needs: str) -> None:
             )
 
 
-def limit_graph(sk: SkeletonGraph, imp: ImprimitivityData) -> UndirectedGraph:
+def limit_graph(sk: SkeletonGraph, chain: ComponentChain) -> UndirectedGraph:
     """The limit of the m-step competition graph sequence, built from the
-    class skeleton sk = cs_graph(d, chain, imp).  Defined, as sk is, only
+    class skeleton sk = cs_graph(d, chain).  Defined, as sk is, only
     when every component is nontrivial (the sequence then converges unconditionally).
 
     x in class a and y in class b are adjacent iff R_a and R_b meet, R_c
@@ -357,7 +345,7 @@ def limit_graph(sk: SkeletonGraph, imp: ImprimitivityData) -> UndirectedGraph:
     R_a: the vertices whose class's reach meets R_a.  Each vertex takes its
     class's mask minus its own bit.
     """
-    masks = [list(level) for level in imp.class_masks]
+    masks = [list(level) for level in chain.class_masks]
     steps = list(zip(masks, masks[1:], sk.joins))
     for below, above, level in steps:
         for i, joined in enumerate(level):
@@ -368,17 +356,15 @@ def limit_graph(sk: SkeletonGraph, imp: ImprimitivityData) -> UndirectedGraph:
             for j in _bit_indices(joined):
                 below[i] |= above[j]
     # the classes of an all-nontrivial chain partition the vertices 1..n
-    rows = [0] * sum(m.bit_count() for level in imp.class_masks for m in level)
-    for level, finished in zip(imp.class_masks, masks):
+    rows = [0] * sum(m.bit_count() for m in chain.masks)
+    for level, finished in zip(chain.class_masks, masks):
         for members, row in zip(level, finished):
             for v in _bit_indices(members):
                 rows[v] = row & ~(1 << v)
     return UndirectedGraph(len(rows), tuple(rows))
 
 
-def jbd_condition(
-    d: Digraph, chain: ComponentChain, imp: ImprimitivityData
-) -> JbdVerdict:
+def jbd_condition(d: Digraph, chain: ComponentChain) -> JbdVerdict:
     """Whether the limit graph is a disjoint union of cliques, decided from
     the interfaces alone: for every p < eta, kappa_eta must divide kappa_p
     and all interface pairs (k, l) of D_p -> D_(p+1) must share one value
@@ -388,13 +374,13 @@ def jbd_condition(
     """
     _require_nontrivial(chain, "the clique criterion")
     eta = chain.eta
-    kappa_last = imp.kappa(eta)
+    kappa_last = chain.kappa(eta)
     lines = []
     holds = True
     failing_level = None
     detail = None
     for p in range(1, eta):
-        kappa_p = imp.kappa(p)
+        kappa_p = chain.kappa(p)
         if kappa_p % kappa_last != 0:
             line = (
                 f"level {p}: kappa_{eta} = {kappa_last} does not divide "
@@ -404,7 +390,7 @@ def jbd_condition(
                 holds, failing_level, detail = False, p, line
             lines.append("FAIL " + line)
             continue
-        pairs = sorted(interface_pairs(d, chain, imp, p))
+        pairs = sorted(interface_pairs(d, chain, p))
         residues: dict[int, tuple[int, int]] = {}
         for k, l in pairs:
             residues.setdefault((k - l) % kappa_last, (k, l))

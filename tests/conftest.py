@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from compseq import (
     BoolMatrix,
+    ComponentChain,
     Digraph,
-    ImprimitivityData,
+    UndirectedGraph,
     bool_mul,
 )
 
@@ -126,6 +127,16 @@ def zeros(n: int) -> BoolMatrix:
     return BoolMatrix(n, (0,) * n)
 
 
+def entry(a: BoolMatrix, i: int, j: int) -> int:
+    """Entry (i, j) of a, 0-based."""
+    return (a.rows[i] >> j) & 1
+
+
+def adjacent(g: UndirectedGraph, u: int, v: int) -> bool:
+    """Whether u and v, 1-based, are adjacent in g."""
+    return bool((g.rows[u - 1] >> (v - 1)) & 1)
+
+
 def to_entries(a: BoolMatrix) -> list[list[int]]:
     """a as n lists of n entries 0/1, the inverse of BoolMatrix.from_entries."""
     return [[(r >> j) & 1 for j in range(a.n)] for r in a.rows]
@@ -195,7 +206,7 @@ def simple_cycle_lengths(d: Digraph, vertices: frozenset[int]) -> set[int]:
     """Lengths of all simple directed cycles inside the given vertex set,
     by exhaustive DFS (small instances only)."""
     succ: dict[int, list[int]] = {}
-    for u, w in d.arcs:
+    for u, w in d.arc_list():
         succ.setdefault(u, []).append(w)
     lengths: set[int] = set()
     for start in sorted(vertices):
@@ -210,14 +221,14 @@ def simple_cycle_lengths(d: Digraph, vertices: frozenset[int]) -> set[int]:
     return lengths
 
 
-def rotate_classes(imp: ImprimitivityData, shifts: tuple[int, ...]) -> ImprimitivityData:
+def rotate_classes(chain: ComponentChain, shifts: tuple[int, ...]) -> ComponentChain:
     """Relabel every component's classes by a rotation; the arc invariant
     is preserved, only the anchoring of U_1 changes."""
     new_classes = []
-    for cls, s in zip(imp.class_masks, shifts):
+    for cls, s in zip(chain.class_masks, shifts):
         k = len(cls)
         new_classes.append(tuple(cls[(j + s) % k] for j in range(k)))
-    return ImprimitivityData(kappas=imp.kappas, class_masks=tuple(new_classes))
+    return ComponentChain(tuple(new_classes))
 
 
 # --------------------------------------------------------------- strategies

@@ -20,7 +20,6 @@ from compseq import (
     converges,
     cs_graph,
     gamma,
-    imprimitivity,
     interface_pairs,
     jbd_condition,
     limit_graph,
@@ -31,6 +30,7 @@ from compseq import (
     union_of_cliques,
 )
 from conftest import (
+    entry,
     naive_mul,
     numpy_mul,
     period3_matrix,
@@ -63,10 +63,10 @@ def _draw_bounded(master: random.Random, *, max_n: int, allow_trivial) -> Digrap
 def test_criterion_1_worked_example():
     start = time.perf_counter()
     a = period3_matrix()
-    expected = frozenset({(2, 4)})
+    expected = [(2, 4)]
     for m in range(1, 13):
         g = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(a, m)))
-        assert g.edges == expected, f"edge set changed at m={m}"
+        assert g.edge_list() == expected, f"edge set changed at m={m}"
     sim = simulate_limit(a)
     assert (sim.index_mu, sim.period_pi) == (1, 3)
     assert bool_pow(a, 4) == a
@@ -102,7 +102,7 @@ def test_criterion_3_verdict_equivalence():
         d = _draw_bounded(master, max_n=16, allow_trivial=master.random() < 0.6)
         sim = simulate_limit(d)
         verdict = converges(d)
-        assert verdict.converged == sim.converged, format(d.arcs)
+        assert verdict.converged == sim.converged, format(d.arc_list())
         divergent += not sim.converged
         chain = component_chain(d)
         trailing += chain.last_nontrivial not in (None, chain.eta)
@@ -133,12 +133,11 @@ def test_criterion_4_limit_equivalence():
     edges_checked = 0
     for d in _nontrivial_corpus(500):
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
         assert sim.converged
-        analytic = limit_graph(cs_graph(d, chain, imp), imp)
-        assert analytic == sim.limit, format(d.arcs)
-        edges_checked += len(analytic.edges)
+        analytic = limit_graph(cs_graph(d, chain), chain)
+        assert analytic == sim.limit, format(d.arc_list())
+        edges_checked += len(analytic.edge_list())
     elapsed = time.perf_counter() - start
     _criterion(
         4,
@@ -152,10 +151,9 @@ def test_criterion_5_jbd_equivalence():
     holds_count = 0
     for d in _nontrivial_corpus(500):
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
-        analytic = jbd_condition(d, chain, imp).holds
-        assert analytic == union_of_cliques(sim.limit), format(d.arcs)
+        analytic = jbd_condition(d, chain).holds
+        assert analytic == union_of_cliques(sim.limit), format(d.arc_list())
         holds_count += analytic
     elapsed = time.perf_counter() - start
     _criterion(
@@ -174,7 +172,7 @@ def test_criterion_6_dual_route_identity():
         a = random_matrix(rng, n, rng.uniform(0.1, 0.5))
         for m in range(1, 21):
             # both routes run inside and raise InternalCheckError on any split
-            edge_total += len(m_step_competition(a, m).edges)
+            edge_total += len(m_step_competition(a, m).edge_list())
     elapsed = time.perf_counter() - start
     _criterion(
         6,
@@ -197,19 +195,18 @@ def test_criterion_7_irreducible_case():
             )
         )
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
         assert sim.converged
-        class_cliques = frozenset(
+        class_cliques = sorted(
             (u, v)
-            for cls in map(vertices, imp.class_masks[0])
+            for cls in map(vertices, chain.class_masks[0])
             for u in cls
             for v in cls
             if u < v
         )
-        assert sim.limit.edges == class_cliques, format(d.arcs)
+        assert sim.limit.edge_list() == class_cliques, format(d.arc_list())
         assert union_of_cliques(sim.limit)
-        imprimitive += imp.kappa(1) > 1
+        imprimitive += chain.kappa(1) > 1
     elapsed = time.perf_counter() - start
     _criterion(
         7,
@@ -232,21 +229,20 @@ def test_criterion_8_skeleton_soundness():
             )
         )
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        k1, k2 = imp.kappa(1), imp.kappa(2)
-        iset = interface_pairs(d, chain, imp, 1)
+        k1, k2 = chain.kappa(1), chain.kappa(2)
+        iset = interface_pairs(d, chain, 1)
         skeleton = b_graph(k1, k2, iset)
         stride = bool_pow(d, 2 * k1 * k2)
         _, _, powers = reference_powers(stride)  # all distinct A^(2s*k1*k2), s >= 1
         for i in range(1, k1 + 1):
             for j in range(1, k2 + 1):
                 walk_exists = any(
-                    m.entry(u - 1, v - 1)
+                    entry(m, u - 1, v - 1)
                     for m in powers
-                    for u in vertices(imp.class_masks[0][i - 1])
-                    for v in vertices(imp.class_masks[1][j - 1])
+                    for u in vertices(chain.class_masks[0][i - 1])
+                    for v in vertices(chain.class_masks[1][j - 1])
                 )
-                assert (skeleton[i - 1] >> (j - 1) & 1) == walk_exists, (d.arcs, i, j)
+                assert (skeleton[i - 1] >> (j - 1) & 1) == walk_exists, (d.arc_list(), i, j)
                 edges_confirmed += walk_exists
     elapsed = time.perf_counter() - start
     _criterion(

@@ -1,7 +1,8 @@
-"""The public API: every name a module exports resolves, and the package
-re-exports all of them."""
+"""The public API: every name a module exports resolves, the package
+re-exports all of them, and the README's library example runs."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +30,14 @@ def test_package_reexports_every_module_export():
         for attr in module.__all__:
             assert attr in exported, f"compseq.{name}.{attr} not re-exported"
             assert getattr(compseq, attr) is getattr(module, attr)
+
+
+def test_readme_example_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("\n```", 1)[0], {})
+    assert capsys.readouterr().out.splitlines() == [
+        "(15,) ((1, 10, 4),)",
+        "NontrivialTail True",
+    ]

@@ -23,6 +23,7 @@ from compseq import (
 from compseq import bmat, oracle
 from conftest import (
     bool_matrices,
+    entry,
     naive_mul,
     numpy_mul,
     period3_matrix,
@@ -49,15 +50,15 @@ class TestBoolMatrix:
 
     def test_entry_is_row_bit(self):
         a = period3_matrix()
-        assert a.entry(0, 1) == 1
-        assert a.entry(0, 0) == 0
-        assert a.entry(3, 2) == 1
+        assert entry(a, 0, 1) == 1
+        assert entry(a, 0, 0) == 0
+        assert entry(a, 3, 2) == 1
 
     def test_columns_are_transposed_rows(self):
         a = period3_matrix()
         cols = a.columns()
         assert all(
-            (cols[j] >> i) & 1 == a.entry(i, j) for i in range(a.n) for j in range(a.n)
+            (cols[j] >> i) & 1 == entry(a, i, j) for i in range(a.n) for j in range(a.n)
         )
 
     @pytest.mark.parametrize("density", [0.02, 0.1, 0.5, 0.9])
@@ -72,14 +73,10 @@ class TestBoolMatrix:
                 sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n)
             ]
 
-    def test_entry_out_of_range(self):
-        with pytest.raises(IndexError):
-            zeros(2).entry(0, 2)
-
     def test_zeros_identity(self):
         assert to_entries(zeros(3)) == [[0] * 3] * 3
         eye = BoolMatrix.identity(3)
-        assert all(eye.entry(i, j) == (i == j) for i in range(3) for j in range(3))
+        assert all(entry(eye, i, j) == (i == j) for i in range(3) for j in range(3))
 
     def test_dimension_must_be_positive(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -273,7 +270,7 @@ class TestBoolPow:
 class TestGamma:
     def test_worked_example_single_edge(self):
         g = gamma(period3_matrix())
-        assert UndirectedGraph.from_adjacency_matrix(g).edges == {(2, 4)}
+        assert UndirectedGraph.from_adjacency_matrix(g).edge_list() == [(2, 4)]
 
     def test_zero_matrix_has_no_edges(self):
         assert gamma(zeros(3)) == zeros(3)
@@ -282,9 +279,9 @@ class TestGamma:
     def test_symmetric_zero_diagonal(self, a):
         g = gamma(a)
         for i in range(a.n):
-            assert g.entry(i, i) == 0
+            assert entry(g, i, i) == 0
             for j in range(a.n):
-                assert g.entry(i, j) == g.entry(j, i)
+                assert entry(g, i, j) == entry(g, j, i)
 
     @given(bool_matrices())
     def test_edge_iff_rows_intersect(self, a):
@@ -292,7 +289,7 @@ class TestGamma:
         for i in range(a.n):
             for j in range(a.n):
                 expected = int(i != j and bool(a.rows[i] & a.rows[j]))
-                assert g.entry(i, j) == expected
+                assert entry(g, i, j) == expected
 
 
 def mu_pi(a):

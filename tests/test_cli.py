@@ -21,7 +21,6 @@ from compseq import (
     cs_graph,
     format_edge_list,
     format_matrix,
-    imprimitivity,
     limit_graph,
     m_step_competition,
     random_instance,
@@ -259,11 +258,10 @@ class TestReportText:
         d = random_instance(GeneratorSpec(eta=3, sizes=(3, 7), allow_trivial=False, seed=5))
         report = self.report(capsys, write("r.el", format_edge_list(d)))
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        limit = limit_graph(cs_graph(d, chain, imp), imp)
+        limit = limit_graph(cs_graph(d, chain), chain)
         assert report["limit"] == {
             "source": "analytic",
-            "edges": [list(e) for e in sorted(limit.edges)],
+            "edges": [list(e) for e in limit.edge_list()],
         }
         assert len(report["limit"]["edges"]) > 10
 
@@ -272,8 +270,7 @@ class TestReportText:
         assert d.n >= 300
         report = self.report(capsys, write("r.el", format_edge_list(d)))
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        limit = limit_graph(cs_graph(d, chain, imp), imp)
+        limit = limit_graph(cs_graph(d, chain), chain)
         assert report["limit"]["edges"] == [list(e) for e in limit.edge_list()]
 
     def test_simulated_limit(self, write, capsys):
@@ -323,7 +320,7 @@ class TestReportText:
         report = json.loads(out)
         assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
         chain = component_chain(d)
-        sk = theory.cs_graph(d, chain, imprimitivity(d, chain))
+        sk = theory.cs_graph(d, chain)
         assert report["skeleton"] == {
             "class_counts": [40, 41],
             "edges": [[p, i, q, j] for (p, i), (q, j) in sk.edge_list()],
@@ -375,8 +372,8 @@ class TestVerifyCommand:
     def test_failure_prints_shrunken_counterexample(self, capsys, monkeypatch):
         real = theory.limit_graph
 
-        def toggled(sk, imp):
-            g = real(sk, imp)
+        def toggled(sk, chain):
+            g = real(sk, chain)
             rows = list(g.rows)
             rows[0] ^= 0b10
             rows[1] ^= 0b01
@@ -603,8 +600,7 @@ class TestExport:
         for what in whats:
             if what == "limit":
                 chain = component_chain(d)
-                imp = imprimitivity(d, chain)
-                g = limit_graph(cs_graph(d, chain, imp), imp)
+                g = limit_graph(cs_graph(d, chain), chain)
                 argv = ["limit"]
             else:
                 g = m_step_competition(d, int(what))

@@ -21,7 +21,6 @@ from compseq import (
     bool_pow,
     component_chain,
     gamma,
-    imprimitivity,
     random_instance,
     simulate_limit,
     verify,
@@ -81,7 +80,7 @@ class TestSimulateLimit:
         sim = simulate_limit(period3_matrix())
         assert (sim.index_mu, sim.period_pi) == (1, 3)
         assert sim.converged
-        assert sim.limit.edges == {(2, 4)}
+        assert sim.limit.edge_list() == [(2, 4)]
         assert len(sim.gamma_cycle) == 1
 
     def test_divergent_feeder(self):
@@ -90,11 +89,11 @@ class TestSimulateLimit:
         assert not sim.converged
         assert sim.limit is None
         # one edge rotates around the cycle, one residue class of m each
-        assert [g.edges for g in sim.gamma_cycle] == [
-            frozenset({(1, 2)}),
-            frozenset({(1, 4)}),
-            frozenset({(3, 4)}),
-            frozenset({(2, 3)}),
+        assert [g.edge_list() for g in sim.gamma_cycle] == [
+            [(1, 2)],
+            [(1, 4)],
+            [(3, 4)],
+            [(2, 3)],
         ]
 
     def test_size_cap(self, monkeypatch):
@@ -208,9 +207,9 @@ class TestTailStopRule:
             assert simulate_limit(a) == full_period_simulation(a)
         assert len(tables) > 0
         assert simulate_limit(cyclic).period_pi == 8
-        assert simulate_limit(ones).limit.edges == {
+        assert simulate_limit(ones).limit.edge_list() == [
             (u, v) for u in range(1, 65) for v in range(u + 1, 65)
-        }
+        ]
         assert [simulate_limit(a).limit for a in singles] == [UndirectedGraph(1, (0,))] * 2
 
     @settings(max_examples=200, deadline=None)
@@ -274,7 +273,7 @@ class TestVerify:
         component_chain(report.counterexample)  # still linearly connected
 
     def test_analytic_exception_is_a_shrunken_failed_check(self, monkeypatch):
-        def broken_limit(sk, imp):
+        def broken_limit(sk, chain):
             raise InternalCheckError("injected")
 
         monkeypatch.setattr(theory, "limit_graph", broken_limit)
@@ -287,22 +286,22 @@ class TestVerify:
         # the fault shows on every all-nontrivial chain, so shrinking keeps
         # the three 2-cycles and one arc per interface
         ce = report.counterexample
-        assert len(ce.arcs) == 8 and ce.arcs < three_chain_complete().arcs
+        assert len(ce.arc_list()) == 8
+        assert set(ce.arc_list()) < set(three_chain_complete().arc_list())
         assert not any(component_chain(ce).trivial_flags)
 
     def test_limit_mismatch_names_extra_and_missing_edges(self, monkeypatch):
         # the limit of two_chain is {(1, 3), (2, 4)}: drop (2, 4), add (1, 2)
         true_limit = theory.limit_graph
 
-        def skewed_limit(sk, imp):
-            g = true_limit(sk, imp)
-            return UndirectedGraph.from_edges(g.n, g.edges - {(2, 4)} | {(1, 2)})
+        def skewed_limit(sk, chain):
+            g = true_limit(sk, chain)
+            return UndirectedGraph.from_edges(g.n, set(g.edge_list()) - {(2, 4)} | {(1, 2)})
 
         monkeypatch.setattr(theory, "limit_graph", skewed_limit)
         d = two_chain()
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        assert oracle._compare("limit", d, chain, imp, simulate_limit(d)) == CheckResult(
+        assert oracle._compare("limit", d, chain, simulate_limit(d)) == CheckResult(
             "limit", False, "extra [(1, 2)] missing [(2, 4)]"
         )
 
@@ -315,7 +314,7 @@ class TestVerify:
         assert verify(d) == verify(Digraph(d.n, d.rows))
 
     def test_kept_chain_gives_the_fresh_shrunken_failure(self, monkeypatch):
-        def broken_limit(sk, imp):
+        def broken_limit(sk, chain):
             raise InternalCheckError("injected")
 
         monkeypatch.setattr(theory, "limit_graph", broken_limit)
@@ -328,15 +327,14 @@ class TestVerify:
     def test_period_check_compares_lcm_of_kappas(self):
         d = cycle_chain((2, 3))
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
-        assert oracle._compare("period", d, chain, imp, sim) == CheckResult(
+        assert oracle._compare("period", d, chain, sim) == CheckResult(
             "period", True, "lcm of kappas 6 vs simulated 6"
         )
         wrong = SimulationResult(
             sim.index_mu, 3, sim.converged, sim.limit, sim.gamma_cycle
         )
-        assert oracle._compare("period", d, chain, imp, wrong) == CheckResult(
+        assert oracle._compare("period", d, chain, wrong) == CheckResult(
             "period", False, "lcm of kappas 6 vs simulated 3"
         )
 
@@ -352,7 +350,7 @@ class TestVerify:
         assert report.failed_check == "period"
         assert [c.passed for c in report.checks] == [True, True, True, False]
         component_chain(report.counterexample)
-        assert report.counterexample.arcs <= two_chain().arcs
+        assert set(report.counterexample.arc_list()) <= set(two_chain().arc_list())
 
     @pytest.mark.parametrize(
         "error, fails",
@@ -377,12 +375,12 @@ class TestVerify:
 
     def test_shrink_deletes_all_removable_arcs(self, monkeypatch):
         def fake_fails(d, name):
-            return len(d.arcs) >= 5
+            return len(d.arc_list()) >= 5
 
         monkeypatch.setattr(oracle, "_check_fails", fake_fails)
-        start = Digraph.from_arcs(4, two_chain().arcs | {(1, 3)})
+        start = Digraph.from_arcs(4, two_chain().arc_list() + [(1, 3)])
         shrunk = oracle._shrink(start, "verdict")
-        assert len(shrunk.arcs) == 5
+        assert len(shrunk.arc_list()) == 5
         component_chain(shrunk)  # deletions never leave the chain class
 
 

@@ -20,7 +20,6 @@ from compseq import (
     Digraph,
     DivergenceWitness,
     GeneratorSpec,
-    ImprimitivityData,
     JbdVerdict,
     SimulationResult,
     SkeletonGraph,
@@ -34,11 +33,10 @@ PATH = UndirectedGraph(3, (0b010, 0b101, 0b010))
 SAMPLES = {
     BoolMatrix: {"n": 2, "rows": (0b10, 0b01)},
     UndirectedGraph: {"n": 3, "rows": (0b010, 0b101, 0b010)},
-    ComponentChain: {"masks": (0b01, 0b10)},
-    ImprimitivityData: {"kappas": (2,), "class_masks": ((0b01, 0b10),)},
+    ComponentChain: {"class_masks": ((0b01, 0b10), (0b100,))},
     SkeletonGraph: {"class_counts": (2, 2), "joins": ((0b10, 0),)},
     DivergenceWitness: {"j1": 1, "j2": 2, "excluded_residue": 0},
-    ConvergenceVerdict: {"converged": True, "rule": "NontrivialTail", "witness": None},
+    ConvergenceVerdict: {"rule": "NontrivialTail", "witness": None},
     JbdVerdict: {"holds": False, "failing_level": 1, "detail": "split", "levels": ("a", "b")},
     SimulationResult: {
         "index_mu": 1,
@@ -63,9 +61,8 @@ INVALID = [
     (BoolMatrix, (2, (0b100, 0)), "bits outside"),
     (BoolMatrix, (2, (0,)), "expected 2 rows"),
     (UndirectedGraph, (2, (0b10, 0)), "not symmetric"),
-    (ImprimitivityData, ((2,), ((0b1,),)), "expected 2 classes"),
+    (ComponentChain, (((0b1,), (0,)),), "empty imprimitivity class"),
     (SkeletonGraph, ((2, 2), ((0b100, 0),)), "label out of range"),
-    (ConvergenceVerdict, (True, "NontrivialTail", DivergenceWitness(1, 2, 0)), "witness"),
     (GeneratorSpec, (0,), "at least one component"),
 ]
 
@@ -184,7 +181,8 @@ def test_cached_properties_survive_freezing():
     assert d.arcs is d.arcs == frozenset({(1, 2), (2, 3), (3, 1)})
     assert UndirectedGraph(**SAMPLES[UndirectedGraph]).edges == {(1, 2), (2, 3)}
     chain = ComponentChain(**SAMPLES[ComponentChain])
-    assert chain.trivial_flags == (True, True)
+    assert chain.masks == (0b011, 0b100)
+    assert chain.trivial_flags == (False, True)
     assert d == Digraph(3, (0b010, 0b100, 0b001))  # a cached value is not a field
 
 

@@ -23,7 +23,6 @@ from compseq import (
     component_chain,
     converges,
     cs_graph,
-    imprimitivity,
     interface_pairs,
     jbd_condition,
     l_set,
@@ -36,6 +35,7 @@ from compseq import (
 )
 from compseq.theory import _rotate
 from conftest import (
+    adjacent,
     aperiodic_middle_chain,
     chorded_six_cycle,
     cycle4_feeders,
@@ -89,7 +89,7 @@ class TestResidueSet:
         # label j is bit j - 1: bit 0 holds label 1
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        assert lambda_set(d, chain, imprimitivity(d, chain)) == 0b0011
+        assert lambda_set(d, chain) == 0b0011
         # L_1 = {k : k a label in lam}: labels 1 and 3 are residues 1 and 3
         assert l_set(0b0101, 1, 4) == 0b1010
         with pytest.raises(ValueError, match="label"):
@@ -102,28 +102,25 @@ class TestLambdaAndLSets:
     def test_lambda_set_of_divergent_feeder(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        assert imp.kappa(chain.last_nontrivial) == 4
-        assert lambda_set(d, chain, imp) == 0b0011  # labels 1 and 2
+        assert chain.kappa(chain.last_nontrivial) == 4
+        assert lambda_set(d, chain) == 0b0011  # labels 1 and 2
 
     def test_lambda_set_full_when_all_classes_feed(self):
         d = cycle4_feeders(4)
         chain = component_chain(d)
-        assert lambda_set(d, chain, imprimitivity(d, chain)) == 0b1111
+        assert lambda_set(d, chain) == 0b1111
 
     def test_lambda_set_requires_trailing_trivial_part(self):
         d = two_chain()
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         with pytest.raises(ValueError, match="last component is nontrivial"):
-            lambda_set(d, chain, imp)
+            lambda_set(d, chain)
 
     def test_lambda_set_requires_a_nontrivial_component(self):
         d = Digraph.from_arcs(3, [(1, 2), (2, 3)])
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         with pytest.raises(ValueError, match="every component is trivial"):
-            lambda_set(d, chain, imp)
+            lambda_set(d, chain)
 
     def test_l_set_examples(self):
         lam = 0b01  # label 1 of Z_2
@@ -184,14 +181,14 @@ def all_pairs_verdict(d):
     whose union is neither empty nor full, with its smallest missing
     residue.  d must end in a trivial component after a nontrivial one."""
     chain = component_chain(d)
-    imp = imprimitivity(d, chain)
     p = chain.last_nontrivial
-    kappa = imp.kappa(p)
+    kappa = chain.kappa(p)
     (v,) = vertices(chain.masks[p])
+    arcs = set(d.arc_list())
     feeders = {
         j
-        for j, cls in enumerate(imp.class_masks[p - 1], start=1)
-        if any((u, v) in d.arcs for u in vertices(cls))
+        for j, cls in enumerate(chain.class_masks[p - 1], start=1)
+        if any((u, v) in arcs for u in vertices(cls))
     }
     lsets = {
         j: frozenset((k - j + 1) % kappa for k in feeders) for j in range(1, kappa + 1)
@@ -206,8 +203,8 @@ def all_pairs_verdict(d):
                 )
             if union and union != everything:
                 witness = DivergenceWitness(j1, j2, min(everything - union))
-                return ConvergenceVerdict(False, RULE_TRAILING_CONDITION, witness)
-    return ConvergenceVerdict(True, RULE_TRAILING_CONDITION, None)
+                return ConvergenceVerdict(RULE_TRAILING_CONDITION, witness)
+    return ConvergenceVerdict(RULE_TRAILING_CONDITION, None)
 
 
 def full_feed_cycle(kappa: int) -> Digraph:
@@ -275,19 +272,17 @@ class TestConverges:
         assert divergent >= 100 and later_witness >= 5
 
     def test_witness_present_iff_divergent(self):
-        with pytest.raises(ValueError, match="witness"):
-            ConvergenceVerdict(True, RULE_TRAILING_CONDITION, DivergenceWitness(1, 2, 0))
-        with pytest.raises(ValueError, match="witness"):
-            ConvergenceVerdict(False, RULE_TRAILING_CONDITION, None)
+        # converged is derived from the witness, so no verdict contradicts it
+        assert not ConvergenceVerdict(RULE_TRAILING_CONDITION, DivergenceWitness(1, 2, 0)).converged
+        assert ConvergenceVerdict(RULE_TRAILING_CONDITION, None).converged
 
     def test_verdict_ignores_class_anchoring(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        base = converges(d, chain=chain, imp=imp)
+        base = converges(d, chain=chain)
         for s in range(4):
-            rot = rotate_classes(imp, (s, 0))
-            v = converges(d, chain=chain, imp=rot)
+            rot = rotate_classes(chain, (s, 0))
+            v = converges(d, chain=rot)
             assert (v.converged, v.rule) == (base.converged, base.rule)
 
     @settings(max_examples=50, deadline=None)
@@ -301,15 +296,14 @@ class TestInterfacePairs:
     def test_two_chain(self):
         d = two_chain()
         chain = component_chain(d)
-        iset = interface_pairs(d, chain, imprimitivity(d, chain), 1)
+        iset = interface_pairs(d, chain, 1)
         assert iset == {(2, 1)}
 
     def test_index_validated(self):
         d = two_chain()
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         with pytest.raises(ValueError, match="interface index"):
-            interface_pairs(d, chain, imp, 2)
+            interface_pairs(d, chain, 2)
 
 
 def per_pair_b_graph(kappa1, kappa2, pairs):
@@ -382,7 +376,7 @@ class TestSkeleton:
     def test_parallel_chain(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        sk = cs_graph(d, chain, imprimitivity(d, chain))
+        sk = cs_graph(d, chain)
         assert sk.class_counts == (2, 2, 2)
         assert sk.eta == 3
         assert sk.joins == ((0b01, 0b10), (0b01, 0b10))
@@ -396,7 +390,7 @@ class TestSkeleton:
     def test_complete_chain(self):
         d = three_chain_complete()
         chain = component_chain(d)
-        sk = cs_graph(d, chain, imprimitivity(d, chain))
+        sk = cs_graph(d, chain)
         assert sk.edge_list() == [
             ((p, i), (p + 1, j)) for p in (1, 2) for i in (1, 2) for j in (1, 2)
         ]
@@ -405,7 +399,7 @@ class TestSkeleton:
     def test_edge_list_is_sorted(self, seed):
         d = random_instance(GeneratorSpec(eta=4, sizes=(2, 12), allow_trivial=False, seed=seed))
         chain = component_chain(d)
-        sk = cs_graph(d, chain, imprimitivity(d, chain))
+        sk = cs_graph(d, chain)
         edges = sk.edge_list()
         assert edges == sorted(set(edges))
         assert len(edges) == sum(map(int.bit_count, itertools.chain(*sk.joins)))
@@ -413,9 +407,8 @@ class TestSkeleton:
     def test_trivial_component_rejected(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         with pytest.raises(TrivialComponentError, match="component 2 is trivial"):
-            cs_graph(d, chain, imp)
+            cs_graph(d, chain)
 
     def test_skeleton_validation(self):
         SkeletonGraph((2, 3), ((0b111, 0b001),))
@@ -446,11 +439,11 @@ def ascending_reach(sk, p, i):
     return reach
 
 
-def class_labels(imp):
+def class_labels(chain):
     """vertex -> (component p, class label j), both 1-based."""
     return {
         v: (p, j)
-        for p, cls in enumerate(imp.class_masks, start=1)
+        for p, cls in enumerate(chain.class_masks, start=1)
         for j, members in enumerate(cls, start=1)
         for v in vertices(members)
     }
@@ -462,7 +455,7 @@ class TestAscendingReach:
     def test_parallel_chain_tracks_one_lane(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        sk = cs_graph(d, chain, imprimitivity(d, chain))
+        sk = cs_graph(d, chain)
         assert ascending_reach(sk, 1, 2) == {
             1: frozenset({2}),
             2: frozenset({2}),
@@ -474,7 +467,7 @@ class TestAscendingReach:
     def test_complete_chain_spreads(self):
         d = three_chain_complete()
         chain = component_chain(d)
-        sk = cs_graph(d, chain, imprimitivity(d, chain))
+        sk = cs_graph(d, chain)
         assert ascending_reach(sk, 1, 1)[3] == frozenset({1, 2})
 
 
@@ -483,17 +476,17 @@ class TestAscendingReach:
 LANE_MERGES = (gcd2_merge_chain(), aperiodic_middle_chain(), chorded_six_cycle())
 
 
-def pairwise_limit_graph(d, chain, imp):
+def pairwise_limit_graph(d, chain):
     """The limit by the vertex-pair rule: x in U_i of D_p and y in U_j of
     D_q with p <= q are adjacent iff the ascending reach sets of (p, i) and
     (q, j) meet at some level r >= q."""
-    sk = cs_graph(d, chain, imp)
+    sk = cs_graph(d, chain)
     reach = {
         (p, i): ascending_reach(sk, p, i)
         for p in range(1, sk.eta + 1)
         for i in range(1, sk.class_counts[p - 1] + 1)
     }
-    label = class_labels(imp)
+    label = class_labels(chain)
     edges = []
     for u in range(1, d.n + 1):
         for v in range(u + 1, d.n + 1):
@@ -507,14 +500,13 @@ def pairwise_limit_graph(d, chain, imp):
 class TestLimitGraph:
     def limit(self, d):
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        return limit_graph(cs_graph(d, chain, imp), imp)
+        return limit_graph(cs_graph(d, chain), chain)
 
     def test_two_chain(self):
-        assert self.limit(two_chain()).edges == {(1, 3), (2, 4)}
+        assert self.limit(two_chain()).edge_list() == [(1, 3), (2, 4)]
 
     def test_single_component_worked_example(self):
-        assert self.limit(period3_digraph()).edges == {(2, 4)}
+        assert self.limit(period3_digraph()).edge_list() == [(2, 4)]
 
     def test_complete_chain(self):
         got = self.limit(three_chain_complete())
@@ -524,24 +516,24 @@ class TestLimitGraph:
             for v in range(u + 1, 7)
             if (u - 1) // 2 != (v - 1) // 2
         }
-        assert got.edges == frozenset(cross | {(1, 2), (3, 4)})
-        assert not got.adjacent(5, 6)
+        assert got.edge_list() == sorted(cross | {(1, 2), (3, 4)})
+        assert not adjacent(got, 5, 6)
 
     def test_trivial_component_rejected(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         with pytest.raises(TrivialComponentError):
-            limit_graph(cs_graph(d, chain, imp), imp)
+            limit_graph(cs_graph(d, chain), chain)
 
     def test_ignores_class_anchoring(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        base = limit_graph(cs_graph(d, chain, imp), imp)
+        base = limit_graph(cs_graph(d, chain), chain)
+        base_jbd = jbd_condition(d, chain).holds
         for shifts in itertools.product(range(2), repeat=3):
-            rotated = rotate_classes(imp, shifts)
-            assert limit_graph(cs_graph(d, chain, rotated), rotated) == base
+            rotated = rotate_classes(chain, shifts)
+            assert limit_graph(cs_graph(d, rotated), rotated) == base
+            assert jbd_condition(d, rotated).holds == base_jbd
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -558,10 +550,9 @@ class TestLimitGraph:
     @example(LANE_MERGES[2])
     def test_matches_simulation(self, d):
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
         assert sim.converged
-        assert limit_graph(cs_graph(d, chain, imp), imp) == sim.limit
+        assert limit_graph(cs_graph(d, chain), chain) == sim.limit
 
     def test_matches_pairwise_rule(self):
         rng = random.Random(3)
@@ -579,10 +570,9 @@ class TestLimitGraph:
         )
         for d in itertools.chain(LANE_MERGES, randoms):
             chain = component_chain(d)
-            imp = imprimitivity(d, chain)
-            assert limit_graph(cs_graph(d, chain, imp), imp) == pairwise_limit_graph(d, chain, imp)
-            seen_kappa |= max(imp.kappas) > 1
-            seen_jbd_fail |= not jbd_condition(d, chain, imp).holds
+            assert limit_graph(cs_graph(d, chain), chain) == pairwise_limit_graph(d, chain)
+            seen_kappa |= max(chain.kappas) > 1
+            seen_jbd_fail |= not jbd_condition(d, chain).holds
         assert seen_kappa and seen_jbd_fail
 
     @settings(max_examples=40, deadline=None)
@@ -592,14 +582,13 @@ class TestLimitGraph:
             GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
         )
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        got = limit_graph(cs_graph(d, chain, imp), imp)
-        for cls in imp.class_masks:
+        got = limit_graph(cs_graph(d, chain), chain)
+        for cls in chain.class_masks:
             for members in map(vertices, cls):
                 for u in members:
                     for v in members:
                         if u < v:
-                            assert got.adjacent(u, v)
+                            assert adjacent(got, u, v)
 
 
 class TestStepCommonPrey:
@@ -614,16 +603,15 @@ class TestStepCommonPrey:
             GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
         )
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
-        sk = cs_graph(d, chain, imp)
+        sk = cs_graph(d, chain)
         _, _, powers = reference_powers(d)
         masks = dict(enumerate(chain.masks, start=1))
         reach = {
             (p, i): ascending_reach(sk, p, i)
             for p in range(1, chain.eta + 1)
-            for i in range(1, imp.kappa(p) + 1)
+            for i in range(1, chain.kappa(p) + 1)
         }
-        label = class_labels(imp)
+        label = class_labels(chain)
         for x in range(1, d.n + 1):
             for y in range(x + 1, d.n + 1):
                 (p, i), (q, j) = sorted((label[x], label[y]))
@@ -638,7 +626,7 @@ class TestStepCommonPrey:
 class TestJbdCondition:
     def verdict(self, d):
         chain = component_chain(d)
-        return jbd_condition(d, chain, imprimitivity(d, chain))
+        return jbd_condition(d, chain)
 
     def test_parallel_chain_holds(self):
         v = self.verdict(three_chain_parallel())
@@ -670,9 +658,8 @@ class TestJbdCondition:
     def test_trivial_component_rejected(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         with pytest.raises(TrivialComponentError):
-            jbd_condition(d, chain, imp)
+            jbd_condition(d, chain)
 
     def test_named_instances_match_limit_shape(self):
         for d in (
@@ -682,9 +669,8 @@ class TestJbdCondition:
             mixed_residue_chain(),
         ):
             chain = component_chain(d)
-            imp = imprimitivity(d, chain)
-            assert jbd_condition(d, chain, imp).holds == union_of_cliques(
-                limit_graph(cs_graph(d, chain, imp), imp)
+            assert jbd_condition(d, chain).holds == union_of_cliques(
+                limit_graph(cs_graph(d, chain), chain)
             )
 
     @settings(max_examples=50, deadline=None)
@@ -694,15 +680,14 @@ class TestJbdCondition:
             GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
         )
         chain = component_chain(d)
-        imp = imprimitivity(d, chain)
         sim = simulate_limit(d)
-        assert jbd_condition(d, chain, imp).holds == union_of_cliques(sim.limit)
+        assert jbd_condition(d, chain).holds == union_of_cliques(sim.limit)
 
 
 def connected_components(g):
     """The vertex sets of g's connected components, by search over edges."""
     neighbours = {v: set() for v in range(1, g.n + 1)}
-    for u, v in g.edges:
+    for u, v in g.edge_list():
         neighbours[u].add(v)
         neighbours[v].add(u)
     comps, seen = [], set()
@@ -730,7 +715,7 @@ class TestUnionOfCliques:
         toggled = data.draw(st.sets(st.sampled_from(pairs), max_size=2)) if pairs else set()
         g = UndirectedGraph.from_edges(n, cliques ^ toggled)
         expected = all(
-            sum(1 for u, v in g.edges if u in comp) == len(comp) * (len(comp) - 1) // 2
+            sum(1 for u, v in g.edge_list() if u in comp) == len(comp) * (len(comp) - 1) // 2
             for comp in connected_components(g)
         )
         assert union_of_cliques(g) == expected
