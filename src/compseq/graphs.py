@@ -33,8 +33,9 @@ the repeated-squaring power A^m, and a DP that extends walks one arc at a
 time on int masks without calling ``bool_mul`` or ``gamma``.  The DP's
 reach sequence is eventually periodic, so it finds the period by Brent's
 cycle detection (Brent, BIT 20, 1980) and jumps over whole periods: any m
-costs O(mu + pi) steps, where mu and pi are the index and period of that
-sequence.  The DP builds its own successor lists and does not read the
+costs O(min(m, mu + pi)) steps, where mu and pi are the index and period
+of that sequence; an m and a pi both above ``M_STEP_CAP`` are refused
+first.  The DP builds its own successor lists and does not read the
 cached ``successors`` that ``bool_mul``, ``_strong_components`` and the
 oracle's power walk share, so the two routes share no state.
 """
@@ -42,7 +43,7 @@ oracle's power walk share, so the two routes share no state.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable
 
@@ -57,6 +58,7 @@ __all__ = [
     "SelfLoopError",
     "NotLinearlyConnectedError",
     "InternalCheckError",
+    "M_STEP_CAP",
     "component_chain",
     "imprimitivity",
     "m_step_competition",
@@ -65,6 +67,8 @@ __all__ = [
     "parse_digraph",
     "detect_format",
 ]
+
+M_STEP_CAP = 100_000  # m_step_competition refuses an m and a period both above this
 
 
 class SelfLoopError(ValueError):
@@ -416,15 +420,22 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
     the walk DP reach_(t+1)(v) = OR of reach_t(w) over the arcs (v, w),
     from reach_0(v) = {v}, with u and v joined iff their reach masks
     intersect.  The DP stops at the first repeat of its reach sequence and
-    jumps ahead by whole periods (``_m_step_reach``), so its step count is
-    bounded by the index and period of A's powers, not by m.  The DP
-    shares no kernel with the matrix route (no ``bool_mul``, no ``gamma``)
-    and no successor list (it builds its own instead of reading
-    ``d.successors``), so a fault in either shows as a mismatch, which
-    raises InternalCheckError instead of returning a wrong answer.
+    jumps ahead by whole periods (``_m_step_reach``): at most m steps and
+    O(mu + pi), mu and pi the index and period of A's powers.  pi, the lcm
+    of the kappas of d's strong components, is found first, and an m and
+    a pi both above M_STEP_CAP raise ValueError.  The DP shares no kernel
+    with the matrix route (no ``bool_mul``, no ``gamma``) and no successor
+    list (it builds its own instead of reading ``d.successors``), so a
+    fault in either shows as a mismatch, which raises InternalCheckError
+    instead of returning a wrong answer.
     """
     if m < 1:
         raise ValueError(f"step count must be >= 1, got {m}")
+    pi = lcm(*map(len, imprimitivity(d, _strong_components(d))))
+    if min(m, pi) > M_STEP_CAP:
+        raise ValueError(
+            f"step count {m} and period {pi} both exceed the walk cap of {M_STEP_CAP} steps"
+        )
     via_matrix = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(d, m)))
     reach = _m_step_reach(d, m)
     rows = [0] * d.n

@@ -76,15 +76,21 @@ class SimulationResult:
 
     index_mu/period_pi describe the power sequence; gamma_cycle lists the
     distinct competition graphs appearing over one full period of the
-    tail, in order of first appearance.  converged iff that list has
-    length one; limit is then its single entry.
+    tail, in order of first appearance.  converged, derived, holds iff
+    that list has length one; limit is then its single entry.
     """
 
     index_mu: int
     period_pi: int
-    converged: bool
-    limit: UndirectedGraph | None
     gamma_cycle: tuple[UndirectedGraph, ...]
+
+    @property
+    def converged(self) -> bool:
+        return len(self.gamma_cycle) == 1
+
+    @property
+    def limit(self) -> UndirectedGraph | None:
+        return self.gamma_cycle[0] if self.converged else None
 
 
 def simulate_limit(a: BoolMatrix) -> SimulationResult:
@@ -143,14 +149,7 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
             break  # back at gamma(A^mu): the rest of the period repeats what is here
         distinct[g] = None
     graphs = tuple(UndirectedGraph(a.n, g) for g in distinct)
-    converged = len(graphs) == 1
-    return SimulationResult(
-        index_mu=mu,
-        period_pi=pi,
-        converged=converged,
-        limit=graphs[0] if converged else None,
-        gamma_cycle=graphs,
-    )
+    return SimulationResult(index_mu=mu, period_pi=pi, gamma_cycle=graphs)
 
 
 @frozen
@@ -162,10 +161,19 @@ class CheckResult:
 
 @frozen
 class VerificationReport:
-    passed: bool
+    """The checks of one ``verify`` run and the shrunken counterexample of
+    the first failing one, whose name is the derived failed_check."""
+
     checks: tuple[CheckResult, ...]
-    failed_check: str | None
     counterexample: Digraph | None
+
+    @property
+    def failed_check(self) -> str | None:
+        return next((c.name for c in self.checks if not c.passed), None)
+
+    @property
+    def passed(self) -> bool:
+        return self.failed_check is None
 
 
 def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
@@ -276,17 +284,10 @@ def verify(d: Digraph) -> VerificationReport:
     first failing check is shrunk to a minimal counterexample by greedy arc
     deletion.
     """
-    checks = _run_checks(d, CHECK_NAMES)
-    failed = next((c.name for c in checks if not c.passed), None)
-    counterexample = None
-    if failed is not None:
-        counterexample = _shrink(d, failed)
-    return VerificationReport(
-        passed=failed is None,
-        checks=tuple(checks),
-        failed_check=failed,
-        counterexample=counterexample,
-    )
+    report = VerificationReport(tuple(_run_checks(d, CHECK_NAMES)), None)
+    if report.passed:
+        return report
+    return VerificationReport(report.checks, _shrink(d, report.failed_check))
 
 
 @frozen

@@ -10,9 +10,9 @@ Conventions used throughout:
 * A digraph is its adjacency matrix, a ``BoolMatrix``.  Vertex sets are
   masks in the layout of one of its rows, bit v-1 for vertex v: U_j of
   D_p is ``chain.class_masks[p-1][j-1]`` and D_p is ``chain.masks[p-1]``.
-  Which classes an interface or the trailing vertex touches is found by
-  ANDing rows, or ORs of rows, with these masks; no layer keeps a
-  vertex -> class map.
+  ``interface_pairs``, the one reader of a digraph's rows, ANDs ORs of
+  rows with these masks; the classes feeding the trailing vertex are
+  read off its pairs.  No layer keeps a vertex -> class map.
 * Class labels are 1-based: the classes of a component with index kappa
   are U_1 .. U_kappa, and label j is residue j - 1 of Z_kappa =
   {0 .. kappa-1} everywhere.  A residue set is an int mask over Z_kappa,
@@ -42,7 +42,6 @@ from ._record import frozen
 from .graphs import (
     ComponentChain,
     Digraph,
-    InternalCheckError,
     UndirectedGraph,
     _bit_indices,
     component_chain,
@@ -140,12 +139,22 @@ class ConvergenceVerdict:
 @frozen
 class JbdVerdict:
     """Whether the limit is block diagonal with all-ones diagonal blocks
-    (a disjoint union of cliques); diagnostics name the first violation."""
+    (a disjoint union of cliques).  levels[p-1] is the line of interface
+    level p, marked "ok   " or "FAIL "; failing_level is the first failing
+    level, or None.  holds and detail are derived from these two."""
 
-    holds: bool
     failing_level: int | None
-    detail: str | None
     levels: tuple[str, ...]
+
+    @property
+    def holds(self) -> bool:
+        return self.failing_level is None
+
+    @property
+    def detail(self) -> str | None:
+        """The failing level's line without its "FAIL " mark, or None."""
+        p = self.failing_level
+        return None if p is None else self.levels[p - 1].removeprefix("FAIL ")
 
     def __bool__(self) -> bool:
         return self.holds
@@ -173,9 +182,10 @@ def interface_pairs(d: Digraph, chain: ComponentChain, p: int) -> frozenset[tupl
 
 
 def lambda_set(d: Digraph, chain: ComponentChain) -> int:
-    """Classes of the last nontrivial component D_p that feed the next
-    (trivial) component's vertex, as a mask over Z_kappa with
-    kappa = chain.kappa(p): class label j is bit j - 1.
+    """Classes of the last nontrivial component D_p that feed the one
+    vertex of the trivial D_(p+1), the labels k of the interface pairs
+    (k, 1), as a mask over Z_kappa with kappa = chain.kappa(p): class
+    label j is bit j - 1.
 
     Requires a trailing trivial part: some component after the last
     nontrivial one.
@@ -185,20 +195,7 @@ def lambda_set(d: Digraph, chain: ComponentChain) -> int:
         raise ValueError("every component is trivial; no reference component exists")
     if p == chain.eta:
         raise ValueError("last component is nontrivial; no trailing trivial part")
-    col = chain.masks[p]  # the one vertex of the trivial D_(p+1)
-    feeders = 0
-    for u, row in enumerate(d.rows):
-        if row & col:
-            feeders |= 1 << u
-    stray = feeders & ~chain.masks[p - 1]
-    if stray:
-        u = (stray & -stray).bit_length()
-        raise InternalCheckError(f"in-neighbor {u} of {col.bit_length()} not in component {p}")
-    mask = 0
-    for k, members in enumerate(chain.class_masks[p - 1]):
-        if feeders & members:
-            mask |= 1 << k
-    return mask
+    return sum({1 << (k - 1) for k, _ in interface_pairs(d, chain, p)})
 
 
 def _rotate(mask: int, s: int, kappa: int) -> int:
@@ -376,42 +373,30 @@ def jbd_condition(d: Digraph, chain: ComponentChain) -> JbdVerdict:
     eta = chain.eta
     kappa_last = chain.kappa(eta)
     lines = []
-    holds = True
-    failing_level = None
-    detail = None
     for p in range(1, eta):
         kappa_p = chain.kappa(p)
         if kappa_p % kappa_last != 0:
-            line = (
-                f"level {p}: kappa_{eta} = {kappa_last} does not divide "
-                f"kappa_{p} = {kappa_p}"
+            lines.append(
+                f"FAIL level {p}: kappa_{eta} = {kappa_last} does not divide kappa_{p} = {kappa_p}"
             )
-            if holds:
-                holds, failing_level, detail = False, p, line
-            lines.append("FAIL " + line)
             continue
-        pairs = sorted(interface_pairs(d, chain, p))
         residues: dict[int, tuple[int, int]] = {}
-        for k, l in pairs:
+        for k, l in sorted(interface_pairs(d, chain, p)):
             residues.setdefault((k - l) % kappa_last, (k, l))
         if len(residues) > 1:
             (r1, pair1), (r2, pair2) = sorted(residues.items())[:2]
-            line = (
-                f"level {p}: interface pairs {pair1} and {pair2} have residues "
+            lines.append(
+                f"FAIL level {p}: interface pairs {pair1} and {pair2} have residues "
                 f"{r1} != {r2} (mod kappa_{eta} = {kappa_last})"
             )
-            if holds:
-                holds, failing_level, detail = False, p, line
-            lines.append("FAIL " + line)
         else:
             shared = next(iter(residues)) if residues else None
             lines.append(
                 f"ok   level {p}: kappa_{eta} = {kappa_last} divides kappa_{p} = {kappa_p}; "
                 f"shared residue {shared}"
             )
-    return JbdVerdict(
-        holds=holds, failing_level=failing_level, detail=detail, levels=tuple(lines)
-    )
+    failing = (p for p, line in enumerate(lines, start=1) if line.startswith("FAIL"))
+    return JbdVerdict(next(failing, None), tuple(lines))
 
 
 def union_of_cliques(g: UndirectedGraph) -> bool:

@@ -513,6 +513,16 @@ class TestExport:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "routes disagree at m=3" in err
 
+    def test_competition_past_the_walk_cap_refused(self, write, capsys):
+        # cycles of lengths 2..17 prime: the powers have period 510510
+        path = write("primes.el", format_edge_list(cycle_chain((2, 3, 5, 7, 11, 13, 17))))
+        code, out, err = run(capsys, "export", path, "--what", "competition", "1000000000000")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: step count 1000000000000 and period 510510 "
+            f"both exceed the walk cap of {graphs.M_STEP_CAP} steps\n"
+        )
+
     def test_competition_needs_step_count(self, write, capsys):
         path = write("t.el", format_edge_list(two_chain()))
         code, _, err = run(capsys, "export", path, "--what", "competition")

@@ -2,6 +2,7 @@
 classes, competition graphs, text formats."""
 
 import itertools
+import math
 import random
 import re
 
@@ -22,6 +23,7 @@ from compseq import (
     bool_pow,
     component_chain,
     format_edge_list,
+    gamma,
     imprimitivity,
     m_step_competition,
     parse_digraph,
@@ -447,6 +449,30 @@ class TestMStepCompetition:
         assert (1, 4) not in m_step_competition(d, 1).edge_list()
         assert (1, 4) in m_step_competition(d, 2).edge_list()
         assert (1, 4) in m_step_competition(d, 7).edge_list()
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(max_n=7))
+    def test_period_is_lcm_of_kappas(self, d):
+        # the premise of the walk cap: the period of A's powers is known
+        # before the walk, on any digraph, loops and non-chains included
+        kappas = map(len, imprimitivity(d, _strong_components(d)))
+        assert math.lcm(*kappas) == simulate_limit(d).period_pi
+
+    def test_long_period_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the input was not refused first")
+
+        monkeypatch.setattr(graphs, "_m_step_reach", no_work)
+        monkeypatch.setattr(graphs, "bool_pow", no_work)
+        d = cycle_chain((2, 3, 5, 7, 11, 13, 17))  # period 510510
+        message = r"^step count 10{12} and period 510510 both exceed the walk cap"
+        with pytest.raises(ValueError, match=message):
+            m_step_competition(d, 10**12)
+
+    def test_long_period_answers_a_step_count_under_the_cap(self):
+        # the cap refuses only when the step count exceeds it too
+        d = cycle_chain((2, 3, 5, 7, 11, 13, 17))
+        assert m_step_competition(d, 1000).rows == gamma(bool_pow(d, 1000)).rows
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=6), st.integers(1, 6))

@@ -51,8 +51,7 @@ def full_period_simulation(a: BoolMatrix) -> SimulationResult:
         g = gamma(power)
         distinct.setdefault(g.rows, g)
     graphs = tuple(UndirectedGraph.from_adjacency_matrix(g) for g in distinct.values())
-    converged = len(graphs) == 1
-    return SimulationResult(mu, pi, converged, graphs[0] if converged else None, graphs)
+    return SimulationResult(mu, pi, graphs)
 
 
 def transpose(x: BoolMatrix) -> BoolMatrix:
@@ -331,9 +330,7 @@ class TestVerify:
         assert oracle._compare("period", d, chain, sim) == CheckResult(
             "period", True, "lcm of kappas 6 vs simulated 6"
         )
-        wrong = SimulationResult(
-            sim.index_mu, 3, sim.converged, sim.limit, sim.gamma_cycle
-        )
+        wrong = SimulationResult(sim.index_mu, 3, sim.gamma_cycle)
         assert oracle._compare("period", d, chain, wrong) == CheckResult(
             "period", False, "lcm of kappas 6 vs simulated 3"
         )
@@ -341,9 +338,7 @@ class TestVerify:
     def test_period_failure_is_shrunk(self, monkeypatch):
         def doubled_period(a):
             sim = simulate_limit(a)
-            return SimulationResult(
-                sim.index_mu, 2 * sim.period_pi, sim.converged, sim.limit, sim.gamma_cycle
-            )
+            return SimulationResult(sim.index_mu, 2 * sim.period_pi, sim.gamma_cycle)
 
         monkeypatch.setattr(oracle, "simulate_limit", doubled_period)
         report = verify(two_chain())

@@ -37,21 +37,10 @@ SAMPLES = {
     SkeletonGraph: {"class_counts": (2, 2), "joins": ((0b10, 0),)},
     DivergenceWitness: {"j1": 1, "j2": 2, "excluded_residue": 0},
     ConvergenceVerdict: {"rule": "NontrivialTail", "witness": None},
-    JbdVerdict: {"holds": False, "failing_level": 1, "detail": "split", "levels": ("a", "b")},
-    SimulationResult: {
-        "index_mu": 1,
-        "period_pi": 1,
-        "converged": True,
-        "limit": PATH,
-        "gamma_cycle": (PATH,),
-    },
+    JbdVerdict: {"failing_level": 1, "levels": ("FAIL split", "b")},
+    SimulationResult: {"index_mu": 1, "period_pi": 1, "gamma_cycle": (PATH,)},
     CheckResult: {"name": "limit", "passed": True, "detail": "ok"},
-    VerificationReport: {
-        "passed": True,
-        "checks": (CheckResult("limit", True, "ok"),),
-        "failed_check": None,
-        "counterexample": None,
-    },
+    VerificationReport: {"checks": (CheckResult("limit", True, "ok"),), "counterexample": None},
     GeneratorSpec: {"eta": 2, "sizes": (2, 4), "allow_trivial": False, "seed": 7},
 }
 
@@ -184,6 +173,23 @@ def test_cached_properties_survive_freezing():
     assert chain.masks == (0b011, 0b100)
     assert chain.trivial_flags == (False, True)
     assert d == Digraph(3, (0b010, 0b100, 0b001))  # a cached value is not a field
+
+
+def test_derived_flags_read_the_fields():
+    jbd = JbdVerdict(**SAMPLES[JbdVerdict])
+    assert (jbd.holds, bool(jbd), jbd.detail) == (False, False, "split")
+    assert JbdVerdict(None, ("ok   level 1",)).holds
+    assert JbdVerdict(None, ("ok   level 1",)).detail is None
+    sim = SimulationResult(**SAMPLES[SimulationResult])
+    assert sim.converged and sim.limit is PATH
+    edgeless = UndirectedGraph(3, (0, 0, 0))
+    sim = SimulationResult(1, 2, (PATH, edgeless))
+    assert not sim.converged and sim.limit is None
+    report = VerificationReport(**SAMPLES[VerificationReport])
+    assert report.passed and report.failed_check is None
+    checks = (CheckResult("verdict", True, ""), CheckResult("limit", False, ""))
+    report = VerificationReport(checks + (CheckResult("jbd", False, ""),), None)
+    assert not report.passed and report.failed_check == "limit"
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -110,6 +110,39 @@ class TestLambdaAndLSets:
         chain = component_chain(d)
         assert lambda_set(d, chain) == 0b1111
 
+    def test_lambda_set_matches_its_definition(self):
+        # Lambda by its definition: the labels of the classes of D_p that
+        # hold a row hitting the column of the trailing vertex, found by
+        # scanning every row, on chains ending in one to three trivial
+        # components
+        rng = random.Random(11)
+        compared = partial = 0
+        while compared < 2000:
+            eta = rng.randint(2, 5)
+            tail = rng.randint(1, min(3, eta - 1))
+            hi = rng.choice((6, 12))
+            spec = GeneratorSpec(
+                eta=eta,
+                sizes=((1, hi),) * (eta - tail) + ((1, 1),) * tail,
+                seed=rng.getrandbits(32),
+            )
+            d = random_instance(spec)
+            chain = component_chain(d)
+            p = chain.last_nontrivial
+            if p is None:
+                continue
+            column = chain.masks[p]
+            feeders = sum(1 << u for u, row in enumerate(d.rows) if row & column)
+            expected = sum(
+                1 << (j - 1)
+                for j, members in enumerate(chain.class_masks[p - 1], start=1)
+                if feeders & members
+            )
+            assert lambda_set(d, chain) == expected, spec
+            compared += 1
+            partial += expected != (1 << chain.kappa(p)) - 1
+        assert partial >= 100
+
     def test_lambda_set_requires_trailing_trivial_part(self):
         d = two_chain()
         chain = component_chain(d)
