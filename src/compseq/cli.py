@@ -2,16 +2,16 @@
 
 Three subcommands: ``analyze`` reads one digraph (matrix or edge-list
 text, auto-detected) and emits a JSON report of the chain, the verdict,
-and any limits; ``verify`` runs a seeded differential campaign of random
-instances through the analytic-vs-simulation harness; ``export`` renders
+and any limits; ``verify`` runs the analytic-vs-simulation checks on a
+seeded campaign of random instances, or on one digraph; ``export`` renders
 the class skeleton, the limit graph, or one m-step competition graph as
 DOT.  Output is written in pieces, edges one graph row or skeleton class
 at a time, after all of it is computed: a refusal never leaves part of it
 on stdout.
 
 Exit codes: analyze returns 0 when the sequence converges and 2 when it
-diverges; verify returns 0 when every instance passes and 2 when a
-counterexample is found; export returns 0 on success.  Every failure
+diverges; verify returns 0 when every check passes and 2 when one
+fails; export returns 0 on success.  Every failure
 returns 1: the commands raise, and ``main`` alone turns an OSError
 (BrokenPipeError included, when the reader closes stdout early), a
 ValueError (a usage error, a refused input or a cap, every refusal of
@@ -229,6 +229,17 @@ def _int_flag(token: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.input is not None:
+        # refused unless a chain; no shrinking: each shrink candidate reruns the simulation
+        d = parse_digraph(_read_input(args.input))
+        component_chain(d)
+        checks = oracle._run_checks(d, oracle.CHECK_NAMES)
+        failing = next((c for c in checks if not c.passed), None)
+        if failing is None:
+            print(f"verified {args.input} ({d.n} vertices; {', '.join(c.name for c in checks)})")
+            return 0
+        print(f"FAIL {args.input}:\n  check {failing.name!r}: {failing.detail}")
+        return 2
     eta_lo, eta_hi = _parse_range(args.eta, "--eta")
     size_lo, size_hi = _parse_range(args.sizes, "--sizes")
     if args.count < 0:
@@ -355,6 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="let components be single vertices (exercises trailing-tail verdicts)",
     )
+    p_verify.add_argument("--input", metavar="FILE", help="check one digraph, not a campaign")
     p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser("export", help="render a derived graph as DOT")

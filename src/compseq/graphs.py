@@ -68,7 +68,7 @@ __all__ = [
     "detect_format",
 ]
 
-M_STEP_CAP = 100_000  # m_step_competition refuses an m and a period both above this
+M_STEP_CAP = 100_000  # walk steps: m_step_competition and the oracle refuse periods past it
 
 
 class SelfLoopError(ValueError):

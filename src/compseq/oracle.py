@@ -3,14 +3,14 @@
 ``simulate_limit`` decides convergence by pure simulation: the power
 sequence of a Boolean matrix repeats after finitely many steps, so the
 whole infinite sequence of competition graphs is read off its periodic
-tail.  One walk to the first repeated power gives the index mu and the
-period pi exactly.  It steps on bare row tuples, each row of the next
-power an OR of rows of the last one picked by A's cached successor
-lists, and builds no matrix record per power.  The tail pass then stops
-at the first power past A^mu whose competition graph equals that of
-A^mu, because from there the graphs repeat (the argument is in
-``simulate_limit``).  No theory enters; this is the oracle the analytic
-route is tested against.
+tail.  A walk to the first repeated power, or past WALK_BUDGET powers a
+jump to the tail by squaring, gives the index mu and the period pi
+exactly in bounded memory.  It steps on bare row tuples, each row an OR
+of rows of the last power picked by A's cached successor lists.  The
+tail pass then stops at the first power past A^mu whose competition
+graph equals that of A^mu, because from there the graphs repeat (the
+argument is in ``simulate_limit``).  No theory enters; this is the
+oracle the analytic route is tested against.
 
 ``verify`` runs both routes once on one digraph and compares verdicts,
 limits, clique structure and the period (pi = lcm of the components'
@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, islice
 
-from . import theory
+from . import graphs, theory
 from ._record import frozen
-from .bmat import BoolMatrix, _times, gamma
+from .bmat import BoolMatrix, _times, bool_mul, gamma
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -47,7 +48,6 @@ from .graphs import (
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
-    "DEFAULT_MEMORY_CAP",
     "SizeCapError",
     "SimulationResult",
     "CheckResult",
@@ -58,16 +58,16 @@ __all__ = [
     "random_instance",
 ]
 
-DEFAULT_SIZE_CAP = 64
-DEFAULT_MEMORY_CAP = 100_000
+DEFAULT_SIZE_CAP = 2048
+WALK_BUDGET = 64  # powers simulate_limit stores before it jumps to the tail
 
 CHECK_NAMES = ("verdict", "limit", "jbd", "period")
 
 
 class SizeCapError(ValueError):
     """The simulation will not run on this input: the matrix has more rows
-    than DEFAULT_SIZE_CAP, or its power sequence more distinct powers than
-    DEFAULT_MEMORY_CAP."""
+    than DEFAULT_SIZE_CAP, or its powers a period above graphs.M_STEP_CAP
+    steps.  Both are known before the work they would bound."""
 
 
 @frozen
@@ -100,20 +100,24 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
 
     The sequence of competition graphs is eventually constant iff it is
     constant on the periodic tail, so this is an exact decision.  Raises
-    SizeCapError when a has more than DEFAULT_SIZE_CAP rows, or when the
-    power sequence has more than DEFAULT_MEMORY_CAP distinct powers.  Both
-    caps are read at call time; a cap only refuses inputs, it never
-    changes an answer.
+    SizeCapError when a has more than DEFAULT_SIZE_CAP rows or its powers
+    a period above ``graphs.M_STEP_CAP`` steps; both caps are read at call
+    time, and a cap only refuses inputs, it never changes an answer.
 
-    Power walk: every distinct power's rows are stored (the full matrix,
-    not a hash, so a repeat is a true repeat) until A^(mu+pi) = A^mu, after
-    mu+pi-1 products.  A dict keeps insertion order, so its keys are
-    A^1 .. A^(mu+pi-1) in order and the tail is read off them.  A power is
-    only its tuple of rows; no matrix record is built for it.  A^(m+1) is
-    A * A^m (``_times``), not A^m * A: powers of one matrix commute, and
-    with A on the left, row i of the product ORs the rows of A^m picked by
-    ``a.successors[i]``, one row OR per arc of the sparse A, where A^m on
-    the left would cost one per set entry of the filling power.
+    Walk: a power is its tuple of rows, and A^(m+1) is A * A^m
+    (``_times``): row i ORs the rows of A^m picked by ``a.successors[i]``,
+    one row OR per arc of the sparse A; powers commute, so every product
+    puts a factor with kept successor lists on the left.  A repeat
+    A^(mu+pi) = A^mu within WALK_BUDGET stored powers gives the tail.
+
+    Jump, past the budget: every n x n Boolean matrix has index mu <= M =
+    (n-1)^2 + 1 (Heap & Lynn, 1966), so the first squaring B = A^(2^K)
+    with 2^K >= M lies on the tail, a cycle of pi distinct powers under
+    R <- A * R, which returns to B after exactly pi steps.  A^m recurs iff
+    m >= mu, so a binary lift over the O(log M) squarings held finds mu,
+    the least m with A^pi * A^m = A^m.  The lcm of the components' kappa,
+    the period, is checked against the cap before any squaring and never
+    enters the result.  The tail pass steps from A^mu as the walk's does.
 
     Stop rule: the pass ends at the first m > mu with
     gamma(A^m) = gamma(A^mu).  Let G_m = A^m (A^m)^T.  Then
@@ -128,28 +132,52 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     if a.n > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"matrix dimension {a.n} exceeds size cap {DEFAULT_SIZE_CAP}")
     succ = a.successors
+    seen: dict[tuple[int, ...], int] = {}  # the rows of A^1, A^2, ... in order
     rows = a.rows
-    seen = {rows: 1}
-    while True:
-        rows = _times(succ, rows)
-        mu = seen.get(rows)
-        if mu is not None:
-            break
-        if len(seen) >= DEFAULT_MEMORY_CAP:
-            raise SizeCapError(
-                f"power sequence exceeded memory cap of {DEFAULT_MEMORY_CAP} distinct powers"
-            )
+    while rows not in seen and len(seen) < WALK_BUDGET:
         seen[rows] = len(seen) + 1
-    pi = len(seen) + 1 - mu
+        rows = _times(succ, rows)
+    if rows in seen:
+        mu = seen[rows]
+        pi, tail = len(seen) + 1 - mu, islice(seen, mu - 1, None)
+    else:
+        seen.clear()  # the jump holds no stored power
+        mu, pi, tail = _jump(a, succ)
     # the rows of the tail's distinct gammas, in order of first appearance
     distinct: dict[tuple[int, ...], None] = {}
-    for rows in islice(seen, mu - 1, None):
+    for rows in tail:
         g = gamma(BoolMatrix(a.n, rows)).rows
         if distinct and g == next(iter(distinct)):
             break  # back at gamma(A^mu): the rest of the period repeats what is here
         distinct[g] = None
-    graphs = tuple(UndirectedGraph(a.n, g) for g in distinct)
-    return SimulationResult(index_mu=mu, period_pi=pi, gamma_cycle=graphs)
+    cycle = tuple(UndirectedGraph(a.n, g) for g in distinct)
+    return SimulationResult(index_mu=mu, period_pi=pi, gamma_cycle=cycle)
+
+
+def _jump(a: BoolMatrix, succ: tuple[tuple[int, ...], ...]):
+    """mu, pi and the rows of A^mu .. A^(mu+pi-1), as ``simulate_limit`` says."""
+    period = math.lcm(*map(len, graphs.imprimitivity(a, graphs._strong_components(a))))
+    if period > graphs.M_STEP_CAP:
+        raise SizeCapError(f"power period {period} exceeds the walk cap of {graphs.M_STEP_CAP} steps")
+    squares = [a]  # squares[k] is A^(2^k)
+    while 1 << (len(squares) - 1) < (a.n - 1) ** 2 + 1:
+        squares.append(bool_mul(squares[-1], squares[-1]))
+    rows, pi = _times(succ, squares[-1].rows), 1  # B = squares[-1]
+    while rows != squares[-1].rows:
+        rows, pi = _times(succ, rows), pi + 1
+    while len(squares) < pi.bit_length():
+        squares.append(bool_mul(squares[-1], squares[-1]))
+    p = reduce(bool_mul, (s for k, s in enumerate(squares) if pi >> k & 1))
+    # P * A^m = A^m iff A^m is on the tail; A^(2^k), the lowest squaring there, puts mu in
+    # (2^(k-1), 2^k], and the lift keeps A^m off the tail and A^(m + 2^(j+1)) on it: mu = m + 1
+    k = next(k for k, s in enumerate(squares) if bool_mul(s, p) == s)
+    m, x = (1 << (k - 1), squares[k - 1]) if k else (0, None)
+    for j in reversed(range(k - 1)):
+        y = bool_mul(squares[j], x)
+        if bool_mul(p, y) != y:
+            m, x = m + (1 << j), y
+    start = a.rows if x is None else _times(succ, x.rows)  # A^mu, mu = m + 1
+    return m + 1, pi, accumulate(range(pi - 1), lambda r, _: _times(succ, r), initial=start)
 
 
 @frozen

@@ -20,7 +20,7 @@ from compseq import (
     parse_matrix,
     simulate_limit,
 )
-from compseq import bmat, oracle
+from compseq import bmat, graphs, oracle
 from conftest import (
     bool_matrices,
     entry,
@@ -324,16 +324,20 @@ class TestPowerCycle:
         for m, p in enumerate(powers, start=1):
             assert p == bool_pow(a, m)
 
-    def test_memory_cap(self, monkeypatch):
+    def test_step_cap(self, monkeypatch):
         entries = [[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]
         a = BoolMatrix.from_entries(entries)
-        assert oracle.DEFAULT_MEMORY_CAP == 100_000
-        # the cap is read when called; five distinct powers fit a cap of 5
-        monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 5)
+        assert graphs.M_STEP_CAP == 100_000
+        # the walk stores all five powers and never meets the cap
+        monkeypatch.setattr(graphs, "M_STEP_CAP", 4)
         assert mu_pi(a) == (1, 5)
-        monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 3)
-        with pytest.raises(SizeCapError, match="memory cap of 3 distinct powers"):
+        # past a budget of three powers the jump reads the cap when called;
+        # a period of 5 steps fits a cap of 5
+        monkeypatch.setattr(oracle, "WALK_BUDGET", 3)
+        with pytest.raises(SizeCapError, match="period 5 exceeds the walk cap of 4 steps"):
             simulate_limit(a)
+        monkeypatch.setattr(graphs, "M_STEP_CAP", 5)
+        assert mu_pi(a) == (1, 5)
 
     @settings(max_examples=60, deadline=None)
     @given(bool_matrices(max_n=5))

@@ -216,13 +216,15 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
-    def test_power_cycle_memory_error_reported(self, write, capsys, monkeypatch):
-        # the period-4 tail needs more than two stored powers
-        monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 2)
+    def test_power_cycle_step_cap_reported(self, write, capsys, monkeypatch):
+        # two stored powers do not reach the repeat of the period-4 tail, and
+        # the jump refuses a period above the step cap, both read when called
+        monkeypatch.setattr(oracle, "WALK_BUDGET", 2)
+        monkeypatch.setattr(graphs, "M_STEP_CAP", 3)
         path = write("c.el", format_edge_list(cycle4_feeders(4)))
         code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "memory cap of 2" in err
+        assert err == "error: power period 4 exceeds the walk cap of 3 steps\n"
 
     def test_deterministic_output(self, write, capsys):
         path = write("a.el", format_edge_list(two_chain()))
@@ -434,12 +436,12 @@ class TestVerifyCommand:
 
     def test_ranges_above_size_cap_rejected(self, capsys):
         code, out, err = run(
-            capsys, "verify", "--count", "3", "--eta", "3", "--sizes", "30..40"
+            capsys, "verify", "--count", "3", "--eta", "3", "--sizes", "600..700"
         )
         assert code == 1 and out == ""
         assert err == (
-            "error: --eta 3 --sizes 30..40 can draw 120 vertices, "
-            "above the simulation size cap of 64\n"
+            "error: --eta 3 --sizes 600..700 can draw 2100 vertices, "
+            "above the simulation size cap of 2048\n"
         )
 
     def test_size_cap_checked_before_any_draw(self, capsys, monkeypatch):
@@ -448,10 +450,55 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(oracle, "random_instance", no_draw)
         code, _, err = run(capsys, "verify", "--eta", "1..1000000", "--sizes", "2")
-        assert code == 1 and "size cap of 64" in err
+        assert code == 1 and "size cap of 2048" in err
         # eta_hi * size_hi at the cap itself is allowed
-        code, out, _ = run(capsys, "verify", "--count", "0", "--eta", "8", "--sizes", "8")
+        code, out, _ = run(capsys, "verify", "--count", "0", "--eta", "32", "--sizes", "64")
         assert code == 0 and out.startswith("verified 0/0")
+
+
+class TestVerifyInput:
+    def test_every_check_passes(self, write, capsys):
+        path = write("c.el", format_edge_list(two_chain()))
+        code, out, err = run(capsys, "verify", "--input", path)
+        assert (code, err) == (0, "")
+        assert out == f"verified {path} (4 vertices; verdict, limit, jbd, period)\n"
+
+    def test_trivial_tail_runs_the_applicable_checks(self, write, capsys):
+        path = write("t.el", format_edge_list(cycle4_feeders(2)))
+        code, out, _ = run(capsys, "verify", "--input", path)
+        assert code == 0 and out.endswith("(5 vertices; verdict, period)\n")
+
+    def test_failure_is_reported_without_shrinking(self, write, capsys, monkeypatch):
+        def no_shrink(d, name):
+            raise AssertionError("the input was shrunk")
+
+        def broken_limit(sk, chain):
+            raise InternalCheckError("injected")
+
+        monkeypatch.setattr(oracle, "_shrink", no_shrink)
+        monkeypatch.setattr(theory, "limit_graph", broken_limit)
+        path = write("c.el", format_edge_list(two_chain()))
+        code, out, err = run(capsys, "verify", "--input", path)
+        assert (code, err) == (2, "")
+        assert out == f"FAIL {path}:\n  check 'limit': raised InternalCheckError: injected\n"
+
+    @pytest.mark.parametrize(
+        "text, cap, message",
+        [
+            ("4 4\n1 2\n2 1\n3 4\n4 3\n", 2048, "no arcs from component 1 to component 2"),
+            (format_edge_list(two_chain()), 3, "matrix dimension 4 exceeds size cap 3"),
+        ],
+    )
+    def test_refused_before_any_simulation(self, write, capsys, monkeypatch, text, cap, message):
+        def no_power(*args):
+            raise AssertionError("a power was taken")
+
+        monkeypatch.setattr(oracle, "DEFAULT_SIZE_CAP", cap)
+        monkeypatch.setattr(oracle, "_times", no_power)
+        monkeypatch.setattr(oracle, "bool_mul", no_power)
+        code, out, err = run(capsys, "verify", "--input", write("r.el", text))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 class TestExport:

@@ -3,6 +3,7 @@ instance generator."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from compseq import (
     simulate_limit,
     verify,
 )
-from compseq import bmat, oracle, theory
+from compseq import bmat, graphs, oracle, theory
 from conftest import (
     bool_matrices,
     cycle4_feeders,
@@ -96,10 +97,10 @@ class TestSimulateLimit:
         ]
 
     def test_size_cap(self, monkeypatch):
-        assert DEFAULT_SIZE_CAP == 64
-        simulate_limit(zeros(64))
-        with pytest.raises(SizeCapError, match="size cap 64"):
-            simulate_limit(zeros(65))
+        assert DEFAULT_SIZE_CAP == 2048
+        simulate_limit(zeros(2048))
+        with pytest.raises(SizeCapError, match="size cap 2048"):
+            simulate_limit(zeros(2049))
         # the cap is read when called
         monkeypatch.setattr(oracle, "DEFAULT_SIZE_CAP", 9)
         with pytest.raises(SizeCapError, match="size cap 9"):
@@ -128,7 +129,9 @@ class TestSimulateLimit:
 
 class TestTailStopRule:
     """simulate_limit stops at the first return of gamma(A^mu); it must give
-    exactly what a pass over the whole period gives."""
+    exactly what a pass over the whole period gives.  The walk takes
+    mu+pi-1 products and the tail pass none only on the walk path, where
+    mu+pi-1 <= WALK_BUDGET; past it the jump counts its own products."""
 
     def test_matches_full_period_on_seeded_instances(self, monkeypatch):
         calls = []
@@ -161,8 +164,9 @@ class TestTailStopRule:
             products.clear()
             sim = simulate_limit(a)
             assert sim == full_period_simulation(a)
-            # the walk to the first repeat, and no product in the tail pass
-            assert len(products) == sim.index_mu + sim.period_pi - 1
+            if sim.index_mu + sim.period_pi - 1 <= oracle.WALK_BUDGET:
+                # the walk to the first repeat, and no product in the tail pass
+                assert len(products) == sim.index_mu + sim.period_pi - 1
             # one gamma per distinct graph, plus the one that sees the return
             assert len(calls) == min(len(sim.gamma_cycle) + 1, sim.period_pi)
             cycle_lengths.add(len(sim.gamma_cycle))
@@ -192,7 +196,7 @@ class TestTailStopRule:
         inner = bmat._four_russians
         monkeypatch.setattr(bmat, "_four_russians", lambda *args: tables.append(1) or inner(*args))
         rng = random.Random(64)
-        dense = [random_matrix(rng, DEFAULT_SIZE_CAP, 0.5) for _ in range(3)]
+        dense = [random_matrix(rng, 64, 0.5) for _ in range(3)]
         # 8 classes of 8 vertices, each vertex with arcs to half of the next
         # class: 16 * 256 set entries = 64^2, and the powers fill their rows
         # over several steps before they cycle with period 8
@@ -233,6 +237,79 @@ class TestTailStopRule:
         for before, after in zip(masks, masks[1:]):
             assert after & ~before == 0  # rows only ever become zero
         assert len(set(masks[mu - 1 :])) == 1
+
+
+def wielandt(n: int) -> BoolMatrix:
+    """Arcs i -> i+1, n -> 1 and n -> 2 on 1..n: the primitive digraph
+    whose index (n-1)^2 + 1 meets the bound of Heap & Lynn."""
+    rows = [1 << (i + 1) for i in range(n - 1)] + [0b11]
+    return BoolMatrix(n, tuple(rows))
+
+
+class TestJump:
+    """Past WALK_BUDGET stored powers, simulate_limit jumps to A^(2^K) on the
+    tail and lifts mu off the squarings; the answer is the walk's."""
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 40])
+    def test_wielandt_index_meets_the_bound(self, n):
+        sim = simulate_limit(wielandt(n))
+        assert (sim.index_mu, sim.period_pi) == ((n - 1) ** 2 + 1, 1)
+        if n <= 12:
+            assert sim == full_period_simulation(wielandt(n))
+
+    def test_first_index_past_the_budget(self):
+        # n = 9 has mu = 65: the 64 stored powers are all distinct
+        assert oracle.WALK_BUDGET == 64
+        assert simulate_limit(wielandt(9)).index_mu == oracle.WALK_BUDGET + 1
+
+    def test_forced_jump_matches_full_period(self, monkeypatch):
+        jumps = []
+        jump = oracle._jump
+        monkeypatch.setattr(oracle, "_jump", lambda a, succ: jumps.append(a) or jump(a, succ))
+        monkeypatch.setattr(oracle, "WALK_BUDGET", 1)
+        master = random.Random(20261019)
+        for _ in range(2000):
+            spec = GeneratorSpec(
+                eta=master.randint(1, 4),
+                sizes=(1, 6),
+                allow_trivial=master.random() < 0.5,
+                seed=master.getrandbits(32),
+            )
+            a = random_instance(spec)
+            assert simulate_limit(a) == full_period_simulation(a)
+        for lengths in [*COPRIME_CYCLE_CHAINS, (2, 3, 5)]:
+            a = cycle_chain(lengths)
+            assert simulate_limit(a) == full_period_simulation(a)
+        assert len(jumps) > 1500
+
+    @pytest.mark.parametrize("lengths", COPRIME_CYCLE_CHAINS)
+    def test_jump_holds_few_matrices(self, lengths):
+        # storing every power of the tail would take 2.36 MiB on (3, 7, 8, 11)
+        a = cycle_chain(lengths)
+        tracemalloc.start()
+        try:
+            sim = simulate_limit(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sim.period_pi == math.lcm(*lengths)
+        assert peak < 0.5 * 2**20
+
+    def test_long_period_refused_before_any_squaring(self, monkeypatch):
+        def no_squaring(*args):
+            raise AssertionError("a squaring was taken")
+
+        a = cycle_chain((5, 7, 8, 9, 11, 13))  # period 360360
+        monkeypatch.setattr(oracle, "bool_mul", no_squaring)
+        with pytest.raises(SizeCapError, match="power period 360360 exceeds the walk cap of 100000"):
+            simulate_limit(a)
+        # the cap is read when called, and the walk's count stays the answer
+        monkeypatch.undo()
+        monkeypatch.setattr(graphs, "M_STEP_CAP", 1848)
+        assert simulate_limit(cycle_chain((3, 7, 8, 11))).period_pi == 1848
+        monkeypatch.setattr(graphs, "M_STEP_CAP", 1847)
+        with pytest.raises(SizeCapError, match="period 1848 exceeds the walk cap of 1847"):
+            simulate_limit(cycle_chain((3, 7, 8, 11)))
 
 
 class TestVerify:
@@ -349,7 +426,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "error, fails",
-        [(SizeCapError("size cap"), False), (SizeCapError("memory cap"), False), (None, True)],
+        [(SizeCapError("size cap"), False), (SizeCapError("walk cap"), False), (None, True)],
     )
     def test_check_fails_skips_only_capped_candidates(self, monkeypatch, error, fails):
         def run_checks(d, names):
