@@ -51,10 +51,17 @@ def walk_through(name: str, d: Digraph) -> None:
         pairs = sorted(interface_pairs(d, chain, p))
         print(f"  interface {p}->{p + 1}: class pairs {pairs}")
 
-    sk = cs_graph(d, chain)
-    print("  skeleton edges:", sk.edge_list())
+    # joins[p-1][i-1] is a mask over the labels of level p + 1: bit j-1 for label j
+    joins = cs_graph(d, chain)
+    edges = [
+        ((p, i), (p + 1, j))
+        for p, level in enumerate(joins, start=1)
+        for i, mask in enumerate(level, start=1)
+        for j in vertices(mask)
+    ]
+    print("  skeleton edges:", edges)
 
-    limit = limit_graph(sk, chain)
+    limit = limit_graph(joins, chain)
     sim = simulate_limit(d)
     print("  limit edges:", limit.edge_list())
     print("  matches simulation:", limit == sim.limit)

@@ -34,7 +34,7 @@ format: the dimension on line 1, then one row of 0s and 1s per line.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
@@ -235,23 +235,25 @@ def _four_russians(arows: tuple[int, ...], brows: tuple[int, ...], n: int) -> tu
 def bool_pow(a: BoolMatrix, m: int) -> BoolMatrix:
     """Boolean m-th power by repeated squaring; bool_pow(a, 0) is I.
 
-    The result starts as the first power of two that m needs, not as I,
-    and nothing is squared past m's top bit, so m = 1000 takes 14
-    products, not 16.  Records are immutable, so bool_pow(a, 1) may be,
-    and is, a itself."""
+    The product of the squarings at m's set bits (``_ladder_power``), so
+    nothing is squared past m's top bit and no product starts from I:
+    m = 1000 takes 14 products, not 16.  Records are immutable, so
+    bool_pow(a, 1) may be, and is, a itself."""
     if m < 0:
         raise ValueError(f"exponent must be >= 0, got {m}")
     if m == 0:
         return BoolMatrix.identity(a.n)
-    result = None
-    base = a
-    while True:
-        if m & 1:
-            result = base if result is None else bool_mul(result, base)
-        m >>= 1
-        if not m:
-            return result
-        base = bool_mul(base, base)
+    return _ladder_power([a], m)
+
+
+def _ladder_power(squares: list[BoolMatrix], m: int) -> BoolMatrix:
+    """A^m for m >= 1, where squares is the ladder [A, A^2, A^4, ...]:
+    the ladder is first squared up to A^(2^k), k the top bit of m, in
+    place, and then its entries at the set bits of m are multiplied, one
+    product per set bit past the first."""
+    while len(squares) < m.bit_length():
+        squares.append(bool_mul(squares[-1], squares[-1]))
+    return reduce(bool_mul, (s for k, s in enumerate(squares) if m >> k & 1))
 
 
 def gamma(a: BoolMatrix) -> BoolMatrix:

@@ -120,11 +120,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     # the limit as (source, graph) and the skeleton, whose edge lists are
     # written into the report text at the end
-    limit = sk = None
+    limit = joins = None
     if not any(chain.trivial_flags):
-        sk = theory.cs_graph(d, chain)
-        report["skeleton"] = {"class_counts": list(sk.class_counts), "edges": None}
-        limit = ("analytic", theory.limit_graph(sk, chain))
+        joins = theory.cs_graph(d, chain)
+        report["skeleton"] = {"class_counts": list(chain.kappas), "edges": None}
+        limit = ("analytic", theory.limit_graph(joins, chain))
         jbd = theory.jbd_condition(d, chain)
         report["jbd"] = {
             "source": "analytic",
@@ -156,11 +156,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         head = "      [\n        {},\n        ".format
         _write_items(write, _edge_runs(g, head, lambda u: "\n      ],\n" + head(u), "\n      ]"))
         text = f',\n    "source": "{source}"\n  }}' + text
-    if sk is not None:
+    if joins is not None:
         before, text = text.split('\n    "edges": null', 1)
         write(before + '\n    "edges": ')
         head = "      [\n        {},\n        {},\n        {},\n        ".format
-        _write_items(write, _join_runs(sk, head, lambda *c: "\n      ],\n" + head(*c), "\n      ]"))
+        runs = _join_runs(joins, chain, head, lambda *c: "\n      ],\n" + head(*c), "\n      ]")
+        _write_items(write, runs)
     write(text)
     return 0 if verdict.converged else 2
 
@@ -179,14 +180,13 @@ def _write_items(write: Callable, runs: Iterator[str]) -> None:
     write("\n    ]")
 
 
-def _join_runs(
-    sk: theory.SkeletonGraph, head: Callable, sep: Callable, close: str
-) -> Iterator[str]:
-    """For each class (p, i) of sk joined to labels j of level q = p + 1,
-    head(p, i, q) + sep(p, i, q).join(those j, ascending) + close: the
-    skeleton's edges in sorted order, as ``_edge_runs`` writes a graph's."""
-    labels = [str(j) for j in range(1, max(sk.class_counts) + 1)]
-    for p, level in enumerate(sk.joins, start=1):
+def _join_runs(joins: tuple, chain, head: Callable, sep: Callable, close: str) -> Iterator[str]:
+    """For each class (p, i) of the skeleton joins = cs_graph(d, chain)
+    joined to labels j of level q = p + 1, head(p, i, q) + sep(p, i,
+    q).join(those j, ascending) + close: the skeleton's edges in sorted
+    order, as ``_edge_runs`` writes a graph's."""
+    labels = [str(j) for j in range(1, max(chain.kappas) + 1)]
+    for p, level in enumerate(joins, start=1):
         for i, joined in enumerate(level, start=1):
             if joined:
                 yield head(p, i, p + 1) + sep(p, i, p + 1).join(_bit_select(labels, joined)) + close
@@ -320,17 +320,18 @@ def cmd_export(args: argparse.Namespace) -> int:
         return 0
 
     chain = component_chain(d)
-    sk = theory.cs_graph(d, chain)
+    joins = theory.cs_graph(d, chain)
 
     if what == "limit":
-        _graph_dot("limit", theory.limit_graph(sk, chain))
+        _graph_dot("limit", theory.limit_graph(joins, chain))
         return 0
     write = sys.stdout.write
     write("graph skeleton {\n  rankdir=LR;\n")
-    for p, count in enumerate(sk.class_counts, start=1):
+    for p, count in enumerate(chain.kappas, start=1):
         inner = " ".join(f'"{p}_{j}";' for j in range(1, count + 1))
         write(f"  {{ rank=same; {inner} }}\n")
-    for run in _join_runs(sk, '  "{}_{}" -- "{}_'.format, '";\n  "{}_{}" -- "{}_'.format, '";\n'):
+    head = '  "{}_{}" -- "{}_'.format
+    for run in _join_runs(joins, chain, head, lambda *c: '";\n' + head(*c), '";\n'):
         write(run)
     write("}\n")
     return 0

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 import random
-from functools import reduce
 from itertools import accumulate, islice
 
 from . import graphs, theory
 from ._record import frozen
-from .bmat import BoolMatrix, _times, bool_mul, gamma
+from .bmat import BoolMatrix, _ladder_power, _times, bool_mul, gamma
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -156,18 +155,15 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
 
 def _jump(a: BoolMatrix, succ: tuple[tuple[int, ...], ...]):
     """mu, pi and the rows of A^mu .. A^(mu+pi-1), as ``simulate_limit`` says."""
-    period = math.lcm(*map(len, graphs.imprimitivity(a, graphs._strong_components(a))))
+    period = graphs.power_period(a)
     if period > graphs.M_STEP_CAP:
         raise SizeCapError(f"power period {period} exceeds the walk cap of {graphs.M_STEP_CAP} steps")
     squares = [a]  # squares[k] is A^(2^k)
-    while 1 << (len(squares) - 1) < (a.n - 1) ** 2 + 1:
-        squares.append(bool_mul(squares[-1], squares[-1]))
-    rows, pi = _times(succ, squares[-1].rows), 1  # B = squares[-1]
-    while rows != squares[-1].rows:
+    b = _ladder_power(squares, 1 << ((a.n - 1) ** 2).bit_length())  # 2^K >= (n-1)^2 + 1
+    rows, pi = _times(succ, b.rows), 1
+    while rows != b.rows:
         rows, pi = _times(succ, rows), pi + 1
-    while len(squares) < pi.bit_length():
-        squares.append(bool_mul(squares[-1], squares[-1]))
-    p = reduce(bool_mul, (s for k, s in enumerate(squares) if pi >> k & 1))
+    p = _ladder_power(squares, pi)
     # P * A^m = A^m iff A^m is on the tail; A^(2^k), the lowest squaring there, puts mu in
     # (2^(k-1), 2^k], and the lift keeps A^m off the tail and A^(m + 2^(j+1)) on it: mu = m + 1
     k = next(k for k, s in enumerate(squares) if bool_mul(s, p) == s)

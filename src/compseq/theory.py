@@ -20,9 +20,10 @@ Conventions used throughout:
   bits.  ``lambda_set`` sets bit j - 1 for label j, and ``b_graph`` turns
   residue r back into label r + 1.  Walk-length residues live in Z_kappa
   with no label mapping.
-* The class skeleton is label masks too: ``SkeletonGraph.joins[p-1][i-1]``
-  is the mask of the labels j of level p + 1 joined to (p, i), bit j - 1
-  for label j; ``b_graph`` builds one level of it.
+* The class skeleton is label masks too: ``cs_graph`` returns its joins,
+  where ``joins[p-1][i-1]`` is the mask of the labels j of level p + 1
+  joined to (p, i), bit j - 1 for label j; ``b_graph`` builds one level
+  of it.  The label counts are the chain's: level p has chain.kappa(p).
 * Skeleton paths are ascending: one partite level per step.  Under that
   reading the three limit adjacency clauses (same class, same component,
   cross component) collapse to one rule between classes: x in U_i of D_p
@@ -51,7 +52,6 @@ __all__ = [
     "RULE_ALL_TRIVIAL",
     "RULE_NONTRIVIAL_TAIL",
     "RULE_TRAILING_CONDITION",
-    "SkeletonGraph",
     "DivergenceWitness",
     "ConvergenceVerdict",
     "JbdVerdict",
@@ -76,42 +76,6 @@ RULE_TRAILING_CONDITION = "TrailingCondition"
 class TrivialComponentError(ValueError):
     """A construction that needs every component nontrivial met a trivial one."""
 
-
-@frozen
-class SkeletonGraph:
-    """The class skeleton: an eta-partite graph whose level-p part is the
-    label set {1 .. kappa_p}, with edges only between consecutive levels.
-
-    A vertex is a (level, label) pair.  joins[p-1][i-1] is the mask of the
-    labels j of level p + 1 joined to (p, i), bit j - 1 for label j.
-    """
-
-    class_counts: tuple[int, ...]
-    joins: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        counts = self.class_counts
-        if len(self.joins) != len(counts) - 1:
-            raise ValueError(f"skeleton has {len(self.joins)} join levels for {len(counts)} levels")
-        for p, level in enumerate(self.joins, start=1):
-            if len(level) != counts[p - 1]:
-                raise ValueError(f"skeleton level {p} has {len(level)} classes, not {counts[p-1]}")
-            for i, mask in enumerate(level, start=1):
-                if mask < 0 or mask >> counts[p]:
-                    raise ValueError(f"skeleton joins of ({p},{i}) have a label out of range")
-
-    @property
-    def eta(self) -> int:
-        return len(self.class_counts)
-
-    def edge_list(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        """Every edge ((p, i), (p + 1, j)), in sorted order."""
-        return [
-            ((p, i), (p + 1, j + 1))
-            for p, level in enumerate(self.joins, start=1)
-            for i, mask in enumerate(level, start=1)
-            for j in _bit_indices(mask)
-        ]
 
 @frozen
 class DivergenceWitness:
@@ -307,15 +271,16 @@ def b_graph(kappa1: int, kappa2: int, pairs: frozenset[tuple[int, int]]) -> tupl
     return tuple(comb * _rotate(pattern, i, g) for i in range(kappa1))
 
 
-def cs_graph(d: Digraph, chain: ComponentChain) -> SkeletonGraph:
-    """The class skeleton of the whole chain: the union of the consecutive
-    bipartite skeletons.  Defined only when every component is nontrivial."""
+def cs_graph(d: Digraph, chain: ComponentChain) -> tuple[tuple[int, ...], ...]:
+    """The joins of the class skeleton of the whole chain, an eta-partite
+    graph on the labels (p, 1) .. (p, kappa_p) of each level p: entry
+    p - 1 is the ``b_graph`` level between D_p and D_(p+1).  Defined only
+    when every component is nontrivial."""
     _require_nontrivial(chain, "the class skeleton")
-    joins = (
+    return tuple(
         b_graph(chain.kappa(p), chain.kappa(p + 1), interface_pairs(d, chain, p))
         for p in range(1, chain.eta)
     )
-    return SkeletonGraph(class_counts=chain.kappas, joins=tuple(joins))
 
 
 def _require_nontrivial(chain: ComponentChain, needs: str) -> None:
@@ -327,9 +292,9 @@ def _require_nontrivial(chain: ComponentChain, needs: str) -> None:
             )
 
 
-def limit_graph(sk: SkeletonGraph, chain: ComponentChain) -> UndirectedGraph:
+def limit_graph(joins: tuple[tuple[int, ...], ...], chain: ComponentChain) -> UndirectedGraph:
     """The limit of the m-step competition graph sequence, built from the
-    class skeleton sk = cs_graph(d, chain).  Defined, as sk is, only
+    skeleton joins = cs_graph(d, chain).  Defined, as they are, only
     when every component is nontrivial (the sequence then converges unconditionally).
 
     x in class a and y in class b are adjacent iff R_a and R_b meet, R_c
@@ -343,7 +308,7 @@ def limit_graph(sk: SkeletonGraph, chain: ComponentChain) -> UndirectedGraph:
     class's mask minus its own bit.
     """
     masks = [list(level) for level in chain.class_masks]
-    steps = list(zip(masks, masks[1:], sk.joins))
+    steps = list(zip(masks, masks[1:], joins))
     for below, above, level in steps:
         for i, joined in enumerate(level):
             for j in _bit_indices(joined):

@@ -202,6 +202,17 @@ def vertices(mask: int) -> frozenset[int]:
     return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def skeleton_edges(joins) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Every edge ((p, i), (p + 1, j)) of the class skeleton whose joins
+    cs_graph returned: label j of level p + 1 is bit j - 1 of joins[p-1][i-1]."""
+    return [
+        ((p, i), (p + 1, j))
+        for p, level in enumerate(joins, start=1)
+        for i, mask in enumerate(level, start=1)
+        for j in sorted(vertices(mask))
+    ]
+
+
 def simple_cycle_lengths(d: Digraph, vertices: frozenset[int]) -> set[int]:
     """Lengths of all simple directed cycles inside the given vertex set,
     by exhaustive DFS (small instances only)."""

@@ -31,6 +31,7 @@ from conftest import (
     cycle4_feeders,
     cycle_chain,
     period3_matrix,
+    skeleton_edges,
     three_chain_parallel,
     two_chain,
 )
@@ -321,13 +322,12 @@ class TestReportText:
         out = "".join(chunks)
         report = json.loads(out)
         assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
-        chain = component_chain(d)
-        sk = theory.cs_graph(d, chain)
+        edges = skeleton_edges(theory.cs_graph(d, component_chain(d)))
+        assert edges == [((1, i), (2, j)) for i in range(1, 41) for j in range(1, 42)]
         assert report["skeleton"] == {
             "class_counts": [40, 41],
-            "edges": [[p, i, q, j] for (p, i), (q, j) in sk.edge_list()],
+            "edges": [[p, i, q, j] for (p, i), (q, j) in edges],
         }
-        assert len(sk.edge_list()) == 40 * 41
         # one run per source class: no write holds more than one class's 41
         # skeleton items, and no item is split between two writes
         item = re.compile(r"\[\n {8}\d+,\n {8}\d+,\n {8}\d+,\n {8}\d+\n {6}\]")
@@ -374,8 +374,8 @@ class TestVerifyCommand:
     def test_failure_prints_shrunken_counterexample(self, capsys, monkeypatch):
         real = theory.limit_graph
 
-        def toggled(sk, chain):
-            g = real(sk, chain)
+        def toggled(joins, chain):
+            g = real(joins, chain)
             rows = list(g.rows)
             rows[0] ^= 0b10
             rows[1] ^= 0b01
@@ -472,7 +472,7 @@ class TestVerifyInput:
         def no_shrink(d, name):
             raise AssertionError("the input was shrunk")
 
-        def broken_limit(sk, chain):
+        def broken_limit(joins, chain):
             raise InternalCheckError("injected")
 
         monkeypatch.setattr(oracle, "_shrink", no_shrink)

@@ -28,6 +28,7 @@ from compseq import (
     m_step_competition,
     parse_digraph,
     parse_edge_list,
+    power_period,
     random_instance,
     simulate_limit,
 )
@@ -456,7 +457,7 @@ class TestMStepCompetition:
         # the premise of the walk cap: the period of A's powers is known
         # before the walk, on any digraph, loops and non-chains included
         kappas = map(len, imprimitivity(d, _strong_components(d)))
-        assert math.lcm(*kappas) == simulate_limit(d).period_pi
+        assert power_period(d) == math.lcm(*kappas) == simulate_limit(d).period_pi
 
     def test_long_period_refused_before_any_work(self, monkeypatch):
         def no_work(*args):

@@ -300,6 +300,8 @@ class TestJump:
             raise AssertionError("a squaring was taken")
 
         a = cycle_chain((5, 7, 8, 9, 11, 13))  # period 360360
+        # the squaring ladder multiplies in bmat, the lift in oracle
+        monkeypatch.setattr(bmat, "bool_mul", no_squaring)
         monkeypatch.setattr(oracle, "bool_mul", no_squaring)
         with pytest.raises(SizeCapError, match="power period 360360 exceeds the walk cap of 100000"):
             simulate_limit(a)
@@ -349,7 +351,7 @@ class TestVerify:
         component_chain(report.counterexample)  # still linearly connected
 
     def test_analytic_exception_is_a_shrunken_failed_check(self, monkeypatch):
-        def broken_limit(sk, chain):
+        def broken_limit(joins, chain):
             raise InternalCheckError("injected")
 
         monkeypatch.setattr(theory, "limit_graph", broken_limit)
@@ -370,8 +372,8 @@ class TestVerify:
         # the limit of two_chain is {(1, 3), (2, 4)}: drop (2, 4), add (1, 2)
         true_limit = theory.limit_graph
 
-        def skewed_limit(sk, chain):
-            g = true_limit(sk, chain)
+        def skewed_limit(joins, chain):
+            g = true_limit(joins, chain)
             return UndirectedGraph.from_edges(g.n, set(g.edge_list()) - {(2, 4)} | {(1, 2)})
 
         monkeypatch.setattr(theory, "limit_graph", skewed_limit)
@@ -390,7 +392,7 @@ class TestVerify:
         assert verify(d) == verify(Digraph(d.n, d.rows))
 
     def test_kept_chain_gives_the_fresh_shrunken_failure(self, monkeypatch):
-        def broken_limit(sk, chain):
+        def broken_limit(joins, chain):
             raise InternalCheckError("injected")
 
         monkeypatch.setattr(theory, "limit_graph", broken_limit)

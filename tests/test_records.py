@@ -22,7 +22,6 @@ from compseq import (
     GeneratorSpec,
     JbdVerdict,
     SimulationResult,
-    SkeletonGraph,
     UndirectedGraph,
     VerificationReport,
 )
@@ -34,7 +33,6 @@ SAMPLES = {
     BoolMatrix: {"n": 2, "rows": (0b10, 0b01)},
     UndirectedGraph: {"n": 3, "rows": (0b010, 0b101, 0b010)},
     ComponentChain: {"class_masks": ((0b01, 0b10), (0b100,))},
-    SkeletonGraph: {"class_counts": (2, 2), "joins": ((0b10, 0),)},
     DivergenceWitness: {"j1": 1, "j2": 2, "excluded_residue": 0},
     ConvergenceVerdict: {"rule": "NontrivialTail", "witness": None},
     JbdVerdict: {"failing_level": 1, "levels": ("FAIL split", "b")},
@@ -51,7 +49,6 @@ INVALID = [
     (BoolMatrix, (2, (0,)), "expected 2 rows"),
     (UndirectedGraph, (2, (0b10, 0)), "not symmetric"),
     (ComponentChain, (((0b1,), (0,)),), "empty imprimitivity class"),
-    (SkeletonGraph, ((2, 2), ((0b100, 0),)), "label out of range"),
     (GeneratorSpec, (0,), "at least one component"),
 ]
 

@@ -2,6 +2,7 @@
 pinned on worked examples and property-tested against the simulation."""
 
 import itertools
+import json
 import math
 import random
 
@@ -16,7 +17,6 @@ from compseq import (
     Digraph,
     DivergenceWitness,
     GeneratorSpec,
-    SkeletonGraph,
     TrivialComponentError,
     UndirectedGraph,
     b_graph,
@@ -33,6 +33,7 @@ from compseq import (
     simulate_limit,
     union_of_cliques,
 )
+from compseq.cli import _join_runs
 from compseq.theory import _rotate
 from conftest import (
     adjacent,
@@ -44,6 +45,7 @@ from conftest import (
     period3_digraph,
     reference_powers,
     rotate_classes,
+    skeleton_edges,
     three_chain_complete,
     three_chain_parallel,
     two_chain,
@@ -409,11 +411,10 @@ class TestSkeleton:
     def test_parallel_chain(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        sk = cs_graph(d, chain)
-        assert sk.class_counts == (2, 2, 2)
-        assert sk.eta == 3
-        assert sk.joins == ((0b01, 0b10), (0b01, 0b10))
-        assert sk.edge_list() == [
+        joins = cs_graph(d, chain)
+        assert chain.kappas == (2, 2, 2)
+        assert joins == ((0b01, 0b10), (0b01, 0b10))
+        assert skeleton_edges(joins) == [
             ((1, 1), (2, 1)),
             ((1, 2), (2, 2)),
             ((2, 1), (3, 1)),
@@ -423,19 +424,41 @@ class TestSkeleton:
     def test_complete_chain(self):
         d = three_chain_complete()
         chain = component_chain(d)
-        sk = cs_graph(d, chain)
-        assert sk.edge_list() == [
+        assert skeleton_edges(cs_graph(d, chain)) == [
             ((p, i), (p + 1, j)) for p in (1, 2) for i in (1, 2) for j in (1, 2)
         ]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_edge_list_is_sorted(self, seed):
+        # the report's skeleton edges, as the CLI writes them from the joins
         d = random_instance(GeneratorSpec(eta=4, sizes=(2, 12), allow_trivial=False, seed=seed))
         chain = component_chain(d)
-        sk = cs_graph(d, chain)
-        edges = sk.edge_list()
+        joins = cs_graph(d, chain)
+        head = "[{}, {}, {}, ".format
+        runs = _join_runs(joins, chain, head, lambda *c: "], " + head(*c), "]")
+        edges = [tuple(e) for e in json.loads("[" + ", ".join(runs) + "]")]
         assert edges == sorted(set(edges))
-        assert len(edges) == sum(map(int.bit_count, itertools.chain(*sk.joins)))
+        assert edges == [(p, i, q, j) for (p, i), (q, j) in skeleton_edges(joins)]
+        assert len(edges) == sum(map(int.bit_count, itertools.chain(*joins)))
+
+    def test_levels_fit_the_chain(self):
+        # b_graph's layout: eta - 1 levels, kappa_p masks at level p, and
+        # every mask's labels within 1 .. kappa_(p+1)
+        rng = random.Random(22)
+        kappas_seen = set()
+        for _ in range(300):
+            spec = GeneratorSpec(
+                eta=rng.randint(1, 5), sizes=(2, 12), allow_trivial=False, seed=rng.getrandbits(32)
+            )
+            d = random_instance(spec)
+            chain = component_chain(d)
+            joins = cs_graph(d, chain)
+            assert len(joins) == chain.eta - 1
+            for p, level in enumerate(joins, start=1):
+                assert len(level) == chain.kappa(p)
+                assert all(0 <= mask < 1 << chain.kappa(p + 1) for mask in level)
+            kappas_seen.update(chain.kappas)
+        assert len(kappas_seen) > 3
 
     def test_trivial_component_rejected(self):
         d = cycle4_feeders(2)
@@ -443,31 +466,15 @@ class TestSkeleton:
         with pytest.raises(TrivialComponentError, match="component 2 is trivial"):
             cs_graph(d, chain)
 
-    def test_skeleton_validation(self):
-        SkeletonGraph((2, 3), ((0b111, 0b001),))
-        # a bit at or above kappa_(p+1), or a negative mask
-        with pytest.raises(ValueError, match=r"joins of \(1,2\) have a label out of range"):
-            SkeletonGraph((2, 3), ((0b111, 0b1000),))
-        with pytest.raises(ValueError, match="out of range"):
-            SkeletonGraph((2, 2, 1), ((0b11, 0b01), (0b1, 0b10)))
-        with pytest.raises(ValueError, match="out of range"):
-            SkeletonGraph((2, 2), ((-1, 0),))
-        with pytest.raises(ValueError, match="has 2 join levels for 2 levels"):
-            SkeletonGraph((2, 2), ((0, 0), (0, 0)))
-        with pytest.raises(ValueError, match="has 0 join levels for 2 levels"):
-            SkeletonGraph((2, 2), ())
-        with pytest.raises(ValueError, match="level 2 has 1 classes, not 2"):
-            SkeletonGraph((1, 2, 1), ((0b11,), (0b1,)))
 
-
-def ascending_reach(sk, p, i):
+def ascending_reach(joins, p, i):
     """Labels reachable from (p, i) by skeleton paths that advance exactly
     one level per step; maps each level r >= p to its label set (level p
     maps to {i})."""
     reach = {p: frozenset((i,))}
-    for r in range(p, sk.eta):
+    for r in range(p, len(joins) + 1):
         reach[r + 1] = frozenset(
-            j for (q, k), (_, j) in sk.edge_list() if q == r and k in reach[r]
+            j for (q, k), (_, j) in skeleton_edges(joins) if q == r and k in reach[r]
         )
     return reach
 
@@ -488,20 +495,19 @@ class TestAscendingReach:
     def test_parallel_chain_tracks_one_lane(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        sk = cs_graph(d, chain)
-        assert ascending_reach(sk, 1, 2) == {
+        joins = cs_graph(d, chain)
+        assert ascending_reach(joins, 1, 2) == {
             1: frozenset({2}),
             2: frozenset({2}),
             3: frozenset({2}),
         }
-        assert ascending_reach(sk, 2, 1) == {2: frozenset({1}), 3: frozenset({1})}
-        assert ascending_reach(sk, 3, 1) == {3: frozenset({1})}
+        assert ascending_reach(joins, 2, 1) == {2: frozenset({1}), 3: frozenset({1})}
+        assert ascending_reach(joins, 3, 1) == {3: frozenset({1})}
 
     def test_complete_chain_spreads(self):
         d = three_chain_complete()
         chain = component_chain(d)
-        sk = cs_graph(d, chain)
-        assert ascending_reach(sk, 1, 1)[3] == frozenset({1, 2})
+        assert ascending_reach(cs_graph(d, chain), 1, 1)[3] == frozenset({1, 2})
 
 
 # hand-built chains where skeleton lanes merge (kappas (2, 4, 2) and
@@ -513,11 +519,11 @@ def pairwise_limit_graph(d, chain):
     """The limit by the vertex-pair rule: x in U_i of D_p and y in U_j of
     D_q with p <= q are adjacent iff the ascending reach sets of (p, i) and
     (q, j) meet at some level r >= q."""
-    sk = cs_graph(d, chain)
+    joins = cs_graph(d, chain)
     reach = {
-        (p, i): ascending_reach(sk, p, i)
-        for p in range(1, sk.eta + 1)
-        for i in range(1, sk.class_counts[p - 1] + 1)
+        (p, i): ascending_reach(joins, p, i)
+        for p in range(1, chain.eta + 1)
+        for i in range(1, chain.kappa(p) + 1)
     }
     label = class_labels(chain)
     edges = []
@@ -525,7 +531,7 @@ def pairwise_limit_graph(d, chain):
         for v in range(u + 1, d.n + 1):
             (p, i), (q, j) = sorted((label[u], label[v]))
             ru, rv = reach[(p, i)], reach[(q, j)]
-            if any(ru[r] & rv[r] for r in range(q, sk.eta + 1)):
+            if any(ru[r] & rv[r] for r in range(q, chain.eta + 1)):
                 edges.append((u, v))
     return UndirectedGraph.from_edges(d.n, edges)
 
@@ -636,11 +642,11 @@ class TestStepCommonPrey:
             GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
         )
         chain = component_chain(d)
-        sk = cs_graph(d, chain)
+        joins = cs_graph(d, chain)
         _, _, powers = reference_powers(d)
         masks = dict(enumerate(chain.masks, start=1))
         reach = {
-            (p, i): ascending_reach(sk, p, i)
+            (p, i): ascending_reach(joins, p, i)
             for p in range(1, chain.eta + 1)
             for i in range(1, chain.kappa(p) + 1)
         }
