@@ -5,9 +5,11 @@ text, auto-detected) and emits a JSON report of the chain, the verdict,
 and any limits; ``verify`` runs the analytic-vs-simulation checks on a
 seeded campaign of random instances, or on one digraph; ``export`` renders
 the class skeleton, the limit graph, or one m-step competition graph as
-DOT.  Output is written in pieces, edges one graph row or skeleton class
-at a time, after all of it is computed: a refusal never leaves part of it
-on stdout.
+DOT.  The report is laid out as json.dumps(indent=2, sort_keys=True) lays
+out its value, except that every list of integers (an edge, a class, a
+vertex list) is on one line.  Output is written in pieces, edges one
+graph row or skeleton class at a time, after all of it is computed: a
+refusal never leaves part of it on stdout.
 
 Exit codes: analyze returns 0 when the sequence converges and 2 when it
 diverges; verify returns 0 when every check passes and 2 when one
@@ -89,7 +91,8 @@ def _chain_report(chain) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     text = _read_input(args.input)
-    d = parse_digraph(text)
+    fmt = detect_format(text)
+    d = parse_digraph(text, fmt)
     chain = component_chain(d)
     verdict = theory.converges(d, chain=chain)
 
@@ -97,7 +100,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "schema": 1,
         "input": {
             "path": args.input,
-            "format": detect_format(text),
+            "format": fmt,
             "n": d.n,
             "arcs": [list(a) for a in d.arc_list()],
         },
@@ -118,13 +121,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "jbd": None,
     }
 
-    # the limit as (source, graph) and the skeleton, whose edge lists are
-    # written into the report text at the end
-    limit = joins = None
+    # the edge lists are functions of their items' indent, whose runs
+    # _write_json writes one graph row or skeleton class at a time
     if not any(chain.trivial_flags):
         joins = theory.cs_graph(d, chain)
-        report["skeleton"] = {"class_counts": list(chain.kappas), "edges": None}
-        limit = ("analytic", theory.limit_graph(joins, chain))
+        report["skeleton"] = {
+            "class_counts": list(chain.kappas),
+            "edges": lambda pad: _join_runs(
+                joins, chain, "[{}, {}, {}, ".format, f"],{pad}[{{}}, {{}}, {{}}, ".format, "]"
+            ),
+        }
+        report["limit"] = _limit_report("analytic", theory.limit_graph(joins, chain))
         jbd = theory.jbd_condition(d, chain)
         report["jbd"] = {
             "source": "analytic",
@@ -135,7 +142,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     elif verdict.converged and args.simulate_fallback:
         sim = oracle.simulate_limit(d)
         assert sim.limit is not None
-        limit = ("simulated", sim.limit)
+        report["limit"] = _limit_report("simulated", sim.limit)
         report["jbd"] = {
             "source": "simulated",
             "holds": theory.union_of_cliques(sim.limit),
@@ -143,41 +150,50 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "detail": None,
         }
 
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    write = sys.stdout.write
-    # '\n  "' starts a top-level key and '\n    "' a key one level down:
-    # strings in the report escape their newlines and quotes.  The limit
-    # comes before the skeleton in key order, and after it no other key of
-    # that depth is "edges".
-    if limit is not None:
-        source, g = limit
-        before, text = text.split('\n  "limit": null', 1)
-        write(before + '\n  "limit": {\n    "edges": ')
-        head = "      [\n        {},\n        ".format
-        _write_items(write, _edge_runs(g, head, lambda u: "\n      ],\n" + head(u), "\n      ]"))
-        text = f',\n    "source": "{source}"\n  }}' + text
-    if joins is not None:
-        before, text = text.split('\n    "edges": null', 1)
-        write(before + '\n    "edges": ')
-        head = "      [\n        {},\n        {},\n        {},\n        ".format
-        runs = _join_runs(joins, chain, head, lambda *c: "\n      ],\n" + head(*c), "\n      ]")
-        _write_items(write, runs)
-    write(text)
+    _write_json(sys.stdout.write, report)
+    sys.stdout.write("\n")
     return 0 if verdict.converged else 2
 
 
-def _write_items(write: Callable, runs: Iterator[str]) -> None:
-    """Write the JSON list, as json.dumps(indent=2) lays out a list two
-    levels down, whose items are those of runs; each run is one or more
-    items, already joined by ",\\n"."""
-    first = next(runs, None)
-    if first is None:
-        write("[]")
-        return
-    write("[\n" + first)
-    for run in runs:
-        write(",\n" + run)
-    write("\n    ]")
+def _limit_report(source: str, g: UndirectedGraph) -> dict:
+    return {
+        "edges": lambda pad: _edge_runs(g, "[{}, ".format, f"],{pad}[{{}}, ".format, "]"),
+        "source": source,
+    }
+
+
+def _write_json(write: Callable, value, pad: str = "\n") -> None:
+    """Write value as json.dumps(value, indent=2, sort_keys=True) lays it
+    out, pad being the line break and indent of the line it starts on,
+    except that a list whose items are all integers goes on one line as
+    "[a, b]".  A function stands for a list of lists of integers: called
+    with its items' pad, it returns their text in runs of one or more
+    items joined by "," and that pad."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            write(("," if i else "{") + inner + json.dumps(key) + ": ")
+            _write_json(write, value[key], inner)
+        write(pad + "}")
+    elif callable(value):
+        runs = value(inner)
+        first = next(runs, None)
+        if first is None:
+            write("[]")
+            return
+        write("[" + inner + first)
+        for run in runs:
+            write("," + inner + run)
+        write(pad + "]")
+    elif isinstance(value, list) and not all(type(x) is int for x in value):
+        for i, item in enumerate(value):
+            write(("," if i else "[") + inner)
+            _write_json(write, item, inner)
+        write(pad + "]")
+    elif isinstance(value, list):
+        write("[" + ", ".join(map(str, value)) + "]")
+    else:
+        write(json.dumps(value))
 
 
 def _join_runs(joins: tuple, chain, head: Callable, sep: Callable, close: str) -> Iterator[str]:

@@ -42,6 +42,7 @@ oracle's power walk share, so the two routes share no state.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import or_
@@ -525,9 +526,9 @@ def format_edge_list(d: Digraph) -> str:
 
 def detect_format(text: str) -> str:
     """"matrix" when the first line holds one token, "edge-list" when it
-    holds two; ParseError otherwise."""
-    lines = text.splitlines()
-    ntoks = len(lines[0].split()) if lines else 0
+    holds two; ParseError otherwise.  Only the first line is read, up to
+    the first line boundary that str.splitlines knows."""
+    ntoks = len(re.match("[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", text)[0].split())
     if ntoks == 0:
         raise ParseError(1, "empty input")
     if ntoks == 1:
@@ -537,10 +538,10 @@ def detect_format(text: str) -> str:
     raise ParseError(1, f"expected 1 token (matrix) or 2 tokens (edge list), got {ntoks}")
 
 
-def parse_digraph(text: str) -> Digraph:
-    """Parse either input format, auto-detected by ``detect_format``.
-    Self-loops are rejected in both."""
-    if detect_format(text) == "edge-list":
+def parse_digraph(text: str, fmt: str = "") -> Digraph:
+    """Parse text in fmt, "matrix" or "edge-list", by default the format
+    ``detect_format`` finds.  Self-loops are rejected in both."""
+    if (fmt or detect_format(text)) == "edge-list":
         return parse_edge_list(text)
     d = parse_matrix(text)
     if d.self_loops:

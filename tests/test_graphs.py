@@ -22,6 +22,7 @@ from compseq import (
     UndirectedGraph,
     bool_pow,
     component_chain,
+    detect_format,
     format_edge_list,
     gamma,
     imprimitivity,
@@ -577,6 +578,77 @@ class TestEdgeListText:
             with pytest.raises(ParseError, match=fragment) as exc:
                 parse_edge_list(text)
             assert exc.value.line == line, text
+
+
+# every line boundary str.splitlines knows: "\r\n", and each of these alone
+LINE_BOUNDARIES = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def splitlines_format(text: str) -> str:
+    """detect_format as it read the whole text's splitlines: the reference
+    the first-line reader must agree with."""
+    lines = text.splitlines()
+    ntoks = len(lines[0].split()) if lines else 0
+    if ntoks == 0:
+        raise ParseError(1, "empty input")
+    if ntoks == 1:
+        return "matrix"
+    if ntoks == 2:
+        return "edge-list"
+    raise ParseError(1, f"expected 1 token (matrix) or 2 tokens (edge list), got {ntoks}")
+
+
+def outcome(detect, text: str) -> str:
+    try:
+        return detect(text)
+    except ParseError as e:
+        return str(e)
+
+
+class TestDetectFormat:
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [
+            ("4\n0101\n", "matrix"),
+            ("4 5\n1 2\n", "edge-list"),
+            ("7", "matrix"),
+            ("\t2  0 ", "edge-list"),
+            ("3 2\r\n1 2\r\n2 3\r\n", "edge-list"),
+            ("3\r\n010\r\n", "matrix"),
+            # a lone "\r" ends the first line before the three tokens after it
+            ("3 1\r1 2 3", "edge-list"),
+            ("3\r1 2 3\r", "matrix"),
+        ],
+    )
+    def test_tokens_on_the_first_line(self, text, fmt):
+        assert detect_format(text) == fmt
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty input"),
+            (" \t\n4 5\n", "empty input"),
+            ("\n4\n0101\n", "empty input"),
+            ("\r\n2 1\n", "empty input"),
+            ("1 2 3\n", "expected 1 token (matrix) or 2 tokens (edge list), got 3"),
+            ("1 2 3 4", "expected 1 token (matrix) or 2 tokens (edge list), got 4"),
+        ],
+    )
+    def test_refused(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message) + "$") as exc:
+            detect_format(text)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("boundary", ["\r\n", *LINE_BOUNDARIES])
+    @pytest.mark.parametrize("first", ["", "5", "5 6", "5 6 7"])
+    def test_every_line_boundary_ends_the_first_line(self, boundary, first):
+        text = first + boundary + "1 2 3" + boundary + "4"
+        assert outcome(detect_format, text) == outcome(splitlines_format, text)
+
+    # "\t" and "\x1f" split tokens but end no line
+    @given(st.text(alphabet=["1", " ", "\t", "\x1f", *LINE_BOUNDARIES], max_size=12))
+    def test_agrees_with_splitlines(self, text):
+        assert outcome(detect_format, text) == outcome(splitlines_format, text)
 
 
 class TestParseDigraph:
