@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 2048
+PERIOD_CAP = 100_000
 WALK_BUDGET = 64  # powers simulate_limit stores before it jumps to the tail
 
 CHECK_NAMES = ("verdict", "limit", "jbd", "period")
@@ -65,8 +66,8 @@ CHECK_NAMES = ("verdict", "limit", "jbd", "period")
 
 class SizeCapError(ValueError):
     """The simulation will not run on this input: the matrix has more rows
-    than DEFAULT_SIZE_CAP, or its powers a period above graphs.M_STEP_CAP
-    steps.  Both are known before the work they would bound."""
+    than DEFAULT_SIZE_CAP, or its powers a period above PERIOD_CAP steps.
+    Both are known before the work they would bound."""
 
 
 @frozen
@@ -100,8 +101,8 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     The sequence of competition graphs is eventually constant iff it is
     constant on the periodic tail, so this is an exact decision.  Raises
     SizeCapError when a has more than DEFAULT_SIZE_CAP rows or its powers
-    a period above ``graphs.M_STEP_CAP`` steps; both caps are read at call
-    time, and a cap only refuses inputs, it never changes an answer.
+    a period above PERIOD_CAP steps; both caps are read at call time, and
+    a cap only refuses inputs, it never changes an answer.
 
     Walk: a power is its tuple of rows, and A^(m+1) is A * A^m
     (``_times``): row i ORs the rows of A^m picked by ``a.successors[i]``,
@@ -156,8 +157,8 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
 def _jump(a: BoolMatrix, succ: tuple[tuple[int, ...], ...]):
     """mu, pi and the rows of A^mu .. A^(mu+pi-1), as ``simulate_limit`` says."""
     period = graphs.power_period(a)
-    if period > graphs.M_STEP_CAP:
-        raise SizeCapError(f"power period {period} exceeds the walk cap of {graphs.M_STEP_CAP} steps")
+    if period > PERIOD_CAP:
+        raise SizeCapError(f"power period {period} exceeds the walk cap of {PERIOD_CAP} steps")
     squares = [a]  # squares[k] is A^(2^k)
     b = _ladder_power(squares, 1 << ((a.n - 1) ** 2).bit_length())  # 2^K >= (n-1)^2 + 1
     rows, pi = _times(succ, b.rows), 1

@@ -119,6 +119,13 @@ def cycle_chain(lengths: tuple[int, ...]) -> Digraph:
     return Digraph.from_arcs(start, arcs)
 
 
+def wielandt(n: int) -> BoolMatrix:
+    """Arcs i -> i+1, n -> 1 and n -> 2 on 1..n: the primitive digraph
+    whose index (n-1)^2 + 1 meets the bound of Heap & Lynn."""
+    rows = [1 << (i + 1) for i in range(n - 1)] + [0b11]
+    return BoolMatrix(n, tuple(rows))
+
+
 # ------------------------------------------------------------ naive oracles
 
 

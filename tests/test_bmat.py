@@ -20,7 +20,7 @@ from compseq import (
     parse_matrix,
     simulate_limit,
 )
-from compseq import bmat, graphs, oracle
+from compseq import bmat, oracle
 from conftest import (
     bool_matrices,
     entry,
@@ -327,16 +327,16 @@ class TestPowerCycle:
     def test_step_cap(self, monkeypatch):
         entries = [[int(j == (i + 1) % 5) for j in range(5)] for i in range(5)]
         a = BoolMatrix.from_entries(entries)
-        assert graphs.M_STEP_CAP == 100_000
+        assert oracle.PERIOD_CAP == 100_000
         # the walk stores all five powers and never meets the cap
-        monkeypatch.setattr(graphs, "M_STEP_CAP", 4)
+        monkeypatch.setattr(oracle, "PERIOD_CAP", 4)
         assert mu_pi(a) == (1, 5)
         # past a budget of three powers the jump reads the cap when called;
         # a period of 5 steps fits a cap of 5
         monkeypatch.setattr(oracle, "WALK_BUDGET", 3)
         with pytest.raises(SizeCapError, match="period 5 exceeds the walk cap of 4 steps"):
             simulate_limit(a)
-        monkeypatch.setattr(graphs, "M_STEP_CAP", 5)
+        monkeypatch.setattr(oracle, "PERIOD_CAP", 5)
         assert mu_pi(a) == (1, 5)
 
     @settings(max_examples=60, deadline=None)

@@ -16,11 +16,13 @@ from compseq import (
     GeneratorSpec,
     InternalCheckError,
     UndirectedGraph,
+    bool_pow,
     component_chain,
     converges,
     cs_graph,
     format_edge_list,
     format_matrix,
+    gamma,
     limit_graph,
     m_step_competition,
     random_instance,
@@ -224,9 +226,9 @@ class TestAnalyze:
 
     def test_power_cycle_step_cap_reported(self, write, capsys, monkeypatch):
         # two stored powers do not reach the repeat of the period-4 tail, and
-        # the jump refuses a period above the step cap, both read when called
+        # the jump refuses a period above the period cap, both read when called
         monkeypatch.setattr(oracle, "WALK_BUDGET", 2)
-        monkeypatch.setattr(graphs, "M_STEP_CAP", 3)
+        monkeypatch.setattr(oracle, "PERIOD_CAP", 3)
         path = write("c.el", format_edge_list(cycle4_feeders(4)))
         code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
         assert code == 1 and out == ""
@@ -659,15 +661,15 @@ class TestExport:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "routes disagree at m=3" in err
 
-    def test_competition_past_the_walk_cap_refused(self, write, capsys):
-        # cycles of lengths 2..17 prime: the powers have period 510510
-        path = write("primes.el", format_edge_list(cycle_chain((2, 3, 5, 7, 11, 13, 17))))
+    def test_competition_past_the_period_answers(self, write, capsys):
+        # cycles of lengths 2..17 prime: the powers have period 510510, and
+        # 759760 lies past the index with the residue of 10^12 mod 510510
+        d = cycle_chain((2, 3, 5, 7, 11, 13, 17))
+        path = write("primes.el", format_edge_list(d))
         code, out, err = run(capsys, "export", path, "--what", "competition", "1000000000000")
-        assert code == 1 and out == ""
-        assert err == (
-            "error: step count 1000000000000 and period 510510 "
-            f"both exceed the walk cap of {graphs.M_STEP_CAP} steps\n"
-        )
+        assert code == 0 and err == ""
+        assert run(capsys, "export", path, "--what", "competition", "759760") == (0, out, "")
+        assert out.count("--") == sum(map(int.bit_count, gamma(bool_pow(d, 10**12)).rows)) // 2
 
     def test_competition_needs_step_count(self, write, capsys):
         path = write("t.el", format_edge_list(two_chain()))

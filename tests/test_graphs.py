@@ -49,6 +49,7 @@ from conftest import (
     to_entries,
     two_chain,
     vertices,
+    wielandt,
 )
 
 
@@ -455,24 +456,20 @@ class TestMStepCompetition:
     @settings(max_examples=300, deadline=None)
     @given(digraphs(max_n=7))
     def test_period_is_lcm_of_kappas(self, d):
-        # the premise of the walk cap: the period of A's powers is known
-        # before the walk, on any digraph, loops and non-chains included
+        # the premise of the oracle's period cap: the period of A's powers is
+        # known before the walk, on any digraph, loops and non-chains included
         kappas = map(len, imprimitivity(d, _strong_components(d)))
         assert power_period(d) == math.lcm(*kappas) == simulate_limit(d).period_pi
 
-    def test_long_period_refused_before_any_work(self, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("the input was not refused first")
-
-        monkeypatch.setattr(graphs, "_m_step_reach", no_work)
-        monkeypatch.setattr(graphs, "bool_pow", no_work)
+    def test_long_period_answers_a_far_step_count(self):
         d = cycle_chain((2, 3, 5, 7, 11, 13, 17))  # period 510510
-        message = r"^step count 10{12} and period 510510 both exceed the walk cap"
-        with pytest.raises(ValueError, match=message):
-            m_step_competition(d, 10**12)
+        g = m_step_competition(d, 10**12)
+        assert g.rows == gamma(bool_pow(d, 10**12)).rows
+        # 759760 lies past the index, with the residue of 10^12 mod 510510
+        assert g == m_step_competition(d, 759760)
 
     def test_long_period_answers_a_step_count_under_the_cap(self):
-        # the cap refuses only when the step count exceeds it too
+        # a step count below the period answers as well
         d = cycle_chain((2, 3, 5, 7, 11, 13, 17))
         assert m_step_competition(d, 1000).rows == gamma(bool_pow(d, 1000)).rows
 
@@ -491,7 +488,7 @@ class TestMStepCompetition:
 
 
 def stepped_reach(d: Digraph, m: int) -> list[int]:
-    """The walk DP stepped m times with no period jump: reach_(t+1)(v) is
+    """The walk DP stepped m times, one arc at a time: reach_(t+1)(v) is
     the OR of reach_t(w) over the arcs (v, w), from reach_0(v) = {v}.
     This is the loop ``_m_step_reach`` replaced, kept as its reference."""
     succ = [[w for w in range(d.n) if (r >> w) & 1] for r in d.rows]
@@ -521,18 +518,26 @@ def seeded_digraphs():
     return out
 
 
-class TestPeriodJump:
-    """``_m_step_reach`` jumps whole periods of its reach sequence; the
-    plain m-step loop is the reference."""
+class TestDoubling:
+    """``_m_step_reach`` squares its reach lists along the bits of m and
+    steps one arc at each set bit; the plain m-step loop is the reference."""
 
     def test_matches_stepped_loop(self):
         far = 10**5
+        around_powers = {m for k in range(8) for m in (2**k - 1, 2**k, 2**k + 1)}
         for d in seeded_digraphs():
             sim = simulate_limit(d)
             mu, pi = sim.index_mu, sim.period_pi
-            for m in {1, 2, 3, mu - 1, mu, mu + pi, mu + pi + 1}:
+            for m in {0, 1, 2, 3, mu - 1, mu, mu + pi, mu + pi + 1} | around_powers:
                 assert graphs._m_step_reach(d, m) == stepped_reach(d, m), (d, m)
             assert graphs._m_step_reach(d, far) == stepped_reach(d, far), d
+
+    def test_wielandt_far_step_count(self):
+        # primitive, so pi = 1 and every m past the index (n-1)^2 + 1, the
+        # largest there is, gives the reach at the index
+        for n in range(12, 41):
+            d = wielandt(n)
+            assert graphs._m_step_reach(d, 10**12) == stepped_reach(d, (n - 1) ** 2 + 1), n
 
     def test_reads_no_cached_successors(self):
         d = Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])

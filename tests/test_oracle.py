@@ -26,7 +26,7 @@ from compseq import (
     simulate_limit,
     verify,
 )
-from compseq import bmat, graphs, oracle, theory
+from compseq import bmat, oracle, theory
 from conftest import (
     bool_matrices,
     cycle4_feeders,
@@ -37,6 +37,7 @@ from conftest import (
     three_chain_complete,
     two_chain,
     vertices,
+    wielandt,
     zeros,
 )
 
@@ -239,13 +240,6 @@ class TestTailStopRule:
         assert len(set(masks[mu - 1 :])) == 1
 
 
-def wielandt(n: int) -> BoolMatrix:
-    """Arcs i -> i+1, n -> 1 and n -> 2 on 1..n: the primitive digraph
-    whose index (n-1)^2 + 1 meets the bound of Heap & Lynn."""
-    rows = [1 << (i + 1) for i in range(n - 1)] + [0b11]
-    return BoolMatrix(n, tuple(rows))
-
-
 class TestJump:
     """Past WALK_BUDGET stored powers, simulate_limit jumps to A^(2^K) on the
     tail and lifts mu off the squarings; the answer is the walk's."""
@@ -307,9 +301,9 @@ class TestJump:
             simulate_limit(a)
         # the cap is read when called, and the walk's count stays the answer
         monkeypatch.undo()
-        monkeypatch.setattr(graphs, "M_STEP_CAP", 1848)
+        monkeypatch.setattr(oracle, "PERIOD_CAP", 1848)
         assert simulate_limit(cycle_chain((3, 7, 8, 11))).period_pi == 1848
-        monkeypatch.setattr(graphs, "M_STEP_CAP", 1847)
+        monkeypatch.setattr(oracle, "PERIOD_CAP", 1847)
         with pytest.raises(SizeCapError, match="period 1848 exceeds the walk cap of 1847"):
             simulate_limit(cycle_chain((3, 7, 8, 11)))
 
