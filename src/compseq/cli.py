@@ -7,9 +7,12 @@ seeded campaign of random instances, or on one digraph; ``export`` renders
 the class skeleton, the limit graph, or one m-step competition graph as
 DOT.  The report is laid out as json.dumps(indent=2, sort_keys=True) lays
 out its value, except that every list of integers (an edge, a class, a
-vertex list) is on one line.  Output is written in pieces, edges one
-graph row or skeleton class at a time, after all of it is computed: a
-refusal never leaves part of it on stdout.
+vertex list) is on one line, and the edges of one graph row, or of one
+skeleton class, share a line as "[u, v], [u, w]".  The limit and m-step
+DOT exports name vertices by bare numerals, which DOT reads as the
+quoted ids; the skeleton keeps its quoted "p_j" labels.  Output is
+written in pieces, edges one graph row or skeleton class at a time,
+after all of it is computed: a refusal never leaves part of it on stdout.
 
 Exit codes: analyze returns 0 when the sequence converges and 2 when it
 diverges; verify returns 0 when every check passes and 2 when one
@@ -121,14 +124,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "jbd": None,
     }
 
-    # the edge lists are functions of their items' indent, whose runs
-    # _write_json writes one graph row or skeleton class at a time
+    # the edge lists are functions whose runs _write_json writes one graph
+    # row or skeleton class at a time, one run per line
     if not any(chain.trivial_flags):
         joins = theory.cs_graph(d, chain)
         report["skeleton"] = {
             "class_counts": list(chain.kappas),
-            "edges": lambda pad: _join_runs(
-                joins, chain, "[{}, {}, {}, ".format, f"],{pad}[{{}}, {{}}, {{}}, ".format, "]"
+            "edges": lambda: _join_runs(
+                joins, chain, "[{}, {}, {}, ".format, "], [{}, {}, {}, ".format, "]"
             ),
         }
         report["limit"] = _limit_report("analytic", theory.limit_graph(joins, chain))
@@ -157,7 +160,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _limit_report(source: str, g: UndirectedGraph) -> dict:
     return {
-        "edges": lambda pad: _edge_runs(g, "[{}, ".format, f"],{pad}[{{}}, ".format, "]"),
+        "edges": lambda: _edge_runs(g, "[{}, ".format, "], [{}, ".format, "]"),
         "source": source,
     }
 
@@ -166,9 +169,9 @@ def _write_json(write: Callable, value, pad: str = "\n") -> None:
     """Write value as json.dumps(value, indent=2, sort_keys=True) lays it
     out, pad being the line break and indent of the line it starts on,
     except that a list whose items are all integers goes on one line as
-    "[a, b]".  A function stands for a list of lists of integers: called
-    with its items' pad, it returns their text in runs of one or more
-    items joined by "," and that pad."""
+    "[a, b]".  A function stands for a list of lists of integers: called,
+    it returns their text in runs of one or more items joined by ", ",
+    and each run goes on a line of its own."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         for i, key in enumerate(sorted(value)):
@@ -176,7 +179,7 @@ def _write_json(write: Callable, value, pad: str = "\n") -> None:
             _write_json(write, value[key], inner)
         write(pad + "}")
     elif callable(value):
-        runs = value(inner)
+        runs = value()
         first = next(runs, None)
         if first is None:
             write("[]")
@@ -299,11 +302,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _graph_dot(name: str, g: UndirectedGraph) -> None:
     """Write g as DOT to stdout: one line per vertex, then the edges (u, v),
-    u < v, in sorted order, one row of g at a time."""
+    u < v, in sorted order, one row of g at a time, with bare numeral ids
+    ("  1 -- 3;"), which DOT's grammar reads as quoted "1" and "3"."""
     write = sys.stdout.write
     write(f"graph {name} {{\n")
-    write("".join(f'  "{v}";\n' for v in range(1, g.n + 1)))
-    for run in _edge_runs(g, '  "{}" -- "'.format, '";\n  "{}" -- "'.format, '";\n'):
+    write("".join(f"  {v};\n" for v in range(1, g.n + 1)))
+    for run in _edge_runs(g, "  {} -- ".format, ";\n  {} -- ".format, ";\n"):
         write(run)
     write("}\n")
 

@@ -32,6 +32,7 @@ from compseq.cli import main
 from conftest import (
     cycle4_feeders,
     cycle_chain,
+    gcd2_merge_chain,
     period3_matrix,
     skeleton_edges,
     three_chain_parallel,
@@ -261,9 +262,28 @@ _INT_LIST = re.compile(r"\[\n *(-?\d+(?:,\n *-?\d+)*)\n *\]")
 def report_text(report: dict) -> str:
     """The schema-1 report layout, built independently of cli: the
     json.dumps(indent=2, sort_keys=True) text with every list of integers
-    on one line."""
+    on one line, and then, only inside limit.edges and skeleton.edges,
+    consecutive items that share their source (u of [u, v], or p, i of
+    [p, i, q, j]) joined on one line by ", "."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    return _INT_LIST.sub(lambda m: "[" + re.sub(r",\n *", ", ", m[1]) + "]", text) + "\n"
+    text = _INT_LIST.sub(lambda m: "[" + re.sub(r",\n *", ", ", m[1]) + "]", text)
+    lines: list[str] = []
+    section = source = None
+    for line in text.split("\n"):
+        # a top-level key starts its line with two spaces and a quote; no
+        # string holds a real newline, so no string starts a line
+        if line.startswith('  "'):
+            section = line.split('"')[1]
+        if section in ("limit", "skeleton") and line.startswith("      ["):
+            item = json.loads(line.rstrip(","))
+            key, source = source, item[: len(item) // 2]
+            if key == source:
+                lines[-1] += " " + line.lstrip()
+                continue
+        else:
+            source = None
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 class TestReportText:
@@ -387,11 +407,12 @@ class TestReportText:
 
     def test_limit_is_streamed(self, write, monkeypatch):
         # a dense limit (n = 447, kappas (150, 1, 1)) with a small skeleton,
-        # so the edge list is nearly all of the 1.8 MB report; writing it
-        # row by row holds a few rows of text at a time (the peak, 0.40 to
-        # 0.66 of the report's size on Python 3.10 to 3.13, is nearly all
-        # the analysis), where building the report as one string would hold
-        # all of it on top of the analysis
+        # so the edge list is nearly all of the 1.17 MB report; writing it
+        # row by row holds a few rows of text at a time (the peak, 0.46 of
+        # the report's size on Python 3.11 after other analyze runs and 0.62
+        # in a fresh process, is nearly all the analysis), where building
+        # the report as one string would hold all of it on top of the
+        # analysis
         d = random_instance(GeneratorSpec(eta=3, sizes=(120, 150), allow_trivial=False, seed=2))
         path = write("dense.el", format_edge_list(d))
         sink = _ByteCounter()
@@ -402,7 +423,7 @@ class TestReportText:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and sink.bytes > 1_500_000
+        assert code == 0 and sink.bytes > 1_100_000
         assert peak < sink.bytes
         # and no write holds the edges of more than one row
         assert sink.most_rows == 1
@@ -429,7 +450,7 @@ class TestReportText:
         }
         # one run per source class: no write holds more than one class's 41
         # skeleton items, and no item is split between two writes
-        item = re.compile(r"\n {6}\[\d+, \d+, \d+, \d+\]")
+        item = re.compile(r"(?:\n {6}|, )\[\d+, \d+, \d+, \d+\]")
         per_write = [len(item.findall(chunk)) for chunk in chunks]
         assert max(per_write) == 41 and sum(per_write) == 40 * 41
 
@@ -624,35 +645,28 @@ class TestExport:
         path = write("a.mat", format_matrix(period3_matrix()))
         code, out, _ = run(capsys, "export", path, "--what", "limit")
         assert code == 0
-        assert '"2" -- "4";' in out
+        assert "\n  2 -- 4;\n" in out
         assert out.count("--") == 1
 
     def test_limit_dot_two_chain(self, write, capsys):
         path = write("t.el", format_edge_list(two_chain()))
         code, out, _ = run(capsys, "export", path, "--what", "limit")
         assert code == 0
-        assert out == (
-            "graph limit {\n"
-            '  "1";\n'
-            '  "2";\n'
-            '  "3";\n'
-            '  "4";\n'
-            '  "1" -- "3";\n'
-            '  "2" -- "4";\n'
-            "}\n"
-        )
+        assert out.split("\n") == [
+            "graph limit {", "  1;", "  2;", "  3;", "  4;", "  1 -- 3;", "  2 -- 4;", "}", ""
+        ]
 
     def test_competition_dot_three_cycle_has_no_edges(self, write, capsys):
         path = write("c3.el", "3 3\n1 2\n2 3\n3 1\n")
         code, out, _ = run(capsys, "export", path, "--what", "competition", "1")
         assert code == 0
-        assert out == 'graph competition {\n  "1";\n  "2";\n  "3";\n}\n'
+        assert out.split("\n") == ["graph competition {", "  1;", "  2;", "  3;", "}", ""]
 
     def test_competition_dot_two_step(self, write, capsys):
         path = write("a.mat", format_matrix(period3_matrix()))
         code, out, _ = run(capsys, "export", path, "--what", "competition", "2")
         assert code == 0
-        assert '"2" -- "4";' in out and out.count("--") == 1
+        assert "\n  2 -- 4;\n" in out and out.count("--") == 1
 
     def test_competition_route_split_reported(self, write, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "_m_step_reach", lambda d, m: [(1 << d.n) - 1] * d.n)
@@ -715,7 +729,7 @@ class TestExport:
 
     @pytest.mark.parametrize(
         "argv, limit_text",
-        [(["analyze"], '"source": "analytic"'), (["export", "--what", "limit"], '"2" -- "4";')],
+        [(["analyze"], '"source": "analytic"'), (["export", "--what", "limit"], "\n  2 -- 4;\n")],
         ids=["analyze", "export"],
     )
     def test_limit_builds_the_skeleton_once(self, write, capsys, monkeypatch, argv, limit_text):
@@ -765,12 +779,60 @@ class TestExport:
                 argv = ["competition", what]
             code, out, err = run(capsys, "export", path, "--what", *argv)
             assert code == 0 and err == ""
-            assert out == (
-                f"graph {argv[0]} {{\n"
-                + "".join(f'  "{v}";\n' for v in range(1, d.n + 1))
-                + "".join(f'  "{u}" -- "{v}";\n' for u, v in g.edge_list())
-                + "}\n"
+            # line lists, not strings, as in TestReportText: pytest diffs two
+            # unequal megabyte strings for minutes
+            assert out.split("\n") == (
+                [f"graph {argv[0]} {{"]
+                + [f"  {v};" for v in range(1, d.n + 1)]
+                + [f"  {u} -- {v};" for u, v in g.edge_list()]
+                + ["}", ""]
             )
+
+    def test_dot_grammar(self, write, capsys):
+        # the limit and m-step exports name vertices by bare numerals: a
+        # line "  v;" for each of 1..n once, then a line "  u -- v;" for each
+        # edge, u < v, in sorted order; the skeleton keeps its quoted labels
+        merge = gcd2_merge_chain()
+        rand = random_instance(GeneratorSpec(eta=3, sizes=(5, 30), allow_trivial=False, seed=4))
+        for d in (merge, rand):
+            path = write("g.el", format_edge_list(d))
+            chain = component_chain(d)
+            graphs_by_what = {("limit",): limit_graph(cs_graph(d, chain), chain)}
+            for m in (1, 2, 7):
+                graphs_by_what["competition", str(m)] = m_step_competition(d, m)
+            for what, g in graphs_by_what.items():
+                code, out, err = run(capsys, "export", path, "--what", *what)
+                assert (code, err) == (0, "")
+                lines = out.split("\n")
+                assert lines[0] == f"graph {what[0]} {{" and lines[-2:] == ["}", ""]
+                body = lines[1:-2]
+                nodes = [line for line in body if re.fullmatch(r"  \d+;", line)]
+                assert sorted(int(line[2:-1]) for line in nodes) == list(range(1, d.n + 1))
+                assert body[: len(nodes)] == nodes
+                edges = [re.fullmatch(r"  (\d+) -- (\d+);", line) for line in body[len(nodes) :]]
+                assert all(edges)
+                pairs = [(int(e[1]), int(e[2])) for e in edges]
+                assert all(u < v for u, v in pairs) and pairs == sorted(pairs) == g.edge_list()
+        path = write("merge.el", format_edge_list(merge))
+        code, out, _ = run(capsys, "export", path, "--what", "cs-graph")
+        assert code == 0
+        assert out.split("\n") == [
+            "graph skeleton {",
+            "  rankdir=LR;",
+            '  { rank=same; "1_1"; "1_2"; }',
+            '  { rank=same; "2_1"; "2_2"; "2_3"; "2_4"; }',
+            '  { rank=same; "3_1"; "3_2"; }',
+            '  "1_1" -- "2_2";',
+            '  "1_1" -- "2_4";',
+            '  "1_2" -- "2_1";',
+            '  "1_2" -- "2_3";',
+            '  "2_1" -- "3_2";',
+            '  "2_2" -- "3_1";',
+            '  "2_3" -- "3_2";',
+            '  "2_4" -- "3_1";',
+            "}",
+            "",
+        ]
 
     def test_deterministic_output(self, write, capsys):
         path = write("p.el", format_edge_list(three_chain_parallel()))
