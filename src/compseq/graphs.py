@@ -27,16 +27,15 @@ derived from the rows only when asked for; ``arc_list`` and
 ``edge_list`` read the rows in order, which yields them sorted.
 
 ``m_step_competition`` joins u and v iff some vertex is reachable from both
-by a directed walk of length exactly m.  It always evaluates two
-independent routes and refuses to answer if they disagree: ``gamma`` of
-the repeated-squaring power A^m, and a DP on the int masks of the
-vertices each vertex reaches, without calling ``bool_mul`` or ``gamma``.
-Both routes square, the DP along m's bits from the top and ``bool_pow``
-from the bottom, so any m costs about 2 log2(m) reach-list steps and
-log2(m) products, with no cap on m or on the period.  The DP builds its
-own successor lists and does not read the cached ``successors`` that
-``bool_mul``, ``_strong_components`` and the oracle's power walk share,
-so the two routes share no state.
+by a directed walk of length exactly m.  It evaluates two independent
+routes and refuses to answer if they disagree on the graph or on A^m:
+``gamma`` of the repeated-squaring power A^m, and a DP on the int masks of
+the vertices each vertex reaches, whose graph is reach * reach^T, read off
+its distinct masks without ``bool_mul`` or ``gamma``.  Both routes square,
+so any m costs about 2 log2(m) reach-list steps and log2(m) products,
+with no cap on m or on the period.  The DP builds its own successor lists,
+not the cached ``successors`` that ``bool_mul`` and the oracle share, so
+the two routes share no state.
 """
 
 from __future__ import annotations
@@ -410,36 +409,33 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
 
     Evaluated twice: once as ``gamma`` of A^m from ``bool_pow``, once by
     the walk DP reach_(t+1)(v) = OR of reach_t(w) over the arcs (v, w),
-    from reach_0(v) = {v}, with u and v joined iff their reach masks
-    intersect.  Both routes square (``_m_step_reach`` doubles along m's
-    bits), so any m costs about 2 log2(m) reach-list steps and log2(m)
-    products, with no cap: Wielandt's digraph, whose index (n-1)^2 + 1 is
-    the largest, answers m = 10^12 at n = 2048 in about 5 s on a 2-core
-    Intel Xeon.  The DP shares no kernel with the matrix route (no
-    ``bool_mul``, no ``gamma``) and no successor list (it builds its own
-    instead of reading ``d.successors``), so a fault in either shows as a
-    mismatch, which raises InternalCheckError instead of returning a
-    wrong answer.
+    from reach_0(v) = {v}, as reach * reach^T with the diagonal cleared:
+    row u ORs the predecessor masks of u's reach, once per distinct list.
+    Both routes square (``_m_step_reach`` doubles along m's bits), so any
+    m costs about 2 log2(m) reach-list steps and log2(m) products, with no
+    cap: Wielandt's digraph, whose index (n-1)^2 + 1 is the largest,
+    answers m = 10^12 at n = 2048 in about 5 s on a 2-core Intel Xeon,
+    0.2 s of it reading the graph off the reach lists.  The DP shares no
+    kernel (no ``bool_mul``, no ``gamma``) and no successor list with the
+    matrix route, so a fault in either shows as a mismatch of the graphs
+    or of A^m, which raises InternalCheckError.
     """
     if m < 1:
         raise ValueError(f"step count must be >= 1, got {m}")
-    via_matrix = UndirectedGraph.from_adjacency_matrix(gamma(bool_pow(d, m)))
-    reach = _m_step_reach(d, m)
-    rows = [0] * d.n
-    for u in range(d.n):
-        ru = reach[u]
-        if not ru:
-            continue
-        for v in range(u + 1, d.n):
-            if ru & reach[v]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    via_walks = UndirectedGraph(d.n, tuple(rows))
+    power = bool_pow(d, m)
+    via_matrix = UndirectedGraph(d.n, gamma(power).rows)
+    reach = tuple(_m_step_reach(d, m))
+    preds = BoolMatrix(d.n, reach).columns()
+    shared = {r: reduce(or_, _bit_select(preds, r), 0) for r in set(reach)}
+    via_walks = UndirectedGraph(d.n, tuple(shared[r] & ~(1 << v) for v, r in enumerate(reach)))
     if via_matrix != via_walks:
         diff = UndirectedGraph(d.n, tuple(a ^ b for a, b in zip(via_matrix.rows, via_walks.rows)))
         raise InternalCheckError(
             f"m-step competition routes disagree at m={m}, first difference {diff.edge_list()[0]}"
         )
+    if reach != power.rows:
+        diff = BoolMatrix(d.n, tuple(a ^ b for a, b in zip(reach, power.rows))).arc_list()[0]
+        raise InternalCheckError(f"m-step routes disagree on A^{m} at {diff}")
     return via_walks
 
 

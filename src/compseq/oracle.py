@@ -5,12 +5,12 @@ sequence of a Boolean matrix repeats after finitely many steps, so the
 whole infinite sequence of competition graphs is read off its periodic
 tail.  A walk to the first repeated power, or past WALK_BUDGET powers a
 jump to the tail by squaring, gives the index mu and the period pi
-exactly in bounded memory.  It steps on bare row tuples, each row an OR
-of rows of the last power picked by A's cached successor lists.  The
-tail pass then stops at the first power past A^mu whose competition
-graph equals that of A^mu, because from there the graphs repeat (the
-argument is in ``simulate_limit``).  No theory enters; this is the
-oracle the analytic route is tested against.
+exactly in bounded memory, and hands the tail pass one power, A^mu.  All
+step on bare row tuples, each row an OR of rows of the last power picked
+by A's cached successor lists.  The tail pass stops at the first power
+past A^mu whose competition graph equals that of A^mu, because from
+there the graphs repeat (the argument is in ``simulate_limit``).  No
+theory enters; this is the oracle the analytic route is tested against.
 
 ``verify`` runs both routes once on one digraph and compares verdicts,
 limits, clique structure and the period (pi = lcm of the components'
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import accumulate, islice
 
 from . import graphs, theory
 from ._record import frozen
@@ -108,7 +107,7 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     (``_times``): row i ORs the rows of A^m picked by ``a.successors[i]``,
     one row OR per arc of the sparse A; powers commute, so every product
     puts a factor with kept successor lists on the left.  A repeat
-    A^(mu+pi) = A^mu within WALK_BUDGET stored powers gives the tail.
+    A^(mu+pi) = A^mu within WALK_BUDGET stored powers gives mu, pi and A^mu.
 
     Jump, past the budget: every n x n Boolean matrix has index mu <= M =
     (n-1)^2 + 1 (Heap & Lynn, 1966), so the first squaring B = A^(2^K)
@@ -117,9 +116,10 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     m >= mu, so a binary lift over the O(log M) squarings held finds mu,
     the least m with A^pi * A^m = A^m.  The lcm of the components' kappa,
     the period, is checked against the cap before any squaring and never
-    enters the result.  The tail pass steps from A^mu as the walk's does.
+    enters the result.  The lifted A^mu is what it hands the tail pass.
 
-    Stop rule: the pass ends at the first m > mu with
+    Stop rule: the tail pass drops the stored powers, steps on from A^mu
+    as the walk does, and ends at the first m > mu with
     gamma(A^m) = gamma(A^mu).  Let G_m = A^m (A^m)^T.  Then
     G_(m+1) = A G_m A^T, so G_m determines every later G.  G_m is
     gamma(A^m) plus a diagonal marking the nonzero rows of A^m; that row
@@ -137,25 +137,26 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
     while rows not in seen and len(seen) < WALK_BUDGET:
         seen[rows] = len(seen) + 1
         rows = _times(succ, rows)
-    if rows in seen:
+    if rows in seen:  # rows is A^(mu+pi) = A^mu
         mu = seen[rows]
-        pi, tail = len(seen) + 1 - mu, islice(seen, mu - 1, None)
+        pi = len(seen) + 1 - mu
     else:
-        seen.clear()  # the jump holds no stored power
-        mu, pi, tail = _jump(a, succ)
+        mu, pi, rows = _jump(a, succ)
+    seen.clear()  # the tail pass steps from A^mu and holds no stored power
     # the rows of the tail's distinct gammas, in order of first appearance
     distinct: dict[tuple[int, ...], None] = {}
-    for rows in tail:
+    for _ in range(pi):
         g = gamma(BoolMatrix(a.n, rows)).rows
         if distinct and g == next(iter(distinct)):
             break  # back at gamma(A^mu): the rest of the period repeats what is here
         distinct[g] = None
+        rows = _times(succ, rows)
     cycle = tuple(UndirectedGraph(a.n, g) for g in distinct)
     return SimulationResult(index_mu=mu, period_pi=pi, gamma_cycle=cycle)
 
 
 def _jump(a: BoolMatrix, succ: tuple[tuple[int, ...], ...]):
-    """mu, pi and the rows of A^mu .. A^(mu+pi-1), as ``simulate_limit`` says."""
+    """mu, pi and the rows of A^mu, as ``simulate_limit`` says."""
     period = graphs.power_period(a)
     if period > PERIOD_CAP:
         raise SizeCapError(f"power period {period} exceeds the walk cap of {PERIOD_CAP} steps")
@@ -173,8 +174,7 @@ def _jump(a: BoolMatrix, succ: tuple[tuple[int, ...], ...]):
         y = bool_mul(squares[j], x)
         if bool_mul(p, y) != y:
             m, x = m + (1 << j), y
-    start = a.rows if x is None else _times(succ, x.rows)  # A^mu, mu = m + 1
-    return m + 1, pi, accumulate(range(pi - 1), lambda r, _: _times(succ, r), initial=start)
+    return m + 1, pi, a.rows if x is None else _times(succ, x.rows)  # A^mu, mu = m + 1
 
 
 @frozen

@@ -427,6 +427,18 @@ class TestMStepCompetition:
         with pytest.raises(InternalCheckError, match=message):
             m_step_competition(two_chain(), 1)
 
+    def test_power_split_raises(self, monkeypatch):
+        # 1 -> 2 <-> 3: nothing reaches vertex 1, so a walk from 3 into it
+        # joins 3 to no one and leaves the graph equal, but not A^m
+        d = Digraph.from_arcs(3, [(1, 2), (2, 3), (3, 2)])
+        reach = graphs._m_step_reach
+        monkeypatch.setattr(
+            graphs, "_m_step_reach", lambda d, m: [r | (v == 2) for v, r in enumerate(reach(d, m))]
+        )
+        message = r"^m-step routes disagree on A\^5 at \(3, 1\)$"
+        with pytest.raises(InternalCheckError, match=message):
+            m_step_competition(d, 5)
+
     def test_far_tail_matches_simulated_gamma_cycle(self):
         # one period of m, starting at a multiple of pi past mu with m >> n,
         # lists the simulated gamma cycle in the same order
@@ -516,6 +528,43 @@ def seeded_digraphs():
     for _ in range(10):
         out.append(random_digraph(rng, rng.randint(1, 7), rng.choice((0.15, 0.3, 0.5))))
     return out
+
+
+def pairwise_gamma(reach: list[int]) -> tuple[int, ...]:
+    """The walk route's graph by its old vertex-pair loop: u and v joined
+    iff their reach masks intersect.  The reference for reach * reach^T."""
+    rows = [0] * len(reach)
+    for u, ru in enumerate(reach):
+        for v in range(u + 1, len(reach)):
+            if ru & reach[v]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return tuple(rows)
+
+
+class TestWalkRouteGraph:
+    """The walk route reads its graph off the distinct reach lists; the
+    pairwise loop over the same reach lists is the reference."""
+
+    def test_matches_pairwise_loop(self):
+        # a sink has an empty reach list from m = 1 on
+        extra = [Digraph(1, (0,)), Digraph(1, (1,)), Digraph.from_arcs(3, [(1, 2), (2, 3)])]
+        empty = 0
+        for d in seeded_digraphs() + extra:
+            sim = simulate_limit(d)
+            mu, pi = sim.index_mu, sim.period_pi
+            for m in {1, 2, 3, mu, mu + pi, 10**5}:
+                reach = graphs._m_step_reach(d, m)
+                assert m_step_competition(d, m).rows == pairwise_gamma(reach), (d, m)
+                empty += 0 in reach
+        assert empty > 0
+
+    def test_wielandt_one_distinct_list(self):
+        for n in range(12, 41):
+            d = wielandt(n)
+            reach = graphs._m_step_reach(d, 10**12)
+            assert len(set(reach)) == 1, n
+            assert m_step_competition(d, 10**12).rows == pairwise_gamma(reach), n
 
 
 class TestDoubling:

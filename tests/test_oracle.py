@@ -130,9 +130,9 @@ class TestSimulateLimit:
 
 class TestTailStopRule:
     """simulate_limit stops at the first return of gamma(A^mu); it must give
-    exactly what a pass over the whole period gives.  The walk takes
-    mu+pi-1 products and the tail pass none only on the walk path, where
-    mu+pi-1 <= WALK_BUDGET; past it the jump counts its own products."""
+    exactly what a pass over the whole period gives.  On the walk path,
+    where mu+pi-1 <= WALK_BUDGET, the walk takes mu+pi-1 products and the
+    tail pass one per distinct graph; past it the jump counts its own."""
 
     def test_matches_full_period_on_seeded_instances(self, monkeypatch):
         calls = []
@@ -166,8 +166,8 @@ class TestTailStopRule:
             sim = simulate_limit(a)
             assert sim == full_period_simulation(a)
             if sim.index_mu + sim.period_pi - 1 <= oracle.WALK_BUDGET:
-                # the walk to the first repeat, and no product in the tail pass
-                assert len(products) == sim.index_mu + sim.period_pi - 1
+                # the walk to the first repeat, and one step past each distinct graph
+                assert len(products) == sim.index_mu + sim.period_pi - 1 + len(sim.gamma_cycle)
             # one gamma per distinct graph, plus the one that sees the return
             assert len(calls) == min(len(sim.gamma_cycle) + 1, sim.period_pi)
             cycle_lengths.add(len(sim.gamma_cycle))
@@ -259,7 +259,15 @@ class TestJump:
     def test_forced_jump_matches_full_period(self, monkeypatch):
         jumps = []
         jump = oracle._jump
-        monkeypatch.setattr(oracle, "_jump", lambda a, succ: jumps.append(a) or jump(a, succ))
+
+        def checked_jump(a, succ):
+            # the one power the jump hands the tail pass is A^mu
+            mu, pi, rows = jump(a, succ)
+            assert rows == bool_pow(a, mu).rows
+            jumps.append(a)
+            return mu, pi, rows
+
+        monkeypatch.setattr(oracle, "_jump", checked_jump)
         monkeypatch.setattr(oracle, "WALK_BUDGET", 1)
         master = random.Random(20261019)
         for _ in range(2000):
