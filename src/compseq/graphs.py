@@ -27,15 +27,15 @@ derived from the rows only when asked for; ``arc_list`` and
 ``edge_list`` read the rows in order, which yields them sorted.
 
 ``m_step_competition`` joins u and v iff some vertex is reachable from both
-by a directed walk of length exactly m.  It evaluates two independent
-routes and refuses to answer if they disagree on the graph or on A^m:
-``gamma`` of the repeated-squaring power A^m, and a DP on the int masks of
-the vertices each vertex reaches, whose graph is reach * reach^T, read off
-its distinct masks without ``bool_mul`` or ``gamma``.  Both routes square,
-so any m costs about 2 log2(m) reach-list steps and log2(m) products,
-with no cap on m or on the period.  The DP builds its own successor lists,
-not the cached ``successors`` that ``bool_mul`` and the oracle share, so
-the two routes share no state.
+by a directed walk of length exactly m.  It computes the graph and A^m by
+two independent routes, ``gamma`` of the repeated-squaring power A^m and a
+DP on the int masks of the vertices each vertex reaches, read off as
+reach * reach^T without ``bool_mul`` or ``gamma``, and raises
+InternalCheckError on any difference in their rows, an asymmetric row
+included.  Only the DP's rows become a graph, the one returned, so its
+symmetry check runs once.  The DP builds its own successor lists, not the
+cached ``successors`` that ``bool_mul`` and the oracle share, so the two
+routes share no state; both square, so any m costs O(log m) steps.
 """
 
 from __future__ import annotations
@@ -411,32 +411,30 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
     the walk DP reach_(t+1)(v) = OR of reach_t(w) over the arcs (v, w),
     from reach_0(v) = {v}, as reach * reach^T with the diagonal cleared:
     row u ORs the predecessor masks of u's reach, once per distinct list.
-    Both routes square (``_m_step_reach`` doubles along m's bits), so any
-    m costs about 2 log2(m) reach-list steps and log2(m) products, with no
-    cap: Wielandt's digraph, whose index (n-1)^2 + 1 is the largest,
-    answers m = 10^12 at n = 2048 in about 5 s on a 2-core Intel Xeon,
-    0.2 s of it reading the graph off the reach lists.  The DP shares no
-    kernel (no ``bool_mul``, no ``gamma``) and no successor list with the
-    matrix route, so a fault in either shows as a mismatch of the graphs
-    or of A^m, which raises InternalCheckError.
+    Both routes square, so any m costs about 2 log2(m) reach-list steps
+    and log2(m) products, with no cap: Wielandt's digraph, whose index
+    (n-1)^2 + 1 is the largest, answers m = 10^12 at n = 2048 in about
+    4 s on a 2-core Intel Xeon.  The DP shares no kernel (no ``bool_mul``,
+    no ``gamma``) and no successor list with the matrix route.  Their rows
+    are compared, the graphs' and then A^m's: a mismatch, an asymmetric
+    row included, raises InternalCheckError.  Only the DP's rows become a
+    graph, the one returned, so the symmetry check runs once.
     """
     if m < 1:
         raise ValueError(f"step count must be >= 1, got {m}")
     power = bool_pow(d, m)
-    via_matrix = UndirectedGraph(d.n, gamma(power).rows)
     reach = tuple(_m_step_reach(d, m))
     preds = BoolMatrix(d.n, reach).columns()
     shared = {r: reduce(or_, _bit_select(preds, r), 0) for r in set(reach)}
-    via_walks = UndirectedGraph(d.n, tuple(shared[r] & ~(1 << v) for v, r in enumerate(reach)))
-    if via_matrix != via_walks:
-        diff = UndirectedGraph(d.n, tuple(a ^ b for a, b in zip(via_matrix.rows, via_walks.rows)))
-        raise InternalCheckError(
-            f"m-step competition routes disagree at m={m}, first difference {diff.edge_list()[0]}"
-        )
-    if reach != power.rows:
-        diff = BoolMatrix(d.n, tuple(a ^ b for a, b in zip(reach, power.rows))).arc_list()[0]
-        raise InternalCheckError(f"m-step routes disagree on A^{m} at {diff}")
-    return via_walks
+    rows = tuple(shared[r] & ~(1 << v) for v, r in enumerate(reach))
+    for a, b, what in (
+        (gamma(power).rows, rows, f"m-step competition routes disagree at m={m}, first difference"),
+        (power.rows, reach, f"m-step routes disagree on A^{m} at"),
+    ):
+        if a != b:
+            diff = BoolMatrix(d.n, tuple(x ^ y for x, y in zip(a, b))).arc_list()[0]
+            raise InternalCheckError(f"{what} {diff}")
+    return UndirectedGraph(d.n, rows)
 
 
 def parse_edge_list(text: str) -> Digraph:

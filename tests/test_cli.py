@@ -668,12 +668,21 @@ class TestExport:
         assert code == 0
         assert "\n  2 -- 4;\n" in out and out.count("--") == 1
 
-    def test_competition_route_split_reported(self, write, capsys, monkeypatch):
-        monkeypatch.setattr(graphs, "_m_step_reach", lambda d, m: [(1 << d.n) - 1] * d.n)
+    @pytest.mark.parametrize(
+        "name, fake",
+        [
+            ("_m_step_reach", lambda d, m: [(1 << d.n) - 1] * d.n),
+            # the true graph plus a one-way bit (1, 2)
+            ("gamma", lambda a: Digraph(a.n, (gamma(a).rows[0] | 0b10,) + gamma(a).rows[1:])),
+        ],
+        ids=["walk", "asymmetric-gamma"],
+    )
+    def test_competition_route_split_reported(self, write, capsys, monkeypatch, name, fake):
+        monkeypatch.setattr(graphs, name, fake)
         path = write("t.el", format_edge_list(two_chain()))
         code, out, err = run(capsys, "export", path, "--what", "competition", "3")
         assert code == 1 and out == ""
-        assert err.startswith("error:") and "routes disagree at m=3" in err
+        assert err == "error: m-step competition routes disagree at m=3, first difference (1, 2)\n"
 
     def test_competition_past_the_period_answers(self, write, capsys):
         # cycles of lengths 2..17 prime: the powers have period 510510, and

@@ -427,6 +427,34 @@ class TestMStepCompetition:
         with pytest.raises(InternalCheckError, match=message):
             m_step_competition(two_chain(), 1)
 
+    def test_asymmetric_gamma_is_a_route_split(self, monkeypatch):
+        # 1 <-> 2, 3 <-> 4, 1 -> 3: the graph at m=2 is {1,4}, {2,3}; a gamma
+        # that adds (1, 2) to row 1 alone is a fault of a route, not an input
+        # to refuse, so it raises the route split, not the symmetry check
+        d = Digraph.from_arcs(4, [(1, 2), (2, 1), (3, 4), (4, 3), (1, 3)])
+        assert m_step_competition(d, 2).edge_list() == [(1, 4), (2, 3)]
+
+        def one_way_gamma(a):
+            rows = gamma(a).rows
+            return BoolMatrix(a.n, (rows[0] | 0b10,) + rows[1:])
+
+        monkeypatch.setattr(graphs, "gamma", one_way_gamma)
+        message = r"disagree at m=2, first difference \(1, 2\)$"
+        with pytest.raises(InternalCheckError, match=message):
+            m_step_competition(d, 2)
+
+    @pytest.mark.parametrize("m", [1, 5, 10**12])
+    @pytest.mark.parametrize("d", [two_chain(), wielandt(12)], ids=["two_chain", "wielandt12"])
+    def test_transposes_twice(self, monkeypatch, d, m):
+        # the walk route's predecessor masks, then the symmetry check of the
+        # one graph built, the answer; the matrix route is compared as rows
+        calls = []
+        columns = BoolMatrix.columns
+        monkeypatch.setattr(BoolMatrix, "columns", lambda self: calls.append(self) or columns(self))
+        g = m_step_competition(d, m)
+        assert len(calls) == 2
+        assert type(calls[0]) is BoolMatrix and calls[1] is g
+
     def test_power_split_raises(self, monkeypatch):
         # 1 -> 2 <-> 3: nothing reaches vertex 1, so a walk from 3 into it
         # joins 3 to no one and leaves the graph equal, but not A^m
