@@ -20,11 +20,11 @@ A method the class body defines itself (``BoolMatrix.__repr__``) is kept.
 
 Why not ``dataclasses``: every CLI invocation is a fresh interpreter, so
 import time is paid per call.  Importing ``dataclasses`` (and through it
-``inspect``) takes about 6 ms, and decorating compseq's fourteen record
-classes with it about 7.4 ms more, because ``dataclass`` compiles each
-generated method with ``exec`` (``-X importtime`` and a timed decorator,
-Python 3.11 on a 2-core Intel Xeon).  The methods here are plain
-closures, built once per class.
+``inspect``) takes about 6 ms, and decorating the fourteen record
+classes compseq had then with it about 7.4 ms more (it has ten now),
+because ``dataclass`` compiles each generated method with ``exec``
+(``-X importtime`` and a timed decorator, Python 3.11 on a 2-core Intel
+Xeon).  The methods here are plain closures, built once per class.
 """
 
 from __future__ import annotations

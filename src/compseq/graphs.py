@@ -151,53 +151,53 @@ class UndirectedGraph:
 
 
 def _strong_components(d: Digraph) -> list[int]:
-    """Tarjan's algorithm, iterative; the vertex masks of the components in
-    topological order."""
+    """Kosaraju's two searches; the vertex masks of the components in
+    topological order.
+
+    A DFS along d.successors from roots 0..n-1 marks the vertices and lists
+    them as they finish; then each one still marked, latest finisher first,
+    gathers and unmarks the marked vertices reaching it along predecessor
+    lists.  A component is first met at the vertex the DFS entered it by,
+    the last of it to finish, as Tarjan's algorithm on the same DFS emits
+    it when that vertex finishes: this order is Tarjan's reversed.
+    """
     n = d.n
     succ = d.successors
-    index_of = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[int] = []
-    counter = 0
+    marked = [False] * n
+    finished = []
     for root in range(n):
-        if index_of[root] >= 0:
+        if marked[root]:
             continue
-        work = [(root, 0)]
+        marked[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pc = work.pop()
-            if pc == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            out = succ[v]
-            for k in range(pc, len(out)):
-                w = out[k]
-                if index_of[w] < 0:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    descended = True
+            v, out = work[-1]
+            for w in out:
+                if not marked[w]:
+                    marked[w] = True
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if descended:
-                continue
-            if lowlink[v] == index_of[v]:
-                comp = 0
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp |= 1 << w
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    components.reverse()  # Tarjan emits sinks first
+            else:
+                work.pop()
+                finished.append(v)
+    preds = [[] for _ in range(n)]
+    for v, out in enumerate(succ):
+        for w in out:
+            preds[w].append(v)
+    components = []
+    for root in reversed(finished):
+        if not marked[root]:
+            continue
+        marked[root] = False
+        comp = 1 << root
+        stack = [root]
+        while stack:
+            for u in preds[stack.pop()]:
+                if marked[u]:
+                    marked[u] = False
+                    comp |= 1 << u
+                    stack.append(u)
+        components.append(comp)
     return components
 
 
@@ -308,19 +308,22 @@ def component_chain(d: Digraph) -> ComponentChain:
     return chain
 
 
-def _bfs_levels(root: int, comp: int, rows: tuple[int, ...]) -> list[int]:
-    """Vertex masks of the BFS levels from root without leaving the vertex
-    mask comp: level t holds the vertices at distance t from root."""
-    levels = []
+def _bfs_levels(root: int, comp: int, rows: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The BFS levels from root without leaving the vertex mask comp, and
+    their out-masks: levels[t] holds the vertices at distance t from root,
+    and outs[t] is the OR of their rows inside comp."""
+    levels, outs = [], []
     seen = frontier = 1 << (root - 1)
     while frontier:
         levels.append(frontier)
         nxt = 0
         for u in _bit_indices(frontier):
             nxt |= rows[u]
-        frontier = nxt & comp & ~seen
+        nxt &= comp
+        outs.append(nxt)
+        frontier = nxt & ~seen
         seen |= frontier
-    return levels
+    return levels, outs
 
 
 def imprimitivity(d: Digraph, masks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -328,11 +331,11 @@ def imprimitivity(d: Digraph, masks: Iterable[int]) -> tuple[tuple[int, ...], ..
     as the vertex masks in masks, in that order.
 
     A single vertex is one class.  For a larger component, BFS from its
-    smallest vertex gives levels; kappa is the gcd of level(u) + 1 -
-    level(v) over intra-component arcs (each term is a cycle-length
-    discrepancy, so their gcd is the gcd of all directed cycle lengths),
-    and U_j collects the vertices with level = j - 1 (mod kappa), putting
-    the BFS root in U_1.
+    smallest vertex gives levels and each level's out-mask.  An arc out of
+    level t that lands on a vertex w below level t + 1 closes a
+    cycle-length discrepancy t + 1 - level(w), and kappa is the gcd of
+    these (so the gcd of all directed cycle lengths); U_j collects the
+    vertices with level = j - 1 (mod kappa), putting the BFS root in U_1.
     """
     rows = d.rows
     all_classes = []
@@ -341,7 +344,7 @@ def imprimitivity(d: Digraph, masks: Iterable[int]) -> tuple[tuple[int, ...], ..
             all_classes.append((cm,))
             continue
         root = (cm & -cm).bit_length()
-        levels = _bfs_levels(root, cm, rows)
+        levels, outs = _bfs_levels(root, cm, rows)
         if sum(map(int.bit_count, levels)) != cm.bit_count():
             raise InternalCheckError(
                 f"component containing {root} not strongly connected"
@@ -349,12 +352,9 @@ def imprimitivity(d: Digraph, masks: Iterable[int]) -> tuple[tuple[int, ...], ..
         level = {v: t for t, members in enumerate(levels) for v in _bit_indices(members)}
         levels.append(0)  # the empty level after the last
         kappa = 0
-        for u, t in level.items():
-            # arcs into the next level have discrepancy 0
-            others = rows[u] & cm & ~levels[t + 1]
-            if others:
-                for w in _bit_indices(others):
-                    kappa = gcd(kappa, t + 1 - level[w])
+        for t, out in enumerate(outs):
+            for w in _bit_indices(out & ~levels[t + 1]):
+                kappa = gcd(kappa, t + 1 - level[w])
         if kappa < 1:
             raise InternalCheckError(
                 f"component containing {root} has no cycle discrepancy"
@@ -362,13 +362,12 @@ def imprimitivity(d: Digraph, masks: Iterable[int]) -> tuple[tuple[int, ...], ..
         classes = [0] * kappa
         for t, members in enumerate(levels):
             classes[t % kappa] |= members
-        for u, t in level.items():
-            stray = rows[u] & cm & ~classes[(t + 1) % kappa]
-            if stray:
-                w = (stray & -stray).bit_length()
-                raise InternalCheckError(
-                    f"arc ({u + 1},{w}) does not advance its class by one"
-                )
+        for t, out in enumerate(outs):
+            stray = out & ~classes[(t + 1) % kappa]
+            if stray:  # only then look for the first arc out of level t into stray
+                u = next(u for u in _bit_indices(levels[t]) if rows[u] & stray)
+                w = next(_bit_indices(rows[u] & stray)) + 1
+                raise InternalCheckError(f"arc ({u + 1},{w}) does not advance its class by one")
         all_classes.append(tuple(classes))
     return tuple(all_classes)
 

@@ -90,7 +90,7 @@ _FAULTS = [
         graphs,
         "_bfs_levels",
         # a BFS that stops at its root makes imprimitivity's own check fail
-        lambda root, comp, rows: [1 << (root - 1)],
+        lambda root, comp, rows: ([1 << (root - 1)], [0]),
         "component containing 1 not strongly connected",
         id="analyze-bfs",
     )

@@ -269,10 +269,10 @@ class TestComponentChain:
         assert exc.value.witness_arc is None
 
     def test_too_few_arcs_rejected_before_tarjan(self, monkeypatch):
-        def no_tarjan(d):
+        def no_search(d):
             raise AssertionError("strong components computed")
 
-        monkeypatch.setattr(graphs, "_strong_components", no_tarjan)
+        monkeypatch.setattr(graphs, "_strong_components", no_search)
         with pytest.raises(NotLinearlyConnectedError) as exc:
             component_chain(Digraph.from_arcs(3, [(1, 2)]))
         assert str(exc.value) == "1 arc cannot link 3 vertices in a chain (at least 2 needed)"
@@ -287,27 +287,38 @@ class TestComponentChain:
             "0 arcs cannot link 200000 vertices in a chain (at least 199999 needed)"
         )
 
+    # each condensation below leaves two components unordered: the order is
+    # the reverse of Tarjan's emission order from the DFS with roots 1..n
     def test_branching_condensation_rejected(self):
         d = Digraph.from_arcs(3, [(1, 2), (1, 3)])
-        with pytest.raises(NotLinearlyConnectedError):
+        assert _strong_components(d) == [0b001, 0b100, 0b010]
+        with pytest.raises(NotLinearlyConnectedError) as exc:
             component_chain(d)
+        assert str(exc.value) == "arc (1,2) jumps from component 1 to component 3"
+
+    def test_merging_condensation_rejected(self):
+        d = Digraph.from_arcs(3, [(1, 3), (2, 3)])
+        assert _strong_components(d) == [0b010, 0b001, 0b100]
+        with pytest.raises(NotLinearlyConnectedError) as exc:
+            component_chain(d)
+        assert str(exc.value) == "arc (2,3) jumps from component 1 to component 3"
 
     def test_chain_is_found_once_per_digraph(self, monkeypatch):
         d = two_chain()
         chain = component_chain(d)
         assert component_chain(d) is chain
 
-        def no_tarjan(d):
+        def no_search(d):
             raise AssertionError("strong components computed again")
 
-        monkeypatch.setattr(graphs, "_strong_components", no_tarjan)
+        monkeypatch.setattr(graphs, "_strong_components", no_search)
         assert component_chain(d) is chain
         assert d == two_chain()  # the kept chain is not a field
 
     def test_refusal_raises_on_every_call(self, monkeypatch):
         calls = []
-        tarjan = graphs._strong_components
-        monkeypatch.setattr(graphs, "_strong_components", lambda d: calls.append(d) or tarjan(d))
+        search = graphs._strong_components
+        monkeypatch.setattr(graphs, "_strong_components", lambda d: calls.append(d) or search(d))
         d = Digraph.from_arcs(3, [(1, 2), (2, 3), (1, 3)])
         for attempt in range(1, 4):
             with pytest.raises(NotLinearlyConnectedError, match=r"arc \(1,3\) jumps"):
@@ -343,6 +354,15 @@ class TestImprimitivity:
         chain = component_chain(d)
         assert chain.kappas == (2,)
         assert chain.class_masks[0] == (0b0101, 0b1010)
+
+    def test_class_check_names_the_first_stray_arc(self, monkeypatch):
+        # a wrong kappa of 2 on the 3-cycle 1 -> 2 -> 3 -> 1 puts 1 and 3 in one
+        # class, so the arc (3,1) out of the last level stays in its class
+        monkeypatch.setattr(graphs, "gcd", lambda a, b: 2)
+        d = Digraph.from_arcs(4, [(1, 2), (2, 3), (3, 1), (3, 4)])
+        with pytest.raises(InternalCheckError) as exc:
+            imprimitivity(d, [0b0111])
+        assert str(exc.value) == "arc (3,1) does not advance its class by one"
 
     def test_trivial_component_has_index_one(self):
         d = cycle4_feeders(2)
