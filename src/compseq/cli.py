@@ -144,7 +144,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
     elif verdict.converged and args.simulate_fallback:
         sim = oracle.simulate_limit(d)
-        assert sim.limit is not None
+        if not sim.converged:
+            raise InternalCheckError(f"{verdict.rule} converges, {len(sim.gamma_cycle)} simulated tail graphs")
         report["limit"] = _limit_report("simulated", sim.limit)
         report["jbd"] = {
             "source": "simulated",

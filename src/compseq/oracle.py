@@ -4,13 +4,14 @@
 sequence of a Boolean matrix repeats after finitely many steps, so the
 whole infinite sequence of competition graphs is read off its periodic
 tail.  A walk to the first repeated power, or past WALK_BUDGET powers a
-jump to the tail by squaring, gives the index mu and the period pi
-exactly in bounded memory, and hands the tail pass one power, A^mu.  All
-step on bare row tuples, each row an OR of rows of the last power picked
-by A's cached successor lists.  The tail pass stops at the first power
-past A^mu whose competition graph equals that of A^mu, because from
-there the graphs repeat (the argument is in ``simulate_limit``).  No
-theory enters; this is the oracle the analytic route is tested against.
+jump to the tail by squaring and a period certificate, gives the index
+mu and the period pi exactly in bounded memory and time, and hands the
+tail pass one power, A^mu.  All step on bare row tuples, each row an OR
+of rows of the last power picked by A's cached successor lists.  The tail
+pass stops at the first power past A^mu whose competition graph equals
+that of A^mu, because from there the graphs repeat (the argument is in
+``simulate_limit``).  No theory enters; this is the oracle the analytic
+route is tested against.
 
 ``verify`` runs both routes once on one digraph and compares verdicts,
 limits, clique structure and the period (pi = lcm of the components'
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import math
 import random
+from functools import reduce
 
 from . import graphs, theory
 from ._record import frozen
-from .bmat import BoolMatrix, _ladder_power, _times, bool_mul, gamma
+from .bmat import BoolMatrix, _bit_select, _ladder_power, _times, bool_mul, gamma
 from .graphs import (
     ComponentChain,
     Digraph,
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 2048
-PERIOD_CAP = 100_000
+PERIOD_CAP = 100_000  # steps of the walk that counts pi if lcm kappa fails its certificate
 WALK_BUDGET = 64  # powers simulate_limit stores before it jumps to the tail
 
 CHECK_NAMES = ("verdict", "limit", "jbd", "period")
@@ -65,8 +67,8 @@ CHECK_NAMES = ("verdict", "limit", "jbd", "period")
 
 class SizeCapError(ValueError):
     """The simulation will not run on this input: the matrix has more rows
-    than DEFAULT_SIZE_CAP, or its powers a period above PERIOD_CAP steps.
-    Both are known before the work they would bound."""
+    than DEFAULT_SIZE_CAP, or the walk that counts an uncertified period
+    passes PERIOD_CAP steps."""
 
 
 @frozen
@@ -99,9 +101,9 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
 
     The sequence of competition graphs is eventually constant iff it is
     constant on the periodic tail, so this is an exact decision.  Raises
-    SizeCapError when a has more than DEFAULT_SIZE_CAP rows or its powers
-    a period above PERIOD_CAP steps; both caps are read at call time, and
-    a cap only refuses inputs, it never changes an answer.
+    SizeCapError when a has more than DEFAULT_SIZE_CAP rows or the jump's
+    walk passes PERIOD_CAP steps; both caps are read at call time, and a
+    cap only refuses inputs, it never changes an answer.
 
     Walk: a power is its tuple of rows, and A^(m+1) is A * A^m
     (``_times``): row i ORs the rows of A^m picked by ``a.successors[i]``,
@@ -111,12 +113,16 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
 
     Jump, past the budget: every n x n Boolean matrix has index mu <= M =
     (n-1)^2 + 1 (Heap & Lynn, 1966), so the first squaring B = A^(2^K)
-    with 2^K >= M lies on the tail, a cycle of pi distinct powers under
-    R <- A * R, which returns to B after exactly pi steps.  A^m recurs iff
-    m >= mu, so a binary lift over the O(log M) squarings held finds mu,
-    the least m with A^pi * A^m = A^m.  The lcm of the components' kappa,
-    the period, is checked against the cap before any squaring and never
-    enters the result.  The lifted A^mu is what it hands the tail pass.
+    with 2^K >= M lies on the tail, where A^e * B = B iff pi divides e.
+    So pi0 = lcm kappa is pi iff A^pi0 * B = B and A^(pi0/r) * B != B for
+    each prime r | pi0, all r <= n (Cohen, 1993, 1.4); if not, a walk
+    R <- A * R back to B, capped at PERIOD_CAP steps, counts pi.  A^m
+    recurs iff m >= mu, so a binary lift over the squarings finds mu, the
+    least m with A^pi * A^m = A^m, and hands the tail pass A^mu.  With K
+    and L the bit lengths of (n-1)^2 and pi0, that is max(K, L) squarings,
+    (omega(pi0) + 1) * L certificate products (one per set bit of each
+    exponent, a square on the left) and 3K for the lift (k + 1 find the
+    lowest tail square A^(2^k), then two per level and one for A^mu).
 
     Stop rule: the tail pass drops the stored powers, steps on from A^mu
     as the walk does, and ends at the first m > mu with
@@ -157,15 +163,23 @@ def simulate_limit(a: BoolMatrix) -> SimulationResult:
 
 def _jump(a: BoolMatrix, succ: tuple[tuple[int, ...], ...]):
     """mu, pi and the rows of A^mu, as ``simulate_limit`` says."""
-    period = graphs.power_period(a)
-    if period > PERIOD_CAP:
-        raise SizeCapError(f"power period {period} exceeds the walk cap of {PERIOD_CAP} steps")
     squares = [a]  # squares[k] is A^(2^k)
     b = _ladder_power(squares, 1 << ((a.n - 1) ** 2).bit_length())  # 2^K >= (n-1)^2 + 1
-    rows, pi = _times(succ, b.rows), 1
-    while rows != b.rows:
-        rows, pi = _times(succ, rows), pi + 1
+    pi = rest = graphs.power_period(a)
+    primes = []  # the primes r <= n dividing pi; rest keeps any factor above n
+    for r in range(2, a.n + 1):
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
     p = _ladder_power(squares, pi)
+    if rest > 1 or bool_mul(p, b) != b or any(_shift(squares, pi // r, b) == b for r in primes):
+        rows, pi = _times(succ, b.rows), 1  # pi0 is not pi: walk R <- A * R back to B
+        while rows != b.rows:
+            if pi >= PERIOD_CAP:
+                raise SizeCapError(f"power period exceeds the walk cap of {PERIOD_CAP} steps")
+            rows, pi = _times(succ, rows), pi + 1
+        p = _ladder_power(squares, pi)
     # P * A^m = A^m iff A^m is on the tail; A^(2^k), the lowest squaring there, puts mu in
     # (2^(k-1), 2^k], and the lift keeps A^m off the tail and A^(m + 2^(j+1)) on it: mu = m + 1
     k = next(k for k, s in enumerate(squares) if bool_mul(s, p) == s)
@@ -175,6 +189,11 @@ def _jump(a: BoolMatrix, succ: tuple[tuple[int, ...], ...]):
         if bool_mul(p, y) != y:
             m, x = m + (1 << j), y
     return m + 1, pi, a.rows if x is None else _times(succ, x.rows)  # A^mu, mu = m + 1
+
+
+def _shift(squares: list[BoolMatrix], e: int, x: BoolMatrix) -> BoolMatrix:
+    """A^e * X, one product by squares[k] = A^(2^k) per set bit k of e."""
+    return reduce(lambda y, s: bool_mul(s, y), _bit_select(squares, e), x)
 
 
 @frozen

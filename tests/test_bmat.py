@@ -20,7 +20,7 @@ from compseq import (
     parse_matrix,
     simulate_limit,
 )
-from compseq import bmat, oracle
+from compseq import bmat, graphs, oracle
 from conftest import (
     bool_matrices,
     entry,
@@ -331,10 +331,13 @@ class TestPowerCycle:
         # the walk stores all five powers and never meets the cap
         monkeypatch.setattr(oracle, "PERIOD_CAP", 4)
         assert mu_pi(a) == (1, 5)
-        # past a budget of three powers the jump reads the cap when called;
-        # a period of 5 steps fits a cap of 5
+        # past a budget of three powers the jump certifies lcm kappa = 5 under any cap
         monkeypatch.setattr(oracle, "WALK_BUDGET", 3)
-        with pytest.raises(SizeCapError, match="period 5 exceeds the walk cap of 4 steps"):
+        assert mu_pi(a) == (1, 5)
+        # a wrong lcm kappa fails the certificate, and the walk that counts pi reads the
+        # cap when called; a period of 5 steps fits a cap of 5
+        monkeypatch.setattr(graphs, "power_period", lambda d: 10)
+        with pytest.raises(SizeCapError, match="^power period exceeds the walk cap of 4 steps$"):
             simulate_limit(a)
         monkeypatch.setattr(oracle, "PERIOD_CAP", 5)
         assert mu_pi(a) == (1, 5)

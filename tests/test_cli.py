@@ -226,14 +226,29 @@ class TestAnalyze:
         assert err == f"error: {message}\n"
 
     def test_power_cycle_step_cap_reported(self, write, capsys, monkeypatch):
-        # two stored powers do not reach the repeat of the period-4 tail, and
-        # the jump refuses a period above the period cap, both read when called
+        # two stored powers do not reach the repeat of the period-4 tail, a wrong lcm
+        # kappa fails the jump's certificate, and the walk that counts pi meets the
+        # period cap, all read when called
         monkeypatch.setattr(oracle, "WALK_BUDGET", 2)
         monkeypatch.setattr(oracle, "PERIOD_CAP", 3)
         path = write("c.el", format_edge_list(cycle4_feeders(4)))
         code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
+        assert code == 0 and err == ""  # the certified period is under no cap
+        monkeypatch.setattr(graphs, "power_period", lambda d: 8)
+        code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
         assert code == 1 and out == ""
-        assert err == "error: power period 4 exceeds the walk cap of 3 steps\n"
+        assert err == "error: power period exceeds the walk cap of 3 steps\n"
+
+    def test_simulated_divergence_is_an_internal_check_error(self, write, capsys, monkeypatch):
+        def two_graph_cycle(d):
+            cycle = (UndirectedGraph(d.n, (0,) * d.n), UndirectedGraph(d.n, gamma(d).rows))
+            return oracle.SimulationResult(index_mu=1, period_pi=6, gamma_cycle=cycle)
+
+        monkeypatch.setattr(oracle, "simulate_limit", two_graph_cycle)
+        path = write("c.el", format_edge_list(cycle_chain((2, 3))))
+        code, out, err = run(capsys, "analyze", path, "--simulate-fallback")
+        assert code == 1 and out == ""
+        assert err == "error: TrailingCondition converges, 2 simulated tail graphs\n"
 
     def test_deterministic_output(self, write, capsys):
         path = write("a.el", format_edge_list(two_chain()))

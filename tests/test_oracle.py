@@ -22,11 +22,12 @@ from compseq import (
     bool_pow,
     component_chain,
     gamma,
+    m_step_competition,
     random_instance,
     simulate_limit,
     verify,
 )
-from compseq import bmat, oracle, theory
+from compseq import bmat, graphs, oracle, theory
 from conftest import (
     bool_matrices,
     cycle4_feeders,
@@ -297,23 +298,71 @@ class TestJump:
         assert sim.period_pi == math.lcm(*lengths)
         assert peak < 0.5 * 2**20
 
-    def test_long_period_refused_before_any_squaring(self, monkeypatch):
-        def no_squaring(*args):
-            raise AssertionError("a squaring was taken")
+    @pytest.mark.parametrize("wrong", [lambda p: 2 * p, lambda p: p + 1], ids=["double", "plus-one"])
+    def test_failed_certificate_falls_back_to_the_walk(self, monkeypatch, wrong):
+        # a wrong lcm kappa, as _jump reads it, fails the certificate, and the
+        # walk back to the tail square counts the true pi
+        power_period, times = graphs.power_period, oracle._times
+        steps = []
+        monkeypatch.setattr(graphs, "power_period", lambda d: wrong(power_period(d)))
+        monkeypatch.setattr(oracle, "_times", lambda succ, rows: steps.append(1) or times(succ, rows))
+        monkeypatch.setattr(oracle, "WALK_BUDGET", 1)
+        master = random.Random(20261020)
+        for _ in range(200):
+            spec = GeneratorSpec(eta=master.randint(1, 4), sizes=(1, 6), seed=master.getrandbits(32))
+            a = random_instance(spec)
+            assert simulate_limit(a) == full_period_simulation(a)
+        for lengths in COPRIME_CYCLE_CHAINS:
+            a = cycle_chain(lengths)
+            steps.clear()
+            assert simulate_limit(a) == full_period_simulation(a)
+            assert len(steps) > math.lcm(*lengths)
 
-        a = cycle_chain((5, 7, 8, 9, 11, 13))  # period 360360
-        # the squaring ladder multiplies in bmat, the lift in oracle
-        monkeypatch.setattr(bmat, "bool_mul", no_squaring)
-        monkeypatch.setattr(oracle, "bool_mul", no_squaring)
-        with pytest.raises(SizeCapError, match="power period 360360 exceeds the walk cap of 100000"):
-            simulate_limit(a)
-        # the cap is read when called, and the walk's count stays the answer
-        monkeypatch.undo()
-        monkeypatch.setattr(oracle, "PERIOD_CAP", 1848)
-        assert simulate_limit(cycle_chain((3, 7, 8, 11))).period_pi == 1848
+    def test_period_cap_bounds_only_the_fallback_walk(self, monkeypatch):
+        a = cycle_chain((3, 7, 8, 11))  # period 1848
         monkeypatch.setattr(oracle, "PERIOD_CAP", 1847)
-        with pytest.raises(SizeCapError, match="period 1848 exceeds the walk cap of 1847"):
-            simulate_limit(cycle_chain((3, 7, 8, 11)))
+        assert simulate_limit(a).period_pi == 1848  # certified, so under no cap
+        # a wrong lcm kappa walks, under the cap read when called
+        power_period = graphs.power_period
+        monkeypatch.setattr(graphs, "power_period", lambda d: 2 * power_period(d))
+        with pytest.raises(SizeCapError, match="^power period exceeds the walk cap of 1847 steps$"):
+            simulate_limit(a)
+        monkeypatch.setattr(oracle, "PERIOD_CAP", 1848)
+        assert simulate_limit(a).period_pi == 1848
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [(5, 7, 8, 9, 11, 13), (2, 3, 5, 7, 11, 13, 17), (2, 3, 5, 7, 11, 13, 17, 19, 23)],
+        ids=["360360", "510510", "primes-to-23"],
+    )
+    def test_long_period_answered(self, lengths):
+        # periods 360360, 510510 and 223092870, all above the period cap; each
+        # answer is checked on powers and m-step graphs, without the oracle
+        a = cycle_chain(lengths)
+        sim = simulate_limit(a)
+        mu, pi = sim.index_mu, sim.period_pi
+        assert pi == math.lcm(*lengths) > oracle.PERIOD_CAP
+        assert bool_pow(a, mu + pi) == bool_pow(a, mu)
+        assert bool_pow(a, mu - 1 + pi) != bool_pow(a, mu - 1)
+        primes = [r for r in range(2, 24) if pi % r == 0 and all(r % q for q in range(2, r))]
+        for r in primes:
+            assert bool_pow(a, mu + pi // r) != bool_pow(a, mu)
+        assert sim.limit == m_step_competition(a, 10**12)
+
+    def test_jump_product_count_within_the_stated_bound(self, monkeypatch):
+        a = cycle_chain((16, 9, 5, 7, 11))  # n = 49, pi = 55440 = 2^4 3^2 5 7 11
+        products = []
+        # the squaring ladder multiplies in bmat, the certificate and the lift in oracle
+        for owner, name in [(oracle, "_times"), (oracle, "bool_mul"), (bmat, "bool_mul")]:
+            f = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda x, y, f=f: products.append(1) or f(x, y))
+        sim = simulate_limit(a)
+        assert (sim.period_pi, len(sim.gamma_cycle)) == (55440, 1)
+        # simulate_limit's bound, with K = 12, L = 16 and omega = 5, plus one step per
+        # stored power of the walk in front and per graph of the tail pass
+        k, l, omega = ((a.n - 1) ** 2).bit_length(), sim.period_pi.bit_length(), 5
+        jump = max(k, l) + (omega + 1) * l + 3 * k
+        assert len(products) <= oracle.WALK_BUDGET + jump + 1 == 213  # no 55440-step walk
 
 
 class TestVerify:
