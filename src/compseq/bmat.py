@@ -259,8 +259,12 @@ def _ladder_power(squares: list[BoolMatrix], m: int) -> BoolMatrix:
 def gamma(a: BoolMatrix) -> BoolMatrix:
     """Row-intersection operator: result (i,j) = 1 iff i != j and rows i, j
     of a share a set column.  Always symmetric with zero diagonal.  Kept
-    pairwise: at its callers' small n, A * A^T is slower (18 against 7-10
-    us per call at n = 9, ``verify``'s sizes, on a 2-core Intel Xeon)."""
+    pairwise, n^2/2 row ANDs: most calls are ``verify``'s, at n <= 24, where
+    A * A^T is slower (18 against 7-10 us at n = 9).  But callers also run
+    it large: ``m_step_competition`` at any n (3.1 ms at n = 206, 0.41 s on
+    Wielandt's n = 2048), ``simulate_limit`` per tail graph up to n = 2048
+    (0.37 s at n = 2000), where the product would win once a size threshold
+    is measured (ROADMAP.md, item 2).  Times on a 2-core Intel Xeon."""
     n = a.n
     rows = a.rows
     out = [0] * n

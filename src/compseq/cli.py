@@ -35,7 +35,7 @@ import random
 import sys
 from collections.abc import Callable, Iterator
 
-from . import oracle, theory
+from . import theory
 from .bmat import ParseError, _bit_select, _decimal
 from .graphs import (
     InternalCheckError,
@@ -143,6 +143,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "detail": jbd.detail,
         }
     elif verdict.converged and args.simulate_fallback:
+        from . import oracle  # here and in cmd_verify only, so that analyze and export never load it
         sim = oracle.simulate_limit(d)
         if not sim.converged:
             raise InternalCheckError(f"{verdict.rule} converges, {len(sim.gamma_cycle)} simulated tail graphs")
@@ -249,6 +250,7 @@ def _int_flag(token: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle
     if args.input is not None:
         # refused unless a chain; no shrinking: each shrink candidate reruns the simulation
         d = parse_digraph(_read_input(args.input))
