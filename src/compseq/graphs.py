@@ -4,8 +4,8 @@
 strong components, listed in topological order D_1, ..., D_eta, must form a
 directed path in the condensation, every arc either staying inside one
 component or going from some D_p straight to D_(p+1), with at least one arc
-across every consecutive interface.  A digraph's chain is found once:
-``component_chain`` keeps it on the digraph for later calls.
+across every consecutive interface; a loop is a 1-cycle like any other.
+A digraph's chain is found once: ``component_chain`` keeps it on the digraph.
 
 ``imprimitivity`` splits each strong component into its cyclic classes
 U_1, ..., U_kappa (kappa = gcd of the component's directed cycle lengths;
@@ -54,7 +54,6 @@ __all__ = [
     "Digraph",
     "UndirectedGraph",
     "ComponentChain",
-    "SelfLoopError",
     "NotLinearlyConnectedError",
     "InternalCheckError",
     "component_chain",
@@ -66,14 +65,6 @@ __all__ = [
     "parse_digraph",
     "detect_format",
 ]
-
-class SelfLoopError(ValueError):
-    """A vertex with an arc to itself, outside the class handled here."""
-
-    def __init__(self, vertex: int):
-        super().__init__(f"self-loop on vertex {vertex}")
-        self.vertex = vertex
-
 
 class NotLinearlyConnectedError(ValueError):
     """The strong components do not form a single consecutive chain.
@@ -207,13 +198,16 @@ class ComponentChain:
     chain order, as their cyclic classes: class_masks[p-1][j-1] is the
     vertex mask of U_j of D_p.  kappa_p, the gcd of D_p's directed cycle
     lengths (1 for a trivial D_p), is its class count.  Every arc inside
-    D_p goes from some U_j to U_(j+1), indices cyclic.
+    D_p goes from some U_j to U_(j+1), indices cyclic.  loops is the
+    vertex mask of the looped vertices: a single vertex with a loop is
+    the irreducible block [1], nontrivial with one class.
 
     masks[p-1], the vertex mask of D_p, and the trivial flags are derived
-    from the classes only when asked for.
+    from the fields only when asked for.
     """
 
     class_masks: tuple[tuple[int, ...], ...]
+    loops: int
 
     def __post_init__(self):
         for p, classes in enumerate(self.class_masks, start=1):
@@ -239,7 +233,7 @@ class ComponentChain:
 
     @cached_property
     def trivial_flags(self) -> tuple[bool, ...]:
-        return tuple(m.bit_count() == 1 for m in self.masks)
+        return tuple(m.bit_count() == 1 and not m & self.loops for m in self.masks)
 
     @property
     def all_trivial(self) -> bool:
@@ -258,10 +252,9 @@ def component_chain(d: Digraph) -> ComponentChain:
     """Strong-component chain of d with the cyclic classes of every
     component, or NotLinearlyConnectedError.
 
-    Rejects self-loops outright: a loop is a cycle of length one and falls
-    outside the loopless class every result here is stated for.  A chain
-    on n vertices needs at least n - 1 arcs, so fewer are rejected before
-    any per-component work.
+    A chain on n vertices needs at least n - 1 arcs that are not loops,
+    since a loop links nothing, so fewer are rejected before any
+    per-component work.
 
     A chain found is kept in d's instance dict, as ``cached_property``
     keeps ``successors`` there, and returned by every later call on d; a
@@ -270,9 +263,8 @@ def component_chain(d: Digraph) -> ComponentChain:
     chain = d.__dict__.get("_component_chain")
     if chain is not None:
         return chain
-    if d.self_loops:
-        raise SelfLoopError(d.self_loops[0])
-    arc_count = sum(map(int.bit_count, d.rows))
+    loops = sum(1 << (v - 1) for v in d.self_loops)
+    arc_count = sum(map(int.bit_count, d.rows)) - loops.bit_count()
     if arc_count < d.n - 1:
         raise NotLinearlyConnectedError(
             f"{arc_count} arc{'' if arc_count == 1 else 's'} cannot link {d.n} vertices "
@@ -304,7 +296,7 @@ def component_chain(d: Digraph) -> ComponentChain:
             raise NotLinearlyConnectedError(
                 f"no arcs from component {p + 1} to component {p + 2}"
             )
-    chain = d.__dict__["_component_chain"] = ComponentChain(imprimitivity(d, comps))
+    chain = d.__dict__["_component_chain"] = ComponentChain(imprimitivity(d, comps), loops)
     return chain
 
 
@@ -334,7 +326,8 @@ def imprimitivity(d: Digraph, masks: Iterable[int]) -> tuple[tuple[int, ...], ..
     smallest vertex gives levels and each level's out-mask.  An arc out of
     level t that lands on a vertex w below level t + 1 closes a
     cycle-length discrepancy t + 1 - level(w), and kappa is the gcd of
-    these (so the gcd of all directed cycle lengths); U_j collects the
+    these (so the gcd of all directed cycle lengths; a loop closes a
+    discrepancy of 1, so its component has kappa 1); U_j collects the
     vertices with level = j - 1 (mod kappa), putting the BFS root in U_1.
     """
     rows = d.rows
@@ -439,7 +432,7 @@ def m_step_competition(d: Digraph, m: int) -> UndirectedGraph:
 def parse_edge_list(text: str) -> Digraph:
     """Parse the edge-list format: line 1 is "n m", then m lines "u v".
 
-    Rejects self-loops and duplicate arcs; ids are 1-based.
+    Rejects duplicate arcs; ids are 1-based, and "v v" is a loop on v.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -474,8 +467,6 @@ def parse_edge_list(text: str) -> Digraph:
             raise ParseError(lineno, f"expected integers, got {lines[i + 1].strip()!r}") from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(lineno, f"arc ({u},{v}) outside 1..{n}")
-        if u == v:
-            raise ParseError(lineno, f"self-loop on vertex {u}")
         bit = 1 << (v - 1)
         if rows[u - 1] & bit:
             raise ParseError(lineno, f"duplicate arc ({u},{v})")
@@ -510,12 +501,8 @@ def detect_format(text: str) -> str:
 
 def parse_digraph(text: str, fmt: str = "") -> Digraph:
     """Parse text in fmt, "matrix" or "edge-list", by default the format
-    ``detect_format`` finds.  Self-loops are rejected in both."""
+    ``detect_format`` finds.  A diagonal entry of a matrix is a loop."""
     if (fmt or detect_format(text)) == "edge-list":
         return parse_edge_list(text)
-    d = parse_matrix(text)
-    if d.self_loops:
-        v = d.self_loops[0]
-        raise ParseError(v + 1, f"self-loop on vertex {v}")
-    return d
+    return parse_matrix(text)
 

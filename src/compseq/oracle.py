@@ -41,7 +41,6 @@ from .graphs import (
     Digraph,
     InternalCheckError,
     NotLinearlyConnectedError,
-    SelfLoopError,
     UndirectedGraph,
     component_chain,
 )
@@ -221,7 +220,7 @@ def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
             raise ValueError(f"unknown check {name!r}")
     try:
         chain = component_chain(d)
-    except (NotLinearlyConnectedError, SelfLoopError) as e:
+    except NotLinearlyConnectedError as e:
         return [CheckResult(name, True, f"not applicable: {e}") for name in names]
     sim = simulate_limit(d)
     results = []
@@ -298,7 +297,7 @@ def _shrink(d: Digraph, name: str) -> Digraph:
             candidate = Digraph(current.n, tuple(rows))
             try:
                 component_chain(candidate)
-            except (NotLinearlyConnectedError, SelfLoopError):
+            except NotLinearlyConnectedError:
                 continue
             if _check_fails(candidate, name):
                 current = candidate

@@ -218,6 +218,15 @@ def converges(d: Digraph, *, chain: ComponentChain | None = None) -> Convergence
     failing pair in (j1, j2) order is therefore (1, 1 + d) for the
     smallest failing difference d, and the witness, its excluded residue
     included, is the one a loop over all pairs would report.
+
+    A loop is a 1-cycle, so its component has kappa 1.  The rules use a
+    nontrivial component only through the long-walk residue rule of an
+    irreducible block (Brualdi & Ryser, 1991): for large m, a walk of
+    length m runs from U_i to U_j iff m = j - i (mod kappa).  A looped
+    single vertex is the block [1]: its loop walks from it to itself in
+    every m >= 1 steps, so the rule holds with kappa 1 and it is
+    nontrivial; a loopless one has no walk inside it.  If D_p has kappa 1,
+    every union is empty or all of Z_1, and the sequence converges.
     """
     if chain is None:
         chain = component_chain(d)
@@ -305,7 +314,8 @@ def limit_graph(joins: tuple[tuple[int, ...], ...], chain: ComponentChain) -> Un
     mask (p + 1, j) into mask (p, i).  R_a is {a} and the R_a' of the
     classes a' that a joins, so mask a becomes the union of D_c over c in
     R_a: the vertices whose class's reach meets R_a.  Each vertex takes its
-    class's mask minus its own bit.
+    class's mask minus its own bit.  A looped single vertex is a
+    nontrivial class of kappa 1, by the residue rule in ``converges``.
     """
     masks = [list(level) for level in chain.class_masks]
     steps = list(zip(masks, masks[1:], joins))

@@ -246,7 +246,7 @@ def rotate_classes(chain: ComponentChain, shifts: tuple[int, ...]) -> ComponentC
     for cls, s in zip(chain.class_masks, shifts):
         k = len(cls)
         new_classes.append(tuple(cls[(j + s) % k] for j in range(k)))
-    return ComponentChain(tuple(new_classes))
+    return ComponentChain(tuple(new_classes), chain.loops)
 
 
 # --------------------------------------------------------------- strategies

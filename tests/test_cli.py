@@ -205,9 +205,13 @@ class TestAnalyze:
         assert err == f"error: line 1: vertex count {n} is too large\n"
 
     def test_self_loop_matrix(self, write, capsys):
-        code, _, err = run(capsys, "analyze", write("loop.mat", "2\n11\n10\n"))
-        assert code == 1
-        assert "self-loop on vertex 1" in err
+        # the loop on 1 closes a 1-cycle beside the 2-cycle: one component, kappa 1
+        code, out, err = run(capsys, "analyze", write("loop.mat", "2\n11\n10\n"))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        (component,) = report["chain"]["components"]
+        assert (component["kappa"], component["trivial"]) == (1, False)
+        assert report["jbd"]["holds"]
 
     def test_not_linearly_connected(self, write, capsys):
         text = "4 4\n1 2\n2 1\n3 4\n4 3\n"

@@ -18,7 +18,6 @@ from compseq import (
     InternalCheckError,
     NotLinearlyConnectedError,
     ParseError,
-    SelfLoopError,
     UndirectedGraph,
     bool_pow,
     component_chain,
@@ -242,11 +241,14 @@ class TestComponentChain:
         assert chain.all_trivial
         assert chain.last_nontrivial is None
 
-    def test_self_loop_rejected_first(self):
-        d = Digraph.from_arcs(2, [(1, 2), (2, 2)])
-        with pytest.raises(SelfLoopError) as exc:
-            component_chain(d)
-        assert exc.value.vertex == 2
+    def test_looped_vertex_is_a_nontrivial_component(self):
+        # the loop on 2 makes {2} the irreducible block [1]; {1} stays trivial
+        chain = component_chain(Digraph.from_arcs(2, [(1, 2), (2, 2)]))
+        assert chain.masks == (0b01, 0b10)
+        assert chain.loops == 0b10
+        assert chain.kappas == (1, 1)
+        assert chain.trivial_flags == (True, False)
+        assert chain.last_nontrivial == 2
 
     def test_skipping_arc_rejected_with_witness(self):
         d = Digraph.from_arcs(3, [(1, 2), (2, 3), (1, 3)])
@@ -277,8 +279,13 @@ class TestComponentChain:
             component_chain(Digraph.from_arcs(3, [(1, 2)]))
         assert str(exc.value) == "1 arc cannot link 3 vertices in a chain (at least 2 needed)"
         assert exc.value.witness_arc is None
-        with pytest.raises(SelfLoopError):  # the self-loop check still comes first
+        # a loop links nothing, so it is not counted
+        with pytest.raises(NotLinearlyConnectedError) as exc:
+            component_chain(Digraph.from_arcs(3, [(1, 1), (1, 2)]))
+        assert str(exc.value) == "1 arc cannot link 3 vertices in a chain (at least 2 needed)"
+        with pytest.raises(NotLinearlyConnectedError) as exc:
             component_chain(Digraph.from_arcs(3, [(2, 2)]))
+        assert str(exc.value) == "0 arcs cannot link 3 vertices in a chain (at least 2 needed)"
 
     def test_too_few_arcs_on_a_huge_header(self):
         with pytest.raises(NotLinearlyConnectedError) as exc:
@@ -324,10 +331,9 @@ class TestComponentChain:
             with pytest.raises(NotLinearlyConnectedError, match=r"arc \(1,3\) jumps"):
                 component_chain(d)
             assert len(calls) == attempt  # nothing was kept
-        loop = Digraph.from_arcs(2, [(1, 2), (2, 2)])
-        for _ in range(2):
-            with pytest.raises(SelfLoopError):
-                component_chain(loop)
+        looped = Digraph.from_arcs(2, [(1, 2), (2, 2)])
+        assert component_chain(looped) is component_chain(looped)  # a loop is no refusal
+        assert len(calls) == 4
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000))
@@ -338,6 +344,30 @@ class TestComponentChain:
         # every arc stays or steps one component up, and every interface has one
         steps = {(idx[u], idx[v]) for u, v in d.arc_list() if idx[u] != idx[v]}
         assert steps == {(p, p + 1) for p in range(1, chain.eta)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(allow_loops=True))
+    def test_loops_change_only_kappa_and_triviality(self, d):
+        # a loop is a 1-cycle: the chain of d is that of d without its
+        # loops, except that a looped component has kappa 1 and a looped
+        # single vertex is nontrivial
+        looped = set(d.self_loops)
+        cleared = Digraph(d.n, tuple(r & ~(1 << i) for i, r in enumerate(d.rows)))
+        try:
+            bare = component_chain(cleared)
+        except NotLinearlyConnectedError as e:
+            with pytest.raises(NotLinearlyConnectedError, match=f"^{re.escape(str(e))}$"):
+                component_chain(d)
+            return
+        chain = component_chain(d)
+        assert chain.masks == bare.masks
+        for p, mask in enumerate(chain.masks):
+            has_loop = bool(vertices(mask) & looped)
+            assert chain.kappas[p] == (1 if has_loop else bare.kappas[p])
+            if mask.bit_count() == 1:
+                assert chain.trivial_flags[p] == (not has_loop)
+            else:
+                assert not chain.trivial_flags[p]
 
 
 class TestImprimitivity:
@@ -372,9 +402,9 @@ class TestImprimitivity:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="component 2 has no class"):
-            ComponentChain(((0b1,), ()))
+            ComponentChain(((0b1,), ()), 0)
         with pytest.raises(ValueError, match="empty"):
-            ComponentChain(((0,),))
+            ComponentChain(((0,),), 0)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3))
@@ -672,7 +702,6 @@ class TestEdgeListText:
             ("2 1\n1 2 3\n", 2, "expected 'u v'"),
             ("2 1\n1 x\n", 2, "integers"),
             ("2 1\n1 3\n", 2, "outside"),
-            ("2 1\n2 2\n", 2, "self-loop"),
             ("2 2\n1 2\n1 2\n", 3, "duplicate"),
             ("2 1\n1 2\njunk\n", 3, "trailing"),
         ]
@@ -760,10 +789,11 @@ class TestParseDigraph:
     def test_detects_edge_list(self):
         assert parse_digraph("4 5\n1 2\n2 1\n2 3\n3 4\n4 3\n") == two_chain()
 
-    def test_matrix_diagonal_rejected(self):
-        with pytest.raises(ParseError, match="self-loop on vertex 2") as exc:
-            parse_digraph("2\n01\n01\n")
-        assert exc.value.line == 3
+    def test_loops_read_in_both_formats(self):
+        # a matrix's diagonal entry and an edge list's "v v" line are loops
+        looped = Digraph.from_arcs(2, [(1, 2), (2, 2)])
+        assert parse_digraph("2\n01\n01\n") == looped
+        assert parse_digraph("2 2\n1 2\n2 2\n") == looped
 
     def test_ambiguous_header_rejected(self):
         with pytest.raises(ParseError, match="1 token .* or 2 tokens"):

@@ -584,3 +584,38 @@ class TestDifferentialSoak:
         assert names.count("limit") >= 30
         assert names.count("jbd") >= 30
         assert names.count("period") == 200
+
+    def test_looped_campaign(self):
+        # a loop is a 1-cycle: draws of the verify command's shape, half with
+        # 1-3 loops on any vertices, half with loops on single vertices only,
+        # where a loop turns a trivial component into the block [1]
+        master = random.Random(20261020)
+        names = []
+        looped_single = looped_last_nontrivial = looped_last = 0
+        for draw in range(2000):
+            spec = GeneratorSpec(
+                eta=master.randint(1, 4),
+                sizes=(1, 6),
+                allow_trivial=True,
+                seed=master.getrandbits(32),
+            )
+            d = random_instance(spec)
+            if draw % 2:
+                targets = master.sample(range(d.n), min(d.n, master.randint(1, 3)))
+            else:
+                singles = [m.bit_length() - 1 for m in component_chain(d).masks if m.bit_count() == 1]
+                targets = [v for v in singles if master.random() < 0.5]
+            d = Digraph(d.n, tuple(r | (v in targets) << v for v, r in enumerate(d.rows)))
+            report = verify(d)
+            assert report.passed, format(d)
+            assert not any(c.detail.startswith("not applicable") for c in report.checks)
+            names.extend(c.name for c in report.checks)
+            chain = component_chain(d)
+            lone = [p for p, m in enumerate(chain.masks, start=1) if m.bit_count() == 1 and m & chain.loops]
+            looped_single += bool(lone)
+            looped_last_nontrivial += chain.last_nontrivial in lone and chain.last_nontrivial < chain.eta
+            looped_last += chain.eta in lone
+        assert names.count("verdict") == names.count("period") == 2000
+        assert names.count("limit") == names.count("jbd") >= 1000
+        assert looped_single >= 200
+        assert looped_last_nontrivial >= 1 and looped_last >= 1

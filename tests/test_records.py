@@ -32,7 +32,7 @@ PATH = UndirectedGraph(3, (0b010, 0b101, 0b010))
 SAMPLES = {
     BoolMatrix: {"n": 2, "rows": (0b10, 0b01)},
     UndirectedGraph: {"n": 3, "rows": (0b010, 0b101, 0b010)},
-    ComponentChain: {"class_masks": ((0b01, 0b10), (0b100,))},
+    ComponentChain: {"class_masks": ((0b01, 0b10), (0b100,)), "loops": 0},
     DivergenceWitness: {"j1": 1, "j2": 2, "excluded_residue": 0},
     ConvergenceVerdict: {"rule": "NontrivialTail", "witness": None},
     JbdVerdict: {"failing_level": 1, "levels": ("FAIL split", "b")},
@@ -48,7 +48,7 @@ INVALID = [
     (BoolMatrix, (2, (0b100, 0)), "bits outside"),
     (BoolMatrix, (2, (0,)), "expected 2 rows"),
     (UndirectedGraph, (2, (0b10, 0)), "not symmetric"),
-    (ComponentChain, (((0b1,), (0,)),), "empty imprimitivity class"),
+    (ComponentChain, (((0b1,), (0,)), 0), "empty imprimitivity class"),
     (GeneratorSpec, (0,), "at least one component"),
 ]
 
@@ -169,6 +169,7 @@ def test_cached_properties_survive_freezing():
     chain = ComponentChain(**SAMPLES[ComponentChain])
     assert chain.masks == (0b011, 0b100)
     assert chain.trivial_flags == (False, True)
+    assert ComponentChain(chain.class_masks, 0b100).trivial_flags == (False, False)  # a looped vertex
     assert d == Digraph(3, (0b010, 0b100, 0b001))  # a cached value is not a field
 
 
