@@ -13,8 +13,8 @@ digraph whose adjacency matrix is A.
 
 A ``BoolMatrix`` is also the digraph on vertices 1..n whose adjacency
 matrix it is: (u, v) is an arc iff bit v-1 of ``rows[u-1]`` is set.
-``from_arcs`` builds one from 1-based arcs, and ``arc_list``, ``arcs``,
-``self_loops`` and ``successors`` read the arcs back.
+``from_arcs`` builds one from 1-based arcs, and ``arc_list``, ``arcs``
+and ``successors`` read the arcs back.
 
 ``bool_mul`` picks its method from the left factor.  A dense one (n >= 64
 and at least n^2/16 set entries) goes through Four Russians tables
@@ -72,8 +72,8 @@ class BoolMatrix:
     equal iff they are the same matrix.
 
     Read as a digraph on 1-based vertex ids, (u, v) is an arc iff entry
-    (u-1, v-1) is 1.  ``arcs``, ``self_loops`` and ``successors`` are
-    derived from the rows only when asked for, once per matrix.
+    (u-1, v-1) is 1.  ``arcs`` and ``successors`` are derived from the
+    rows only when asked for, once per matrix.
     """
 
     n: int
@@ -144,10 +144,6 @@ class BoolMatrix:
     @cached_property
     def arcs(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arc_list())
-
-    @cached_property
-    def self_loops(self) -> tuple[int, ...]:
-        return tuple(u + 1 for u, r in enumerate(self.rows) if (r >> u) & 1)
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
@@ -323,7 +319,5 @@ def parse_matrix(text: str) -> BoolMatrix:
 
 def format_matrix(a: BoolMatrix) -> str:
     """Inverse of parse_matrix; newline-terminated, bit-exact."""
-    body = "\n".join(
-        "".join("1" if (r >> j) & 1 else "0" for j in range(a.n)) for r in a.rows
-    )
+    body = "\n".join(format(r, f"0{a.n}b")[::-1] for r in a.rows)
     return f"{a.n}\n{body}\n"

@@ -198,9 +198,9 @@ class ComponentChain:
     chain order, as their cyclic classes: class_masks[p-1][j-1] is the
     vertex mask of U_j of D_p.  kappa_p, the gcd of D_p's directed cycle
     lengths (1 for a trivial D_p), is its class count.  Every arc inside
-    D_p goes from some U_j to U_(j+1), indices cyclic.  loops is the
-    vertex mask of the looped vertices: a single vertex with a loop is
-    the irreducible block [1], nontrivial with one class.
+    D_p goes from some U_j to U_(j+1), indices cyclic.  loops masks the
+    looped vertices, read off d's diagonal: a looped single vertex is
+    the block [1], nontrivial with one class.
 
     masks[p-1], the vertex mask of D_p, and the trivial flags are derived
     from the fields only when asked for.
@@ -263,7 +263,7 @@ def component_chain(d: Digraph) -> ComponentChain:
     chain = d.__dict__.get("_component_chain")
     if chain is not None:
         return chain
-    loops = sum(1 << (v - 1) for v in d.self_loops)
+    loops = sum(r & 1 << u for u, r in enumerate(d.rows))
     arc_count = sum(map(int.bit_count, d.rows)) - loops.bit_count()
     if arc_count < d.n - 1:
         raise NotLinearlyConnectedError(

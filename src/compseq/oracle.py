@@ -13,11 +13,12 @@ that of A^mu, because from there the graphs repeat (the argument is in
 ``simulate_limit``).  No theory enters; this is the oracle the analytic
 route is tested against.
 
-``verify`` runs both routes once on one digraph and compares verdicts,
-limits, clique structure and the period (pi = lcm of the components'
-imprimitivity indices); an exception raised by the analytic route counts
-as a failed check.  On a failure it greedily deletes arcs (keeping
-the digraph linearly connected) to return a minimal counterexample.
+``verify`` refuses a digraph that is not linearly connected, runs both
+routes once on any other, and compares verdicts, limits, clique structure
+and the period (pi = lcm of the components' imprimitivity indices); an
+exception raised by the analytic route counts as a failed check.  On a
+failure it greedily deletes arcs (keeping the digraph linearly connected)
+to return a minimal counterexample.
 ``component_chain`` keeps its result on the digraph, so the chain that
 ``random_instance`` checks is the one ``verify`` reads, and each shrink
 candidate finds its chain once.
@@ -213,15 +214,10 @@ class VerificationReport:
 def _run_checks(d: Digraph, names: tuple[str, ...]) -> list[CheckResult]:
     """The named comparisons between the analytic and simulated routes, in
     the order given, all read off one chain and one simulation of d.  A
-    check whose precondition does not hold for d is left out; one whose
+    non-chain raises NotLinearlyConnectedError before any power is taken.
+    A check whose precondition does not hold for d is left out; one whose
     analytic side raises fails, with the exception as its detail."""
-    for name in names:
-        if name not in CHECK_NAMES:
-            raise ValueError(f"unknown check {name!r}")
-    try:
-        chain = component_chain(d)
-    except NotLinearlyConnectedError as e:
-        return [CheckResult(name, True, f"not applicable: {e}") for name in names]
+    chain = component_chain(d)
     sim = simulate_limit(d)
     results = []
     for name in names:
@@ -316,7 +312,8 @@ def verify(d: Digraph) -> VerificationReport:
     analytic side of a check fails that check with detail "raised
     <Type>: <message>"; the simulation's SizeCapError propagates.  The
     first failing check is shrunk to a minimal counterexample by greedy arc
-    deletion.
+    deletion.  A digraph that is not linearly connected raises
+    NotLinearlyConnectedError before any power is taken.
     """
     report = VerificationReport(tuple(_run_checks(d, CHECK_NAMES)), None)
     if report.passed:

@@ -540,7 +540,7 @@ class TestVerifyCommand:
         assert code == 1 and "--eta" in err
 
     @pytest.mark.parametrize("flag", ["--eta", "--sizes"])
-    @pytest.mark.parametrize("bad", ["+1", "2_0", "\u0663", "1..+2", "1..2_0", "1..\u0663"])
+    @pytest.mark.parametrize("bad", ["+1", "2_0", "\u0663", "1..+2", "1..2_0", "1..\u0663", "1..2..3"])
     def test_range_takes_decimal_digits_only(self, capsys, flag, bad):
         code, out, err = run(capsys, "verify", "--count", "1", flag, bad)
         assert code == 1 and out == ""

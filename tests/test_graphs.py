@@ -101,10 +101,6 @@ class TestDigraph:
         assert Digraph.from_arcs(d.n, d.arc_list()) == d
         assert d.arc_list() == sorted(d.arcs)
 
-    def test_self_loops_listed_sorted(self):
-        d = Digraph.from_arcs(3, [(3, 3), (1, 1), (1, 2)])
-        assert d.self_loops == (1, 3)
-
 
 class TestUndirectedGraph:
     def test_edges_normalized(self):
@@ -351,7 +347,7 @@ class TestComponentChain:
         # a loop is a 1-cycle: the chain of d is that of d without its
         # loops, except that a looped component has kappa 1 and a looped
         # single vertex is nontrivial
-        looped = set(d.self_loops)
+        loops = sum(1 << i for i, r in enumerate(d.rows) if r >> i & 1)
         cleared = Digraph(d.n, tuple(r & ~(1 << i) for i, r in enumerate(d.rows)))
         try:
             bare = component_chain(cleared)
@@ -360,9 +356,10 @@ class TestComponentChain:
                 component_chain(d)
             return
         chain = component_chain(d)
+        assert chain.loops == loops
         assert chain.masks == bare.masks
         for p, mask in enumerate(chain.masks):
-            has_loop = bool(vertices(mask) & looped)
+            has_loop = bool(mask & loops)
             assert chain.kappas[p] == (1 if has_loop else bare.kappas[p])
             if mask.bit_count() == 1:
                 assert chain.trivial_flags[p] == (not has_loop)
@@ -393,6 +390,13 @@ class TestImprimitivity:
         with pytest.raises(InternalCheckError) as exc:
             imprimitivity(d, [0b0111])
         assert str(exc.value) == "arc (3,1) does not advance its class by one"
+
+    def test_acyclic_mask_is_refused(self):
+        # 2 is reachable from 1 inside the mask, but the mask holds no cycle
+        d = Digraph.from_arcs(2, [(1, 2)])
+        with pytest.raises(InternalCheckError) as exc:
+            imprimitivity(d, [0b11])
+        assert str(exc.value) == "component containing 1 has no cycle discrepancy"
 
     def test_trivial_component_has_index_one(self):
         d = cycle4_feeders(2)

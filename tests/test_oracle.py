@@ -15,6 +15,7 @@ from compseq import (
     Digraph,
     GeneratorSpec,
     InternalCheckError,
+    NotLinearlyConnectedError,
     SimulationResult,
     SizeCapError,
     UndirectedGraph,
@@ -378,11 +379,16 @@ class TestVerify:
         assert report.passed
         assert [c.name for c in report.checks] == ["verdict", "period"]
 
-    def test_not_linearly_connected_is_not_applicable(self):
+    def test_not_linearly_connected_is_refused(self, monkeypatch):
+        # two 2-cycles with no arc between them: refused before any power is taken
+        def no_power(*args):
+            raise AssertionError("a power was taken")
+
+        monkeypatch.setattr(oracle, "_times", no_power)
+        monkeypatch.setattr(oracle, "bool_mul", no_power)
         d = Digraph.from_arcs(4, [(1, 2), (2, 1), (3, 4), (4, 3)])
-        report = verify(d)
-        assert report.passed
-        assert all("not applicable" in c.detail for c in report.checks)
+        with pytest.raises(NotLinearlyConnectedError, match="^no arcs from component 1 to component 2$"):
+            verify(d)
 
     def test_failure_reporting(self, monkeypatch):
         def fake_run(d, names):
@@ -608,7 +614,6 @@ class TestDifferentialSoak:
             d = Digraph(d.n, tuple(r | (v in targets) << v for v, r in enumerate(d.rows)))
             report = verify(d)
             assert report.passed, format(d)
-            assert not any(c.detail.startswith("not applicable") for c in report.checks)
             names.extend(c.name for c in report.checks)
             chain = component_chain(d)
             lone = [p for p, m in enumerate(chain.masks, start=1) if m.bit_count() == 1 and m & chain.loops]
