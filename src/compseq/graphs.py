@@ -263,7 +263,7 @@ def component_chain(d: Digraph) -> ComponentChain:
     chain = d.__dict__.get("_component_chain")
     if chain is not None:
         return chain
-    loops = sum(r & 1 << u for u, r in enumerate(d.rows))
+    loops = sum(1 << u for u, r in enumerate(d.rows) if r >> u & 1)
     arc_count = sum(map(int.bit_count, d.rows)) - loops.bit_count()
     if arc_count < d.n - 1:
         raise NotLinearlyConnectedError(
