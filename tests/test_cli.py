@@ -869,6 +869,112 @@ class TestExport:
         assert first == second
 
 
+class TestGrammar:
+    """argparse's rules for the three commands, as a table of argv to exit
+    code and output.  In argv, F stands for an all-nontrivial chain and T
+    for a convergent chain with a trivial tail, which --simulate-fallback
+    answers."""
+
+    @pytest.fixture
+    def files(self, write):
+        paths = {
+            "F": write("f.el", format_edge_list(two_chain())),
+            "T": write("t.el", format_edge_list(cycle4_feeders(4))),
+        }
+        return lambda argv: [paths.get(arg, arg) for arg in argv]
+
+    # each argv runs as the command spelled with full flag names, each
+    # valued flag given once and its value as the next token
+    @pytest.mark.parametrize(
+        "argv, spelled",
+        [
+            pytest.param(["verify", "--count=3"], ["verify", "--count", "3"], id="equals"),
+            pytest.param(
+                ["verify", "--count", "2", "--sizes=1..2"],
+                ["verify", "--count", "2", "--sizes", "1..2"],
+                id="equals-range",
+            ),
+            pytest.param(["verify", "--cou", "3"], ["verify", "--count", "3"], id="prefix"),
+            pytest.param(["analyze", "T", "--sim"], ["analyze", "T", "--simulate-fallback"], id="prefix-switch"),
+            pytest.param(["verify", "--count", "2", "--count", "3"], ["verify", "--count", "3"], id="last-wins"),
+            pytest.param(["--help", "verify"], ["-h"], id="help-before-command"),
+        ],
+    )
+    def test_same_as_spelled_out(self, files, capsys, argv, spelled):
+        def outcome(argv):
+            try:
+                return run(capsys, *files(argv))
+            except SystemExit as e:
+                return (e.code, *capsys.readouterr())
+
+        assert outcome(argv) == outcome(spelled)
+
+    def test_spelled_forms_do_their_work(self, files, capsys):
+        line = "verified 3/3 instances (seed 0, eta 1..4, sizes 1..5, nontrivial-only)\n"
+        assert run(capsys, "verify", "--count", "3") == (0, line, "")
+        code, out, _ = run(capsys, *files(["analyze", "T", "--simulate-fallback"]))
+        assert code == 0 and json.loads(out)["limit"]["source"] == "simulated"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["analyze", "-h"], ["verify", "--help"], ["export", "-h"]]
+        + [["analyze", "F", "-h"], ["export", "F", "--help"], ["verify", "--count", "3", "-h"]],
+        ids=" ".join,
+    )
+    def test_help_exits_zero(self, files, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(files(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        level = argv[0] if argv[0] in ("analyze", "verify", "export") else "[-h]"
+        assert out.startswith(f"usage: compseq {level} ")
+
+    def test_input_before_what(self, files, capsys):
+        code, out, err = run(capsys, *files(["export", "F", "--what", "limit"]))
+        assert code == 0 and err == "" and out.startswith("graph limit {\n")
+
+    # a token of "-" and digits is a value, so the command refuses it
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--count", "-1"], "--count must be >= 0, got -1"),
+            (["export", "F", "--what", "competition", "-3"], "step count must be >= 1, got -3"),
+        ],
+        ids=["count", "what"],
+    )
+    def test_negative_numbers_reach_the_command(self, files, capsys, argv, message):
+        assert run(capsys, *files(argv)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--eta"], "argument --eta: expected one argument"),
+            (["verify", "--eta", "--sizes", "2"], "argument --eta: expected one argument"),
+            (["verify", "--s", "3"], "ambiguous option: --s could match --seed, --sizes"),
+            (["analyze", "a", "b"], "unrecognized arguments: b"),
+            (["verify", "-c", "3"], "unrecognized arguments: -c 3"),
+            (["export", "F"], "the following arguments are required: --what"),
+            (["export", "F", "--what"], "argument --what: expected at least one argument"),
+            (["export", "--what", "limit", "F"], "the following arguments are required: input"),
+            (
+                ["analyze", "--simulate-fallback=1", "F"],
+                "argument --simulate-fallback: ignored explicit argument '1'",
+            ),
+        ],
+        ids=" ".join,
+    )
+    def test_usage_errors(self, files, capsys, argv, message):
+        code, out, err = run(capsys, *files(argv))
+        assert code == 1 and out == ""
+        assert err.startswith("usage: compseq ") and err.splitlines()[-1] == f"error: {message}"
+
+    def test_unknown_command(self, capsys):
+        code, out, err = run(capsys, "frob")
+        assert code == 1 and out == "" and err.startswith("usage: compseq ")
+        # how the choices are quoted differs between Python releases
+        assert err.splitlines()[-1].startswith("error: argument command: invalid choice: 'frob'")
+
+
 class TestEntryPoint:
     def test_help_exits_zero(self, capsys):
         for argv in (["-h"], ["verify", "-h"]):
