@@ -22,18 +22,23 @@ returns 1: the commands raise, and ``main`` alone turns an OSError
 ValueError (a usage error, a refused input or a cap, every refusal of
 this package) or an InternalCheckError (two independent routes disagree)
 into one ``error:`` line on stderr.
-Numeric flags are decimal integers, as numbers in the input formats are.
+``main`` reads the command line itself, by argparse's rules for these
+three commands, into the ``types.SimpleNamespace`` that a ``cmd_*`` takes:
+importing argparse, and the gettext and locale that it loads, would cost
+about 4 ms of every call.  Numeric flags are decimal integers, as numbers
+in the input formats are.
 All output is byte-deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
 from collections.abc import Callable, Iterator
+from types import SimpleNamespace
 
 from . import theory
 from .bmat import ParseError, _bit_select, _decimal
@@ -54,15 +59,6 @@ __all__ = ["main", "cmd_analyze", "cmd_verify", "cmd_export"]
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ValueError, so that main
-    reports them as it reports every other failure; subparsers inherit it."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ValueError(message)
 
 
 def _read_input(path: str) -> str:
@@ -92,7 +88,7 @@ def _chain_report(chain) -> dict:
     return {"eta": chain.eta, "components": components}
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     text = _read_input(args.input)
     fmt = detect_format(text)
     d = parse_digraph(text, fmt)
@@ -241,15 +237,7 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _int_flag(token: str) -> int:
-    """argparse type for an integer flag: decimal digits only."""
-    try:
-        return _decimal(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from . import oracle
     if args.input is not None:
         # _run_checks refuses a non-chain; no shrinking: each shrink candidate reruns the simulation
@@ -325,7 +313,7 @@ def _step_count(token: str) -> int:
     return m
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: SimpleNamespace) -> int:
     what = args.what[0]
     if what not in ("cs-graph", "limit", "competition"):
         raise ValueError(f"--what expects cs-graph, limit, or competition M, got {what!r}")
@@ -359,53 +347,128 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+# per level: its positional, if any, then its flags, with their defaults:
+# () marks what is required, False a switch, an int an integer flag, and a
+# string or None a flag that takes one string; --what takes one or more
+_FLAGS = {
+    "compseq": {"command": ()},
+    "analyze": {"input": (), "--simulate-fallback": False},
+    "verify": {"--count": 100, "--seed": 0, "--eta": "1..4", "--sizes": "1..5",
+               "--allow-trivial": False, "--input": None},
+    "export": {"input": (), "--what": ()},
+}
+
+# per level: its help, whose first paragraph is its usage line
+_HELP = {
+    "compseq": """usage: compseq [-h] {analyze,verify,export} ...
+
+Convergence and limits of m-step competition graph sequences.
+
+  analyze  analyze one digraph and print a JSON report
+  verify   differential campaign: analytic answers vs simulation
+  export   render a derived graph as DOT
+""",
+    "analyze": """usage: compseq analyze [-h] [--simulate-fallback] input
+
+  input                matrix or edge-list file (auto-detected)
+  --simulate-fallback  when a convergent chain has trivial components, report
+                       the simulated limit
+""",
+    "verify": """usage: compseq verify [-h] [--count COUNT] [--seed SEED] [--eta ETA]
+                      [--sizes SIZES] [--allow-trivial] [--input FILE]
+
+  --count COUNT    number of instances
+  --seed SEED      campaign seed
+  --eta ETA        component count, N or LO..HI
+  --sizes SIZES    component size, N or LO..HI
+  --allow-trivial  let components be single vertices (exercises trailing-tail
+                   verdicts)
+  --input FILE     check one digraph, not a campaign
+""",
+    "export": """usage: compseq export [-h] --what WHAT [M ...] input
+
+  input                matrix or edge-list file (auto-detected)
+  --what WHAT [M ...]  cs-graph | limit | competition M
+""",
+}
+
+
+def _parse(argv: list[str], commands: dict[str, Callable]) -> tuple[Callable, SimpleNamespace]:
+    """The function in commands that argv names, and the namespace that
+    argparse makes of argv under _FLAGS.  -h or --help prints its level's
+    help and exits 0; a usage error writes the level's usage line to stderr
+    and raises ValueError with argparse's message."""
+    flags, help_text = _FLAGS["compseq"], _HELP["compseq"]
+    values, extras, ended, i = dict(flags), [], False, 0  # after "--" every token is a value
+
+    def fail(message: str):
+        sys.stderr.write(help_text.split("\n\n")[0] + "\n")
+        raise ValueError(message)
+
+    def flag(token: str) -> tuple:
+        """(flag, its "=" value or None), the flag None for a value and "" when unknown."""
+        if token == "--" and not ended:
+            return "--", None
+        if ended or token[:1] != "-" or token == "-":
+            return None, None
+        name, eq, explicit = token.partition("=")
+        names = [n for n in ("-h", "--help", *flags) if n == name or name[:2] == "--" and n.startswith(name)]
+        if len(names) > 1:  # a unique prefix of a long flag stands for it
+            fail(f"ambiguous option: {token} could match {', '.join(names)}")
+        if names:
+            return names[0], explicit if eq else None
+        return None if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token else "", None
+
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        (name, explicit), slot = flag(token), next(iter(flags))
+        if name is None and slot[0] != "-" and values[slot] == ():
+            if slot == "command":
+                if token not in commands:
+                    choices = ", ".join(map(repr, commands))
+                    fail(f"argument command: invalid choice: {token!r} (choose from {choices})")
+                flags, help_text = _FLAGS[token], _HELP[token]
+                values = {"command": token, **flags}
+            else:
+                values[slot] = token
+        elif not name:  # a value past the positional, or an unknown flag
+            extras.append(token)
+        elif name == "--":
+            ended = True
+        elif (default := flags.get(name, False)) is False:  # a switch, -h and --help included
+            name = "-h/--help" if name in ("-h", "--help") else name
+            if explicit is not None:
+                fail(f"argument {name}: ignored explicit argument {explicit!r}")
+            if name == "-h/--help":
+                sys.stdout.write(help_text)
+                raise SystemExit(0)
+            values[name] = True
+        else:  # the value after "=", else the next value, and for --what every next value
+            many = default == ()
+            given = [] if explicit is None else [explicit]
+            while explicit is None and i < len(argv) and (many or not given) and flag(argv[i])[0] is None:
+                given, i = given + [argv[i]], i + 1
+            if not given:
+                fail(f"argument {name}: expected {'at least one argument' if many else 'one argument'}")
+            value = given if many else given[0]
+            try:
+                values[name] = _decimal(value) if type(default) is int else value
+            except ValueError:
+                fail(f"argument {name}: invalid int value: {value!r}")
+    if missing := [k for k, v in values.items() if v == ()]:
+        fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(extras)}")
+    args = SimpleNamespace(**{k.lstrip("-").replace("-", "_"): v for k, v in values.items()})
+    return commands[args.command], args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(
-        prog="compseq",
-        description="Convergence and limits of m-step competition graph sequences.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser(
-        "analyze", help="analyze one digraph and print a JSON report"
-    )
-    p_analyze.add_argument("input", help="matrix or edge-list file (auto-detected)")
-    p_analyze.add_argument(
-        "--simulate-fallback",
-        action="store_true",
-        help="when a convergent chain has trivial components, report the simulated limit",
-    )
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_verify = sub.add_parser(
-        "verify", help="differential campaign: analytic answers vs simulation"
-    )
-    p_verify.add_argument("--count", type=_int_flag, default=100, help="number of instances")
-    p_verify.add_argument("--seed", type=_int_flag, default=0, help="campaign seed")
-    p_verify.add_argument("--eta", default="1..4", help="component count, N or LO..HI")
-    p_verify.add_argument("--sizes", default="1..5", help="component size, N or LO..HI")
-    p_verify.add_argument(
-        "--allow-trivial",
-        action="store_true",
-        help="let components be single vertices (exercises trailing-tail verdicts)",
-    )
-    p_verify.add_argument("--input", metavar="FILE", help="check one digraph, not a campaign")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_export = sub.add_parser("export", help="render a derived graph as DOT")
-    p_export.add_argument("input", help="matrix or edge-list file (auto-detected)")
-    p_export.add_argument(
-        "--what",
-        nargs="+",
-        required=True,
-        metavar=("WHAT", "M"),
-        help="cs-graph | limit | competition M",
-    )
-    p_export.set_defaults(func=cmd_export)
-
+    # built at each call, so that a cmd_* patched on this module is the one run
+    commands = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}
     try:
-        args = parser.parse_args(argv)
-        code = args.func(args)
+        func, args = _parse(sys.argv[1:] if argv is None else argv, commands)
+        code = func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:  # an OSError, so caught before the clause below

@@ -147,3 +147,18 @@ def test_only_the_commands_that_run_the_oracle_load_it(tmp_path, text, argv, loa
     path.write_text(text, encoding="utf-8")
     argv = [str(path) if arg == "FILE" else arg for arg in argv]
     assert fresh(ENTRY, *argv).stderr.splitlines()[-1] == f"0 {loads}"
+
+
+# argparse imports gettext, which loads locale on first use: about 4 ms of
+# every CLI call, so the CLI parses its arguments itself
+@pytest.mark.parametrize("command", [None, "analyze", "export-limit", "verify-campaign"])
+def test_cli_runs_without_argparse(tmp_path, command):
+    loaded = "\nprint(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)"
+    if command is None:
+        assert fresh("import sys, compseq.cli" + loaded).stderr == "[]\n"
+        return
+    text, argv, _ = COMMANDS[command]
+    path = tmp_path / "d.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert fresh(ENTRY + loaded, *argv).stderr.splitlines()[-2:] == [f"0 {command == 'verify-campaign'}", "[]"]

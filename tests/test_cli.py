@@ -948,25 +948,38 @@ class TestGrammar:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["verify", "--eta"], "argument --eta: expected one argument"),
-            (["verify", "--eta", "--sizes", "2"], "argument --eta: expected one argument"),
-            (["verify", "--s", "3"], "ambiguous option: --s could match --seed, --sizes"),
-            (["analyze", "a", "b"], "unrecognized arguments: b"),
-            (["verify", "-c", "3"], "unrecognized arguments: -c 3"),
-            (["export", "F"], "the following arguments are required: --what"),
-            (["export", "F", "--what"], "argument --what: expected at least one argument"),
-            (["export", "--what", "limit", "F"], "the following arguments are required: input"),
-            (
-                ["analyze", "--simulate-fallback=1", "F"],
-                "argument --simulate-fallback: ignored explicit argument '1'",
-            ),
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["verify", "--eta"], "argument --eta: expected one argument"),
+                (["verify", "--eta", "--sizes", "2"], "argument --eta: expected one argument"),
+                (["verify", "--s", "3"], "ambiguous option: --s could match --seed, --sizes"),
+                (["analyze", "a", "b"], "unrecognized arguments: b"),
+                (["verify", "-c", "3"], "unrecognized arguments: -c 3"),
+                (["export", "F"], "the following arguments are required: --what"),
+                (["export", "F", "--what"], "argument --what: expected at least one argument"),
+                (["export", "--what", "limit", "F"], "the following arguments are required: input"),
+                (["analyze", "--simulate-fallback=1", "F"], "argument --simulate-fallback: ignored explicit argument '1'"),
+            ]
         ],
-        ids=" ".join,
     )
     def test_usage_errors(self, files, capsys, argv, message):
         code, out, err = run(capsys, *files(argv))
         assert code == 1 and out == ""
         assert err.startswith("usage: compseq ") and err.splitlines()[-1] == f"error: {message}"
+
+    # unrecognized arguments after a command print that command's usage line
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["analyze", "a", "b"], "usage: compseq analyze [-h] [--simulate-fallback] input\n"),
+            (["verify", "-c", "3"], "usage: compseq verify [-h] [--count COUNT] [--seed SEED] [--eta ETA]\n"),
+            (["-x", "export", "F", "--what", "limit"], "usage: compseq export [-h] --what WHAT [M ...] input\n"),
+        ],
+        ids=["analyze", "verify", "before-the-command"],
+    )
+    def test_unrecognized_arguments_print_the_command_usage(self, files, capsys, argv, usage):
+        code, out, err = run(capsys, *files(argv))
+        assert code == 1 and out == "" and err.startswith(usage)
 
     def test_unknown_command(self, capsys):
         code, out, err = run(capsys, "frob")
