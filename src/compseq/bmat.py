@@ -112,10 +112,15 @@ class BoolMatrix:
         n = self.n
         if 16 * sum(r.bit_count() for r in self.rows) >= n * (n + 64):
             # dense: transpose the rows' binary digit strings in C, at
-            # O(n^2) character steps instead of O(set entries) Python steps
+            # O(n^2) character steps instead of O(set entries) Python steps.
+            # The digits of a block of rows, last row first, make one text
+            # whose every n-th character, from n-1-j on, is column j's bits
+            # for the block; blocks of 128 rows keep that text small
             fmt = f"0{n}b"
-            cols = [int("".join(c), 2) for c in zip(*(format(r, fmt) for r in reversed(self.rows)))]
-            cols.reverse()
+            cols = [0] * n
+            for b in range(0, n, 128):
+                text = "".join(format(r, fmt) for r in reversed(self.rows[b : b + 128]))
+                cols = [c | int(text[n - 1 - j :: n], 2) << b for j, c in enumerate(cols)]
             return cols
         cols = [0] * n
         for i, r in enumerate(self.rows):

@@ -7,12 +7,13 @@ seeded campaign of random instances, or on one digraph; ``export`` renders
 the class skeleton, the limit graph, or one m-step competition graph as
 DOT.  The report is laid out as json.dumps(indent=2, sort_keys=True) lays
 out its value, except that every list of integers (an edge, a class, a
-vertex list) is on one line, and the edges of one graph row, or of one
-skeleton class, share a line as "[u, v], [u, w]".  The limit and m-step
-DOT exports name vertices by bare numerals, which DOT reads as the
-quoted ids; the skeleton keeps its quoted "p_j" labels.  Output is
-written in pieces, edges one graph row or skeleton class at a time,
-after all of it is computed: a refusal never leaves part of it on stdout.
+vertex list) is on one line as "[a,b,c]", and the edges of one graph
+row, or of one skeleton class, share a line as "[u,v],[u,w]".  The
+limit and m-step DOT exports name vertices by bare numerals, which DOT
+reads as the quoted ids; the skeleton keeps its quoted "p_j" labels.
+Output is written in pieces, edges one graph row or skeleton class at a
+time, after all of it is computed: a refusal never leaves part of it on
+stdout.
 
 Exit codes: analyze returns 0 when the sequence converges and 2 when it
 diverges; verify returns 0 when every check passes and 2 when one
@@ -59,6 +60,11 @@ __all__ = ["main", "cmd_analyze", "cmd_verify", "cmd_export"]
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _count(k: int, one: str, many: str) -> str:
+    """k and its noun: "1 vertex", "2 vertices"."""
+    return f"{k} {one if k == 1 else many}"
 
 
 def _read_input(path: str) -> str:
@@ -127,7 +133,7 @@ def cmd_analyze(args: SimpleNamespace) -> int:
         report["skeleton"] = {
             "class_counts": list(chain.kappas),
             "edges": lambda: _join_runs(
-                joins, chain, "[{}, {}, {}, ".format, "], [{}, {}, {}, ".format, "]"
+                joins, chain, "[{},{},{},".format, "],[{},{},{},".format, "]"
             ),
         }
         report["limit"] = _limit_report("analytic", theory.limit_graph(joins, chain))
@@ -158,7 +164,7 @@ def cmd_analyze(args: SimpleNamespace) -> int:
 
 def _limit_report(source: str, g: UndirectedGraph) -> dict:
     return {
-        "edges": lambda: _edge_runs(g, "[{}, ".format, "], [{}, ".format, "]"),
+        "edges": lambda: _edge_runs(g, "[{},".format, "],[{},".format, "]"),
         "source": source,
     }
 
@@ -167,9 +173,9 @@ def _write_json(write: Callable, value, pad: str = "\n") -> None:
     """Write value as json.dumps(value, indent=2, sort_keys=True) lays it
     out, pad being the line break and indent of the line it starts on,
     except that a list whose items are all integers goes on one line as
-    "[a, b]".  A function stands for a list of lists of integers: called,
-    it returns their text in runs of one or more items joined by ", ",
-    and each run goes on a line of its own."""
+    "[a,b]".  A function stands for a list of lists of integers: called,
+    it returns their text in runs of one or more items joined by ",", and
+    each run goes on a line of its own."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         for i, key in enumerate(sorted(value)):
@@ -192,7 +198,7 @@ def _write_json(write: Callable, value, pad: str = "\n") -> None:
             _write_json(write, item, inner)
         write(pad + "]")
     elif isinstance(value, list):
-        write("[" + ", ".join(map(str, value)) + "]")
+        write("[" + ",".join(map(str, value)) + "]")
     else:
         write(json.dumps(value))
 
@@ -245,7 +251,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
         checks = oracle._run_checks(d, oracle.CHECK_NAMES)
         failing = next((c for c in checks if not c.passed), None)
         if failing is None:
-            print(f"verified {args.input} ({d.n} vertices; {', '.join(c.name for c in checks)})")
+            names = ", ".join(c.name for c in checks)
+            print(f"verified {args.input} ({_count(d.n, 'vertex', 'vertices')}; {names})")
             return 0
         print(f"FAIL {args.input}:\n  check {failing.name!r}: {failing.detail}")
         return 2
@@ -277,8 +284,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
             print(f"  check {failing.name!r}: {failing.detail}")
             assert report.counterexample is not None
             ce = report.counterexample
-            arcs = sum(map(int.bit_count, ce.rows))
-            print(f"  shrunken counterexample ({ce.n} vertices, {arcs} arcs):")
+            arcs = _count(sum(map(int.bit_count, ce.rows)), "arc", "arcs")
+            print(f"  shrunken counterexample ({_count(ce.n, 'vertex', 'vertices')}, {arcs}):")
             for line in format_edge_list(ce).splitlines():
                 print(f"    {line}")
             return 2

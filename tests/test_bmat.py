@@ -64,7 +64,8 @@ class TestBoolMatrix:
     @pytest.mark.parametrize("density", [0.02, 0.1, 0.5, 0.9])
     def test_columns_sparse_and_dense(self, density):
         rng = random.Random(7)
-        for n in (1, 5, 24, 90):
+        # 128-row blocks in the dense branch: edges on both sides of the switch
+        for n in (1, 5, 24, 90, 127, 128, 129, 257):
             rows = tuple(
                 sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)
             )
