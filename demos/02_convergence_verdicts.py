@@ -22,7 +22,6 @@ from compseq import (
     component_chain,
     converges,
     l_set,
-    lambda_set,
     shifted_union,
     simulate_limit,
 )
@@ -43,7 +42,7 @@ def residues(mask: int, kappa: int) -> list[int]:
 
 
 def report(name: str, d: Digraph) -> None:
-    v = converges(d)
+    v = converges(component_chain(d))
     sim = simulate_limit(d)
     print(f"{name}: rule {v.rule}, converged={v.converged} "
           f"(simulation says {sim.converged})")
@@ -64,7 +63,7 @@ def main() -> None:
     chain = component_chain(d)
     p = chain.last_nontrivial
     kappa = chain.kappa(p)
-    lam = lambda_set(d, chain)  # bit j-1 set iff class j feeds
+    lam = sum(1 << (k - 1) for k, _ in chain.pairs[p - 1])  # bit j-1 set iff class j feeds
     print(f"anatomy of the divergent case: kappa = {kappa}, "
           f"feeding classes {tuple(r + 1 for r in residues(lam, kappa))}")
     lsets = {j: l_set(lam, j, kappa) for j in range(1, kappa + 1)}

@@ -22,7 +22,6 @@ from compseq import (
     Digraph,
     component_chain,
     cs_graph,
-    interface_pairs,
     limit_graph,
     simulate_limit,
 )
@@ -47,12 +46,11 @@ def walk_through(name: str, d: Digraph) -> None:
     for p, mask in enumerate(chain.masks, start=1):
         classes = [vertices(c) for c in chain.class_masks[p - 1]]
         print(f"  D_{p}: vertices {vertices(mask)}, kappa {chain.kappa(p)}, classes {classes}")
-    for p in range(1, chain.eta):
-        pairs = sorted(interface_pairs(d, chain, p))
-        print(f"  interface {p}->{p + 1}: class pairs {pairs}")
+    for p, pairs in enumerate(chain.pairs, start=1):
+        print(f"  interface {p}->{p + 1}: class pairs {sorted(pairs)}")
 
     # joins[p-1][i-1] is a mask over the labels of level p + 1: bit j-1 for label j
-    joins = cs_graph(d, chain)
+    joins = cs_graph(chain)
     edges = [
         ((p, i), (p + 1, j))
         for p, level in enumerate(joins, start=1)

@@ -31,13 +31,13 @@ MISALIGNED = Digraph.from_arcs(4, [(1, 2), (2, 1), (3, 4), (4, 3), (1, 3), (2, 3
 
 def report(name: str, d: Digraph) -> None:
     chain = component_chain(d)
-    verdict = jbd_condition(d, chain)
+    verdict = jbd_condition(chain)
     print(f"=== {name} ===")
     for line in verdict.levels:
         print(f"  {line}")
     print(f"  union of cliques: {verdict.holds}")
 
-    limit = limit_graph(cs_graph(d, chain), chain)
+    limit = limit_graph(cs_graph(chain), chain)
     sim = simulate_limit(d)
     print(f"  limit edges {limit.edge_list()}")
     print(f"  shape check against simulation: "

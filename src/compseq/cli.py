@@ -99,7 +99,7 @@ def cmd_analyze(args: SimpleNamespace) -> int:
     fmt = detect_format(text)
     d = parse_digraph(text, fmt)
     chain = component_chain(d)
-    verdict = theory.converges(d, chain=chain)
+    verdict = theory.converges(chain)
 
     report: dict = {
         "schema": 1,
@@ -129,7 +129,7 @@ def cmd_analyze(args: SimpleNamespace) -> int:
     # the edge lists are functions whose runs _write_json writes one graph
     # row or skeleton class at a time, one run per line
     if not any(chain.trivial_flags):
-        joins = theory.cs_graph(d, chain)
+        joins = theory.cs_graph(chain)
         report["skeleton"] = {
             "class_counts": list(chain.kappas),
             "edges": lambda: _join_runs(
@@ -137,7 +137,7 @@ def cmd_analyze(args: SimpleNamespace) -> int:
             ),
         }
         report["limit"] = _limit_report("analytic", theory.limit_graph(joins, chain))
-        jbd = theory.jbd_condition(d, chain)
+        jbd = theory.jbd_condition(chain)
         report["jbd"] = {
             "source": "analytic",
             "holds": jbd.holds,
@@ -204,7 +204,7 @@ def _write_json(write: Callable, value, pad: str = "\n") -> None:
 
 
 def _join_runs(joins: tuple, chain, head: Callable, sep: Callable, close: str) -> Iterator[str]:
-    """For each class (p, i) of the skeleton joins = cs_graph(d, chain)
+    """For each class (p, i) of the skeleton joins = cs_graph(chain)
     joined to labels j of level q = p + 1, head(p, i, q) + sep(p, i,
     q).join(those j, ascending) + close: the skeleton's edges in sorted
     order, as ``_edge_runs`` writes a graph's."""
@@ -337,7 +337,7 @@ def cmd_export(args: SimpleNamespace) -> int:
         return 0
 
     chain = component_chain(d)
-    joins = theory.cs_graph(d, chain)
+    joins = theory.cs_graph(chain)
 
     if what == "limit":
         _graph_dot("limit", theory.limit_graph(joins, chain))

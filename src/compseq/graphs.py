@@ -12,8 +12,9 @@ U_1, ..., U_kappa (kappa = gcd of the component's directed cycle lengths;
 every arc advances the class index by one, cyclically).  Classes are
 anchored so the smallest vertex id of a nontrivial component lands in U_1;
 any other rotation of the labels is equally consistent and yields the same
-downstream answers.  The chain is those classes: U_j of D_p is
-``chain.class_masks[p-1][j-1]``, and D_p is the union of its classes.
+downstream answers.  The chain is those classes and the class pairs each
+interface joins: U_j of D_p is ``chain.class_masks[p-1][j-1]``, and D_p
+is the union of its classes.
 
 Each class, and each component derived from them, is one vertex mask, in
 the layout of a matrix row: bit v-1 is set iff vertex v belongs to it.
@@ -200,14 +201,18 @@ class ComponentChain:
     lengths (1 for a trivial D_p), is its class count.  Every arc inside
     D_p goes from some U_j to U_(j+1), indices cyclic.  loops masks the
     looped vertices, read off d's diagonal: a looped single vertex is
-    the block [1], nontrivial with one class.
+    the block [1], nontrivial with one class.  pairs[p-1] holds the class
+    pairs (k, l) with an arc from U_k of D_p to U_l of D_(p+1).
 
     masks[p-1], the vertex mask of D_p, and the trivial flags are derived
-    from the fields only when asked for.
+    from the fields only when asked for.  Every ``theory`` answer is a
+    function of the kappas, the trivial flags and the pairs; only
+    ``limit_graph`` also reads the class masks, to place the vertices.
     """
 
     class_masks: tuple[tuple[int, ...], ...]
     loops: int
+    pairs: tuple[frozenset[tuple[int, int]], ...]
 
     def __post_init__(self):
         for p, classes in enumerate(self.class_masks, start=1):
@@ -215,6 +220,14 @@ class ComponentChain:
                 raise ValueError(f"component {p} has no class")
             if not all(classes):
                 raise ValueError(f"component {p}: empty imprimitivity class")
+        if len(self.pairs) != self.eta - 1:
+            raise ValueError(f"{len(self.pairs)} interfaces for {self.eta} components")
+        for p, level in enumerate(self.pairs, start=1):
+            if not level:
+                raise ValueError(f"interface {p} has no class pair")
+            k1, k2 = self.kappa(p), self.kappa(p + 1)
+            if not all(1 <= k <= k1 and 1 <= l <= k2 for k, l in level):
+                raise ValueError(f"interface {p}: a class pair outside 1..{k1} x 1..{k2}")
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -250,7 +263,9 @@ class ComponentChain:
 
 def component_chain(d: Digraph) -> ComponentChain:
     """Strong-component chain of d with the cyclic classes of every
-    component, or NotLinearlyConnectedError.
+    component and the class pairs of every interface, or
+    NotLinearlyConnectedError.  The pairs are read off the rows that the
+    jump scan finds with an interface arc.
 
     A chain on n vertices needs at least n - 1 arcs that are not loops,
     since a loop links nothing, so fewer are rejected before any
@@ -276,7 +291,7 @@ def component_chain(d: Digraph) -> ComponentChain:
     for p, comp in enumerate(comps):
         for v in _bit_indices(comp):
             pos[v] = p
-    linked = [False] * (len(comps) - 1)
+    linked = [0] * (len(comps) - 1)  # linked[p]: the vertices of D_(p+1) with an interface arc
     # rows in vertex order and bits upwards: the witness is the first jump in (u, v) order
     for u, row in enumerate(d.rows):
         p = pos[u]
@@ -290,13 +305,24 @@ def component_chain(d: Digraph) -> ComponentChain:
                 f"arc ({u + 1},{v + 1}) jumps from component {p + 1} to component {pos[v] + 1}",
                 witness_arc=(u + 1, v + 1),
             )
-        linked[p] = True
-    for p, ok in enumerate(linked):
-        if not ok:
+        linked[p] |= 1 << u
+    for p, sources in enumerate(linked):
+        if not sources:
             raise NotLinearlyConnectedError(
                 f"no arcs from component {p + 1} to component {p + 2}"
             )
-    chain = d.__dict__["_component_chain"] = ComponentChain(imprimitivity(d, comps), loops)
+    classes = imprimitivity(d, comps)
+    pairs = []
+    for p, sources in enumerate(linked):
+        level = set()
+        for k, members in enumerate(classes[p], start=1):
+            out = 0
+            for u in _bit_indices(members & sources):
+                out |= d.rows[u]
+            if out:
+                level.update((k, l) for l, target in enumerate(classes[p + 1], start=1) if out & target)
+        pairs.append(frozenset(level))
+    chain = d.__dict__["_component_chain"] = ComponentChain(classes, loops, tuple(pairs))
     return chain
 
 

@@ -235,7 +235,7 @@ def _compare(
 ) -> CheckResult | None:
     """One named comparison, or None when its precondition does not hold."""
     if name == "verdict":
-        verdict = theory.converges(d, chain=chain)
+        verdict = theory.converges(chain)
         return CheckResult(
             "verdict",
             verdict.converged == sim.converged,
@@ -254,14 +254,14 @@ def _compare(
         return None
     assert sim.limit is not None
     if name == "limit":
-        analytic = theory.limit_graph(theory.cs_graph(d, chain), chain)
+        analytic = theory.limit_graph(theory.cs_graph(chain), chain)
         if analytic == sim.limit:
             return CheckResult("limit", True, "graphs equal")
         pairs = list(zip(analytic.rows, sim.limit.rows))
         extra = UndirectedGraph(d.n, tuple(a & ~b for a, b in pairs)).edge_list()
         missing = UndirectedGraph(d.n, tuple(b & ~a for a, b in pairs)).edge_list()
         return CheckResult("limit", False, f"extra {extra[:3]} missing {missing[:3]}")
-    jbd = theory.jbd_condition(d, chain)
+    jbd = theory.jbd_condition(chain)
     actual = theory.union_of_cliques(sim.limit)
     return CheckResult(
         "jbd",

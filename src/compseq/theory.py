@@ -7,17 +7,17 @@ these computations are tested against.
 
 Conventions used throughout:
 
-* A digraph is its adjacency matrix, a ``BoolMatrix``.  Vertex sets are
-  masks in the layout of one of its rows, bit v-1 for vertex v: U_j of
-  D_p is ``chain.class_masks[p-1][j-1]`` and D_p is ``chain.masks[p-1]``.
-  ``interface_pairs``, the one reader of a digraph's rows, ANDs ORs of
-  rows with these masks; the classes feeding the trailing vertex are
-  read off its pairs.  No layer keeps a vertex -> class map.
+* Every function here reads a ``ComponentChain``, never a digraph: the
+  kappas, the trivial flags and ``chain.pairs[p-1]``, the class pairs
+  (k, l) joined by an arc from U_k of D_p to U_l of D_(p+1).  The classes
+  feeding the trailing vertex are the labels k of its pairs.  Only
+  ``limit_graph`` reaches vertices, through the class masks, in the
+  layout of a matrix row: U_j of D_p is ``chain.class_masks[p-1][j-1]``.
 * Class labels are 1-based: the classes of a component with index kappa
   are U_1 .. U_kappa, and label j is residue j - 1 of Z_kappa =
   {0 .. kappa-1} everywhere.  A residue set is an int mask over Z_kappa,
   bit r for residue r, so shifting it by s is a rotation of its kappa
-  bits.  ``lambda_set`` sets bit j - 1 for label j, and ``b_graph`` turns
+  bits.  ``converges`` sets bit j - 1 for label j, and ``b_graph`` turns
   residue r back into label r + 1.  Walk-length residues live in Z_kappa
   with no label mapping.
 * The class skeleton is label masks too: ``cs_graph`` returns its joins,
@@ -40,13 +40,7 @@ from collections import Counter
 from math import gcd
 
 from ._record import frozen
-from .graphs import (
-    ComponentChain,
-    Digraph,
-    UndirectedGraph,
-    _bit_indices,
-    component_chain,
-)
+from .graphs import ComponentChain, UndirectedGraph, _bit_indices
 
 __all__ = [
     "RULE_ALL_TRIVIAL",
@@ -56,8 +50,6 @@ __all__ = [
     "ConvergenceVerdict",
     "JbdVerdict",
     "TrivialComponentError",
-    "interface_pairs",
-    "lambda_set",
     "l_set",
     "shifted_union",
     "converges",
@@ -124,44 +116,6 @@ class JbdVerdict:
         return self.holds
 
 
-def interface_pairs(d: Digraph, chain: ComponentChain, p: int) -> frozenset[tuple[int, int]]:
-    """Class-index pairs (k, l) with an arc from U_k of D_p to U_l of D_(p+1).
-
-    The rows of U_k are ORed into one out-neighbour mask; when it reaches
-    D_(p+1), it is tested against each class mask there.
-    """
-    if not (1 <= p <= chain.eta - 1):
-        raise ValueError(f"interface index {p} outside 1..{chain.eta - 1}")
-    rows = d.rows
-    pairs = set()
-    for k, members in enumerate(chain.class_masks[p - 1], start=1):
-        out = 0
-        for u in _bit_indices(members):
-            out |= rows[u]
-        if out & chain.masks[p]:
-            for l, target in enumerate(chain.class_masks[p], start=1):
-                if out & target:
-                    pairs.add((k, l))
-    return frozenset(pairs)
-
-
-def lambda_set(d: Digraph, chain: ComponentChain) -> int:
-    """Classes of the last nontrivial component D_p that feed the one
-    vertex of the trivial D_(p+1), the labels k of the interface pairs
-    (k, 1), as a mask over Z_kappa with kappa = chain.kappa(p): class
-    label j is bit j - 1.
-
-    Requires a trailing trivial part: some component after the last
-    nontrivial one.
-    """
-    p = chain.last_nontrivial
-    if p is None:
-        raise ValueError("every component is trivial; no reference component exists")
-    if p == chain.eta:
-        raise ValueError("last component is nontrivial; no trailing trivial part")
-    return sum({1 << (k - 1) for k, _ in interface_pairs(d, chain, p)})
-
-
 def _rotate(mask: int, s: int, kappa: int) -> int:
     """s + mask over Z_kappa: bit r moves to bit (r + s) mod kappa."""
     s %= kappa
@@ -198,15 +152,16 @@ def shifted_union(l1: int, l2: int, shifts: int, kappa: int) -> int:
     return union
 
 
-def converges(d: Digraph, *, chain: ComponentChain | None = None) -> ConvergenceVerdict:
-    """Decide whether the m-step competition graph sequence of d becomes
-    constant for large m.
+def converges(chain: ComponentChain) -> ConvergenceVerdict:
+    """Decide whether the m-step competition graph sequence of the chain's
+    digraph becomes constant for large m.
 
     Rules, in order: every component trivial (the sequence is eventually
     edgeless); last component nontrivial (always converges); otherwise the
     trailing condition: writing p for the last nontrivial component, kappa
     for its index, and L_j for the walk-length residues from class j into
-    the next component's vertex, the sequence converges iff for every
+    the next component's vertex (read off lambda, the labels k of the
+    interface pairs (k, 1) of D_p), the sequence converges iff for every
     unordered pair j1 != j2 the union over i = 0..eta-p-1 of
     (i + L_j1) intersect (i + L_j2) is empty or all of Z_kappa.
 
@@ -228,8 +183,6 @@ def converges(d: Digraph, *, chain: ComponentChain | None = None) -> Convergence
     nontrivial; a loopless one has no walk inside it.  If D_p has kappa 1,
     every union is empty or all of Z_1, and the sequence converges.
     """
-    if chain is None:
-        chain = component_chain(d)
     if chain.all_trivial:
         return ConvergenceVerdict(RULE_ALL_TRIVIAL, None)
     if not chain.trivial_flags[-1]:
@@ -238,7 +191,7 @@ def converges(d: Digraph, *, chain: ComponentChain | None = None) -> Convergence
     assert p is not None
     kappa = chain.kappa(p)
     shifts = chain.eta - p
-    lam = lambda_set(d, chain)
+    lam = sum({1 << (k - 1) for k, _ in chain.pairs[p - 1]})
     l1 = l_set(lam, 1, kappa)
     full = (1 << kappa) - 1
     for j2 in range(2, kappa + 1):
@@ -280,15 +233,15 @@ def b_graph(kappa1: int, kappa2: int, pairs: frozenset[tuple[int, int]]) -> tupl
     return tuple(comb * _rotate(pattern, i, g) for i in range(kappa1))
 
 
-def cs_graph(d: Digraph, chain: ComponentChain) -> tuple[tuple[int, ...], ...]:
+def cs_graph(chain: ComponentChain) -> tuple[tuple[int, ...], ...]:
     """The joins of the class skeleton of the whole chain, an eta-partite
     graph on the labels (p, 1) .. (p, kappa_p) of each level p: entry
     p - 1 is the ``b_graph`` level between D_p and D_(p+1).  Defined only
     when every component is nontrivial."""
     _require_nontrivial(chain, "the class skeleton")
     return tuple(
-        b_graph(chain.kappa(p), chain.kappa(p + 1), interface_pairs(d, chain, p))
-        for p in range(1, chain.eta)
+        b_graph(chain.kappa(p), chain.kappa(p + 1), pairs)
+        for p, pairs in enumerate(chain.pairs, start=1)
     )
 
 
@@ -303,7 +256,7 @@ def _require_nontrivial(chain: ComponentChain, needs: str) -> None:
 
 def limit_graph(joins: tuple[tuple[int, ...], ...], chain: ComponentChain) -> UndirectedGraph:
     """The limit of the m-step competition graph sequence, built from the
-    skeleton joins = cs_graph(d, chain).  Defined, as they are, only
+    skeleton joins = cs_graph(chain).  Defined, as they are, only
     when every component is nontrivial (the sequence then converges unconditionally).
 
     x in class a and y in class b are adjacent iff R_a and R_b meet, R_c
@@ -336,7 +289,7 @@ def limit_graph(joins: tuple[tuple[int, ...], ...], chain: ComponentChain) -> Un
     return UndirectedGraph(len(rows), tuple(rows))
 
 
-def jbd_condition(d: Digraph, chain: ComponentChain) -> JbdVerdict:
+def jbd_condition(chain: ComponentChain) -> JbdVerdict:
     """Whether the limit graph is a disjoint union of cliques, decided from
     the interfaces alone: for every p < eta, kappa_eta must divide kappa_p
     and all interface pairs (k, l) of D_p -> D_(p+1) must share one value
@@ -356,7 +309,7 @@ def jbd_condition(d: Digraph, chain: ComponentChain) -> JbdVerdict:
             )
             continue
         residues: dict[int, tuple[int, int]] = {}
-        for k, l in sorted(interface_pairs(d, chain, p)):
+        for k, l in sorted(chain.pairs[p - 1]):
             residues.setdefault((k - l) % kappa_last, (k, l))
         if len(residues) > 1:
             (r1, pair1), (r2, pair2) = sorted(residues.items())[:2]
@@ -365,10 +318,9 @@ def jbd_condition(d: Digraph, chain: ComponentChain) -> JbdVerdict:
                 f"{r1} != {r2} (mod kappa_{eta} = {kappa_last})"
             )
         else:
-            shared = next(iter(residues)) if residues else None
             lines.append(
                 f"ok   level {p}: kappa_{eta} = {kappa_last} divides kappa_{p} = {kappa_p}; "
-                f"shared residue {shared}"
+                f"shared residue {next(iter(residues))}"
             )
     failing = (p for p, line in enumerate(lines, start=1) if line.startswith("FAIL"))
     return JbdVerdict(next(failing, None), tuple(lines))

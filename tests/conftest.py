@@ -8,6 +8,7 @@ sweeps over the power trajectory for reachability semantics.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -240,13 +241,55 @@ def simple_cycle_lengths(d: Digraph, vertices: frozenset[int]) -> set[int]:
 
 
 def rotate_classes(chain: ComponentChain, shifts: tuple[int, ...]) -> ComponentChain:
-    """Relabel every component's classes by a rotation; the arc invariant
-    is preserved, only the anchoring of U_1 changes."""
+    """Relabel every component's classes by a rotation, the interface
+    pairs along with them: new U_j of D_p is old U_(j + shifts[p-1]).  The
+    arc invariant is preserved, only the anchoring of U_1 changes."""
     new_classes = []
     for cls, s in zip(chain.class_masks, shifts):
         k = len(cls)
         new_classes.append(tuple(cls[(j + s) % k] for j in range(k)))
-    return ComponentChain(tuple(new_classes), chain.loops)
+
+    def relabel(j: int, p: int) -> int:
+        """The new label of old label j of D_p."""
+        return (j - 1 - shifts[p - 1]) % chain.kappa(p) + 1
+
+    pairs = tuple(
+        frozenset((relabel(k, p), relabel(l, p + 1)) for k, l in level)
+        for p, level in enumerate(chain.pairs, start=1)
+    )
+    return ComponentChain(tuple(new_classes), chain.loops, pairs)
+
+
+def class_level_chains(kmax: int, eta_max: int):
+    """Every chain with one vertex per class, as (digraph, pairs), in a
+    fixed order: eta from 1 to eta_max, each component of a kind 0..kmax,
+    and each interface a nonempty set of class pairs.  Kind 0 is a lone
+    vertex (a trivial component), kind kappa >= 1 a kappa-cycle (a loop
+    for kappa 1) whose class j is its j-th vertex; pair (k, l) of
+    interface p is one arc from class k of D_p to class l of D_(p+1).
+    pairs is what ``component_chain`` must record for the digraph."""
+    for eta in range(1, eta_max + 1):
+        for kinds in itertools.product(range(kmax + 1), repeat=eta):
+            counts = [max(kind, 1) for kind in kinds]
+            starts = list(itertools.accumulate(counts, initial=0))
+            cycles = [
+                (s + j, s + j % kind + 1) for s, kind in zip(starts, kinds) for j in range(1, kind + 1)
+            ]
+            grids = [
+                list(itertools.product(range(1, a + 1), range(1, b + 1)))
+                for a, b in zip(counts, counts[1:])
+            ]
+            for masks in itertools.product(*(range(1, 1 << len(grid)) for grid in grids)):
+                pairs = tuple(
+                    frozenset(pair for i, pair in enumerate(grid) if mask >> i & 1)
+                    for grid, mask in zip(grids, masks)
+                )
+                arcs = cycles + [
+                    (starts[p] + k, starts[p + 1] + l)
+                    for p, level in enumerate(pairs)
+                    for k, l in level
+                ]
+                yield Digraph.from_arcs(starts[-1], arcs), pairs
 
 
 # --------------------------------------------------------------- strategies

@@ -20,7 +20,6 @@ from compseq import (
     converges,
     cs_graph,
     gamma,
-    interface_pairs,
     jbd_condition,
     limit_graph,
     m_step_competition,
@@ -101,7 +100,7 @@ def test_criterion_3_verdict_equivalence():
     for _ in range(500):
         d = _draw_bounded(master, max_n=16, allow_trivial=master.random() < 0.6)
         sim = simulate_limit(d)
-        verdict = converges(d)
+        verdict = converges(component_chain(d))
         assert verdict.converged == sim.converged, format(d.arc_list())
         divergent += not sim.converged
         chain = component_chain(d)
@@ -135,7 +134,7 @@ def test_criterion_4_limit_equivalence():
         chain = component_chain(d)
         sim = simulate_limit(d)
         assert sim.converged
-        analytic = limit_graph(cs_graph(d, chain), chain)
+        analytic = limit_graph(cs_graph(chain), chain)
         assert analytic == sim.limit, format(d.arc_list())
         edges_checked += len(analytic.edge_list())
     elapsed = time.perf_counter() - start
@@ -152,7 +151,7 @@ def test_criterion_5_jbd_equivalence():
     for d in _nontrivial_corpus(500):
         chain = component_chain(d)
         sim = simulate_limit(d)
-        analytic = jbd_condition(d, chain).holds
+        analytic = jbd_condition(chain).holds
         assert analytic == union_of_cliques(sim.limit), format(d.arc_list())
         holds_count += analytic
     elapsed = time.perf_counter() - start
@@ -230,8 +229,7 @@ def test_criterion_8_skeleton_soundness():
         )
         chain = component_chain(d)
         k1, k2 = chain.kappa(1), chain.kappa(2)
-        iset = interface_pairs(d, chain, 1)
-        skeleton = b_graph(k1, k2, iset)
+        skeleton = b_graph(k1, k2, chain.pairs[0])
         stride = bool_pow(d, 2 * k1 * k2)
         _, _, powers = reference_powers(stride)  # all distinct A^(2s*k1*k2), s >= 1
         for i in range(1, k1 + 1):

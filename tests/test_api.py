@@ -5,6 +5,7 @@ fresh interpreter, that its names still resolve there and that only the
 commands that run it load it."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -39,6 +40,16 @@ def test_package_reexports_every_module_export():
         for attr in module.__all__:
             assert attr in exported, f"compseq.{name}.{attr} not re-exported"
             assert getattr(compseq, attr) is getattr(module, attr)
+
+
+@pytest.mark.parametrize("name", ["converges", "cs_graph", "jbd_condition"])
+def test_theory_reads_the_chain_alone(name):
+    # the theory's input is the chain's class-level summary: a digraph
+    # reader in theory would have to bind one of these names
+    from compseq import theory
+
+    assert list(inspect.signature(getattr(theory, name)).parameters) == ["chain"]
+    assert not {"Digraph", "component_chain"} & vars(theory).keys()
 
 
 def test_readme_example_prints_what_its_comments_say(capsys):

@@ -265,7 +265,7 @@ class TestAnalyze:
             d = random_instance(GeneratorSpec(eta=1 + seed % 3, sizes=(1, 4), seed=seed))
             path = write(f"g{seed}.el", format_edge_list(d))
             code, out, _ = run(capsys, "analyze", path)
-            verdict = converges(d)
+            verdict = converges(component_chain(d))
             assert code == (0 if verdict.converged else 2)
             report = json.loads(out)
             assert report["verdict"]["converged"] == verdict.converged
@@ -395,7 +395,7 @@ class TestReportText:
         d = random_instance(GeneratorSpec(eta=3, sizes=(3, 7), allow_trivial=False, seed=5))
         report = self.report(capsys, write("r.el", format_edge_list(d)))
         chain = component_chain(d)
-        limit = limit_graph(cs_graph(d, chain), chain)
+        limit = limit_graph(cs_graph(chain), chain)
         assert report["limit"] == {
             "source": "analytic",
             "edges": [list(e) for e in limit.edge_list()],
@@ -407,7 +407,7 @@ class TestReportText:
         assert d.n >= 300
         report = self.report(capsys, write("r.el", format_edge_list(d)))
         chain = component_chain(d)
-        limit = limit_graph(cs_graph(d, chain), chain)
+        limit = limit_graph(cs_graph(chain), chain)
         assert report["limit"]["edges"] == [list(e) for e in limit.edge_list()]
 
     def test_simulated_limit(self, write, capsys):
@@ -460,7 +460,7 @@ class TestReportText:
         out = "".join(chunks)
         report = json.loads(out)
         assert out.split("\n") == report_text(report).split("\n")
-        edges = skeleton_edges(theory.cs_graph(d, component_chain(d)))
+        edges = skeleton_edges(theory.cs_graph(component_chain(d)))
         assert edges == [((1, i), (2, j)) for i in range(1, 41) for j in range(1, 42)]
         assert report["skeleton"] == {
             "class_counts": [40, 41],
@@ -814,7 +814,7 @@ class TestExport:
         for what in whats:
             if what == "limit":
                 chain = component_chain(d)
-                g = limit_graph(cs_graph(d, chain), chain)
+                g = limit_graph(cs_graph(chain), chain)
                 argv = ["limit"]
             else:
                 g = m_step_competition(d, int(what))
@@ -839,7 +839,7 @@ class TestExport:
         for d in (merge, rand):
             path = write("g.el", format_edge_list(d))
             chain = component_chain(d)
-            graphs_by_what = {("limit",): limit_graph(cs_graph(d, chain), chain)}
+            graphs_by_what = {("limit",): limit_graph(cs_graph(chain), chain)}
             for m in (1, 2, 7):
                 graphs_by_what["competition", str(m)] = m_step_competition(d, m)
             for what, g in graphs_by_what.items():

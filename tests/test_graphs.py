@@ -412,9 +412,9 @@ class TestImprimitivity:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="component 2 has no class"):
-            ComponentChain(((0b1,), ()), 0)
+            ComponentChain(((0b1,), ()), 0, (frozenset({(1, 1)}),))
         with pytest.raises(ValueError, match="empty"):
-            ComponentChain(((0,),), 0)
+            ComponentChain(((0,),), 0, ())
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 3))

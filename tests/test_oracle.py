@@ -31,6 +31,7 @@ from compseq import (
 from compseq import bmat, graphs, oracle, theory
 from conftest import (
     bool_matrices,
+    class_level_chains,
     cycle4_feeders,
     cycle_chain,
     period3_matrix,
@@ -624,3 +625,19 @@ class TestDifferentialSoak:
         assert names.count("limit") == names.count("jbd") >= 1000
         assert looped_single >= 200
         assert looped_last_nontrivial >= 1 and looped_last >= 1
+
+    # (kmax, eta_max), the chain count, and how many chains run the limit
+    # and jbd checks (every component nontrivial and the sequence converging)
+    @pytest.mark.parametrize("kmax, eta_max, count, limits", [(3, 2, 700, 676), (2, 4, 8500, 5672)])
+    def test_class_level_chains(self, kmax, eta_max, count, limits):
+        # the theory reads only the chain's kappas, trivial flags and
+        # pairs, and one vertex per class realises every such summary, so
+        # this covers the theory's whole input space up to the bound
+        names = []
+        for d, pairs in class_level_chains(kmax, eta_max):
+            assert component_chain(d).pairs == pairs, format(d)
+            report = verify(d)
+            assert report.passed, format(d)
+            names.extend(c.name for c in report.checks)
+        assert names.count("verdict") == names.count("period") == count
+        assert names.count("limit") == names.count("jbd") == limits

@@ -32,7 +32,11 @@ PATH = UndirectedGraph(3, (0b010, 0b101, 0b010))
 SAMPLES = {
     BoolMatrix: {"n": 2, "rows": (0b10, 0b01)},
     UndirectedGraph: {"n": 3, "rows": (0b010, 0b101, 0b010)},
-    ComponentChain: {"class_masks": ((0b01, 0b10), (0b100,)), "loops": 0},
+    ComponentChain: {
+        "class_masks": ((0b01, 0b10), (0b100,)),
+        "loops": 0,
+        "pairs": (frozenset({(2, 1)}),),
+    },
     DivergenceWitness: {"j1": 1, "j2": 2, "excluded_residue": 0},
     ConvergenceVerdict: {"rule": "NontrivialTail", "witness": None},
     JbdVerdict: {"failing_level": 1, "levels": ("FAIL split", "b")},
@@ -48,7 +52,11 @@ INVALID = [
     (BoolMatrix, (2, (0b100, 0)), "bits outside"),
     (BoolMatrix, (2, (0,)), "expected 2 rows"),
     (UndirectedGraph, (2, (0b10, 0)), "not symmetric"),
-    (ComponentChain, (((0b1,), (0,)), 0), "empty imprimitivity class"),
+    (ComponentChain, (((0b1,), (0,)), 0, ()), "empty imprimitivity class"),
+    (ComponentChain, (((0b1,), (0b10,)), 0, ()), "0 interfaces for 2 components"),
+    (ComponentChain, (((0b1,), (0b10,)), 0, (frozenset(),)), "interface 1 has no class pair"),
+    (ComponentChain, (((0b1,), (0b10,)), 0, (frozenset({(1, 2)}),)), "outside 1..1 x 1..1"),
+    (ComponentChain, (((0b1, 0b10), (0b100,)), 0, (frozenset({(0, 1)}),)), "outside 1..2 x 1..1"),
     (GeneratorSpec, (0,), "at least one component"),
 ]
 
@@ -169,7 +177,8 @@ def test_cached_properties_survive_freezing():
     chain = ComponentChain(**SAMPLES[ComponentChain])
     assert chain.masks == (0b011, 0b100)
     assert chain.trivial_flags == (False, True)
-    assert ComponentChain(chain.class_masks, 0b100).trivial_flags == (False, False)  # a looped vertex
+    looped = ComponentChain(chain.class_masks, 0b100, chain.pairs)  # a looped vertex
+    assert looped.trivial_flags == (False, False)
     assert d == Digraph(3, (0b010, 0b100, 0b001))  # a cached value is not a field
 
 

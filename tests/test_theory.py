@@ -23,10 +23,8 @@ from compseq import (
     component_chain,
     converges,
     cs_graph,
-    interface_pairs,
     jbd_condition,
     l_set,
-    lambda_set,
     limit_graph,
     random_instance,
     shifted_union,
@@ -88,10 +86,11 @@ class TestResidueSet:
         assert shifted_union(0b011, 0b110, 2, 3) == 0b110
 
     def test_class_label_convention(self):
-        # label j is bit j - 1: bit 0 holds label 1
+        # labels are 1-based: classes 1 and 2 feed the trailing vertex
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        assert lambda_set(d, chain) == 0b0011
+        assert chain.pairs == (frozenset({(1, 1), (2, 1)}),)
+        # label j is bit j - 1 of a label mask: bit 0 holds label 1
         # L_1 = {k : k a label in lam}: labels 1 and 3 are residues 1 and 3
         assert l_set(0b0101, 1, 4) == 0b1010
         with pytest.raises(ValueError, match="label"):
@@ -100,23 +99,30 @@ class TestResidueSet:
             l_set(0b0101, 5, 4)
 
 
+def lambda_labels(chain):
+    """The labels k of the classes of the last nontrivial component D_p
+    that feed the trailing vertex: the pairs (k, 1) of interface p."""
+    return {k for k, _ in chain.pairs[chain.last_nontrivial - 1]}
+
+
 class TestLambdaAndLSets:
     def test_lambda_set_of_divergent_feeder(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
         assert chain.kappa(chain.last_nontrivial) == 4
-        assert lambda_set(d, chain) == 0b0011  # labels 1 and 2
+        assert lambda_labels(chain) == {1, 2}
 
     def test_lambda_set_full_when_all_classes_feed(self):
         d = cycle4_feeders(4)
         chain = component_chain(d)
-        assert lambda_set(d, chain) == 0b1111
+        assert lambda_labels(chain) == {1, 2, 3, 4}
 
     def test_lambda_set_matches_its_definition(self):
-        # Lambda by its definition: the labels of the classes of D_p that
-        # hold a row hitting the column of the trailing vertex, found by
-        # scanning every row, on chains ending in one to three trivial
-        # components
+        # the pairs of every interface by their definition: the class
+        # labels of both ends of every arc from D_p to D_(p+1), found by
+        # scanning every arc, on chains ending in one to three trivial
+        # components; lambda is the labels k of the last nontrivial
+        # component's pairs
         rng = random.Random(11)
         compared = partial = 0
         while compared < 2000:
@@ -133,29 +139,21 @@ class TestLambdaAndLSets:
             p = chain.last_nontrivial
             if p is None:
                 continue
-            column = chain.masks[p]
-            feeders = sum(1 << u for u, row in enumerate(d.rows) if row & column)
-            expected = sum(
-                1 << (j - 1)
-                for j, members in enumerate(chain.class_masks[p - 1], start=1)
-                if feeders & members
-            )
-            assert lambda_set(d, chain) == expected, spec
+            label = {
+                v: (q, j)
+                for q, classes in enumerate(chain.class_masks, start=1)
+                for j, members in enumerate(classes, start=1)
+                for v in vertices(members)
+            }
+            expected = [set() for _ in range(chain.eta - 1)]
+            for u, v in d.arc_list():
+                (q, k), (r, l) = label[u], label[v]
+                if r == q + 1:
+                    expected[q - 1].add((k, l))
+            assert list(chain.pairs) == expected, spec
             compared += 1
-            partial += expected != (1 << chain.kappa(p)) - 1
+            partial += lambda_labels(chain) != set(range(1, chain.kappa(p) + 1))
         assert partial >= 100
-
-    def test_lambda_set_requires_trailing_trivial_part(self):
-        d = two_chain()
-        chain = component_chain(d)
-        with pytest.raises(ValueError, match="last component is nontrivial"):
-            lambda_set(d, chain)
-
-    def test_lambda_set_requires_a_nontrivial_component(self):
-        d = Digraph.from_arcs(3, [(1, 2), (2, 3)])
-        chain = component_chain(d)
-        with pytest.raises(ValueError, match="every component is trivial"):
-            lambda_set(d, chain)
 
     def test_l_set_examples(self):
         lam = 0b01  # label 1 of Z_2
@@ -252,34 +250,34 @@ def full_feed_cycle(kappa: int) -> Digraph:
 
 class TestConverges:
     def test_all_trivial_rule(self):
-        v = converges(Digraph.from_arcs(3, [(1, 2), (2, 3)]))
+        v = converges(component_chain(Digraph.from_arcs(3, [(1, 2), (2, 3)])))
         assert v.converged and v.rule == RULE_ALL_TRIVIAL and v.witness is None
 
     def test_nontrivial_tail_rule(self):
-        v = converges(period3_digraph())
+        v = converges(component_chain(period3_digraph()))
         assert v.converged and v.rule == RULE_NONTRIVIAL_TAIL
-        assert converges(two_chain()).rule == RULE_NONTRIVIAL_TAIL
+        assert converges(component_chain(two_chain())).rule == RULE_NONTRIVIAL_TAIL
 
     def test_divergent_feeder_witness(self):
-        v = converges(cycle4_feeders(2))
+        v = converges(component_chain(cycle4_feeders(2)))
         assert not v.converged
         assert v.rule == RULE_TRAILING_CONDITION
         assert v.witness == DivergenceWitness(j1=1, j2=2, excluded_residue=0)
 
     def test_full_feeder_converges(self):
-        v = converges(cycle4_feeders(4))
+        v = converges(component_chain(cycle4_feeders(4)))
         assert v.converged and v.rule == RULE_TRAILING_CONDITION and v.witness is None
 
     def test_large_full_feeder_converges(self):
         # kappa = 197: every L_j is all of Z_197, so every union is full
         d = full_feed_cycle(197)
-        v = converges(d)
+        v = converges(component_chain(d))
         assert v.converged and v.rule == RULE_TRAILING_CONDITION and v.witness is None
 
     def test_disjoint_l_sets_converge(self):
         # single class feeds the tail: every L-pair intersection is empty
         d = Digraph.from_arcs(3, [(1, 2), (2, 1), (1, 3)])
-        v = converges(d)
+        v = converges(component_chain(d))
         assert v.converged and v.rule == RULE_TRAILING_CONDITION
 
     def test_matches_all_pairs_loop(self):
@@ -299,7 +297,7 @@ class TestConverges:
             d = random_instance(spec)
             if component_chain(d).all_trivial:
                 continue
-            got = converges(d)
+            got = converges(component_chain(d))
             assert got == all_pairs_verdict(d), spec
             compared += 1
             divergent += not got.converged
@@ -314,31 +312,23 @@ class TestConverges:
     def test_verdict_ignores_class_anchoring(self):
         d = cycle4_feeders(2)
         chain = component_chain(d)
-        base = converges(d, chain=chain)
+        base = converges(chain)
         for s in range(4):
             rot = rotate_classes(chain, (s, 0))
-            v = converges(d, chain=rot)
+            v = converges(rot)
             assert (v.converged, v.rule) == (base.converged, base.rule)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 100_000), st.integers(1, 4))
     def test_matches_simulation(self, seed, eta):
         d = random_instance(GeneratorSpec(eta=eta, sizes=(1, 4), seed=seed))
-        assert converges(d).converged == simulate_limit(d).converged
+        assert converges(component_chain(d)).converged == simulate_limit(d).converged
 
 
 class TestInterfacePairs:
     def test_two_chain(self):
-        d = two_chain()
-        chain = component_chain(d)
-        iset = interface_pairs(d, chain, 1)
-        assert iset == {(2, 1)}
-
-    def test_index_validated(self):
-        d = two_chain()
-        chain = component_chain(d)
-        with pytest.raises(ValueError, match="interface index"):
-            interface_pairs(d, chain, 2)
+        chain = component_chain(two_chain())
+        assert chain.pairs == (frozenset({(2, 1)}),)
 
 
 def per_pair_b_graph(kappa1, kappa2, pairs):
@@ -411,7 +401,7 @@ class TestSkeleton:
     def test_parallel_chain(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        joins = cs_graph(d, chain)
+        joins = cs_graph(chain)
         assert chain.kappas == (2, 2, 2)
         assert joins == ((0b01, 0b10), (0b01, 0b10))
         assert skeleton_edges(joins) == [
@@ -424,7 +414,7 @@ class TestSkeleton:
     def test_complete_chain(self):
         d = three_chain_complete()
         chain = component_chain(d)
-        assert skeleton_edges(cs_graph(d, chain)) == [
+        assert skeleton_edges(cs_graph(chain)) == [
             ((p, i), (p + 1, j)) for p in (1, 2) for i in (1, 2) for j in (1, 2)
         ]
 
@@ -433,7 +423,7 @@ class TestSkeleton:
         # the report's skeleton edges, as the CLI writes them from the joins
         d = random_instance(GeneratorSpec(eta=4, sizes=(2, 12), allow_trivial=False, seed=seed))
         chain = component_chain(d)
-        joins = cs_graph(d, chain)
+        joins = cs_graph(chain)
         head = "[{}, {}, {}, ".format
         runs = _join_runs(joins, chain, head, lambda *c: "], " + head(*c), "]")
         edges = [tuple(e) for e in json.loads("[" + ", ".join(runs) + "]")]
@@ -452,7 +442,7 @@ class TestSkeleton:
             )
             d = random_instance(spec)
             chain = component_chain(d)
-            joins = cs_graph(d, chain)
+            joins = cs_graph(chain)
             assert len(joins) == chain.eta - 1
             for p, level in enumerate(joins, start=1):
                 assert len(level) == chain.kappa(p)
@@ -464,7 +454,7 @@ class TestSkeleton:
         d = cycle4_feeders(2)
         chain = component_chain(d)
         with pytest.raises(TrivialComponentError, match="component 2 is trivial"):
-            cs_graph(d, chain)
+            cs_graph(chain)
 
 
 def ascending_reach(joins, p, i):
@@ -495,7 +485,7 @@ class TestAscendingReach:
     def test_parallel_chain_tracks_one_lane(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        joins = cs_graph(d, chain)
+        joins = cs_graph(chain)
         assert ascending_reach(joins, 1, 2) == {
             1: frozenset({2}),
             2: frozenset({2}),
@@ -507,7 +497,7 @@ class TestAscendingReach:
     def test_complete_chain_spreads(self):
         d = three_chain_complete()
         chain = component_chain(d)
-        assert ascending_reach(cs_graph(d, chain), 1, 1)[3] == frozenset({1, 2})
+        assert ascending_reach(cs_graph(chain), 1, 1)[3] == frozenset({1, 2})
 
 
 # hand-built chains where skeleton lanes merge (kappas (2, 4, 2) and
@@ -519,7 +509,7 @@ def pairwise_limit_graph(d, chain):
     """The limit by the vertex-pair rule: x in U_i of D_p and y in U_j of
     D_q with p <= q are adjacent iff the ascending reach sets of (p, i) and
     (q, j) meet at some level r >= q."""
-    joins = cs_graph(d, chain)
+    joins = cs_graph(chain)
     reach = {
         (p, i): ascending_reach(joins, p, i)
         for p in range(1, chain.eta + 1)
@@ -539,7 +529,7 @@ def pairwise_limit_graph(d, chain):
 class TestLimitGraph:
     def limit(self, d):
         chain = component_chain(d)
-        return limit_graph(cs_graph(d, chain), chain)
+        return limit_graph(cs_graph(chain), chain)
 
     def test_two_chain(self):
         assert self.limit(two_chain()).edge_list() == [(1, 3), (2, 4)]
@@ -562,17 +552,17 @@ class TestLimitGraph:
         d = cycle4_feeders(2)
         chain = component_chain(d)
         with pytest.raises(TrivialComponentError):
-            limit_graph(cs_graph(d, chain), chain)
+            limit_graph(cs_graph(chain), chain)
 
     def test_ignores_class_anchoring(self):
         d = three_chain_parallel()
         chain = component_chain(d)
-        base = limit_graph(cs_graph(d, chain), chain)
-        base_jbd = jbd_condition(d, chain).holds
+        base = limit_graph(cs_graph(chain), chain)
+        base_jbd = jbd_condition(chain).holds
         for shifts in itertools.product(range(2), repeat=3):
             rotated = rotate_classes(chain, shifts)
-            assert limit_graph(cs_graph(d, rotated), rotated) == base
-            assert jbd_condition(d, rotated).holds == base_jbd
+            assert limit_graph(cs_graph(rotated), rotated) == base
+            assert jbd_condition(rotated).holds == base_jbd
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -591,7 +581,7 @@ class TestLimitGraph:
         chain = component_chain(d)
         sim = simulate_limit(d)
         assert sim.converged
-        assert limit_graph(cs_graph(d, chain), chain) == sim.limit
+        assert limit_graph(cs_graph(chain), chain) == sim.limit
 
     def test_matches_pairwise_rule(self):
         rng = random.Random(3)
@@ -609,9 +599,9 @@ class TestLimitGraph:
         )
         for d in itertools.chain(LANE_MERGES, randoms):
             chain = component_chain(d)
-            assert limit_graph(cs_graph(d, chain), chain) == pairwise_limit_graph(d, chain)
+            assert limit_graph(cs_graph(chain), chain) == pairwise_limit_graph(d, chain)
             seen_kappa |= max(chain.kappas) > 1
-            seen_jbd_fail |= not jbd_condition(d, chain).holds
+            seen_jbd_fail |= not jbd_condition(chain).holds
         assert seen_kappa and seen_jbd_fail
 
     @settings(max_examples=40, deadline=None)
@@ -621,7 +611,7 @@ class TestLimitGraph:
             GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
         )
         chain = component_chain(d)
-        got = limit_graph(cs_graph(d, chain), chain)
+        got = limit_graph(cs_graph(chain), chain)
         for cls in chain.class_masks:
             for members in map(vertices, cls):
                 for u in members:
@@ -642,7 +632,7 @@ class TestStepCommonPrey:
             GeneratorSpec(eta=eta, sizes=(2, 4), allow_trivial=False, seed=seed)
         )
         chain = component_chain(d)
-        joins = cs_graph(d, chain)
+        joins = cs_graph(chain)
         _, _, powers = reference_powers(d)
         masks = dict(enumerate(chain.masks, start=1))
         reach = {
@@ -665,7 +655,7 @@ class TestStepCommonPrey:
 class TestJbdCondition:
     def verdict(self, d):
         chain = component_chain(d)
-        return jbd_condition(d, chain)
+        return jbd_condition(chain)
 
     def test_parallel_chain_holds(self):
         v = self.verdict(three_chain_parallel())
@@ -698,7 +688,7 @@ class TestJbdCondition:
         d = cycle4_feeders(2)
         chain = component_chain(d)
         with pytest.raises(TrivialComponentError):
-            jbd_condition(d, chain)
+            jbd_condition(chain)
 
     def test_named_instances_match_limit_shape(self):
         for d in (
@@ -708,8 +698,8 @@ class TestJbdCondition:
             mixed_residue_chain(),
         ):
             chain = component_chain(d)
-            assert jbd_condition(d, chain).holds == union_of_cliques(
-                limit_graph(cs_graph(d, chain), chain)
+            assert jbd_condition(chain).holds == union_of_cliques(
+                limit_graph(cs_graph(chain), chain)
             )
 
     @settings(max_examples=50, deadline=None)
@@ -720,7 +710,7 @@ class TestJbdCondition:
         )
         chain = component_chain(d)
         sim = simulate_limit(d)
-        assert jbd_condition(d, chain).holds == union_of_cliques(sim.limit)
+        assert jbd_condition(chain).holds == union_of_cliques(sim.limit)
 
 
 def connected_components(g):
